@@ -29,6 +29,7 @@ from .core import (
     PartialIso,
     boundary_set,
     d_witness,
+    from_anatomy,
     green_d,
     green_h,
     green_j,

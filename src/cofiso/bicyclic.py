@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .core import ALPHA, BETA, IDENTITY, PartialIso
+from .core import ALPHA, BETA, IDENTITY, PartialIso, from_anatomy
 
 
 class WordError(ValueError):
@@ -45,7 +45,7 @@ class BicyclicNF:
 
 def embed(u: BicyclicNF) -> PartialIso:
     """Realize q^k p^l as the partial shift BETA^k * ALPHA^l."""
-    return PartialIso(tuple(range(1, u.k + 1)), u.l - u.k)
+    return from_anatomy(u.k + 1, 0, u.l - u.k)
 
 
 def recognize(g: PartialIso) -> Optional[BicyclicNF]:

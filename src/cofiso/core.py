@@ -3,9 +3,14 @@
 An injective partial self-map of {1, 2, 3, ...} that is defined off a
 finite set and preserves all distances must be a translation
 x -> x + shift on its whole domain: a reflection would eventually send
-large points below 1.  An element is therefore stored losslessly as the
-finite excluded set together with the shift, and every operation here is
-exact integer arithmetic on that pair.
+large points below 1.  Such a map splits into an irregular head and a
+plain shifted tail, and is stored losslessly as that anatomy: the least
+domain point ``dom_min``, a bitmask ``gaps`` of the excluded points above
+it (bit i stands for dom_min + i) and the ``shift``.  The head has length
+``noise = gaps.bit_length()`` and the tail starts at dom_min + noise.
+Every operation here is exact integer arithmetic on that triple, so it
+costs time in the noise, not in the tail start; the excluded set is
+derived from the triple on demand.
 
 Composition is written left to right: ``a * b`` applies ``a`` first.
 All values are immutable and all functions are pure.
@@ -14,11 +19,14 @@ All values are immutable and all functions are pure.
 True
 >>> BETA * ALPHA
 iso([1],0)
+>>> (BETA ** 10**9).tail_start
+1000000001
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, total_ordering
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -31,46 +39,65 @@ class NotIdempotent(ValueError):
     """The operation requires a partial identity (shift 0)."""
 
 
-@dataclass(frozen=True, order=True)
+def _bits(gaps: int) -> str:
+    """Binary digits of a gap mask, least significant first."""
+    return bin(gaps)[:1:-1] if gaps else ""
+
+
+def _fill(g: "PartialIso", dom_min: int, gaps: int, shift: int) -> "PartialIso":
+    if shift < 1 - dom_min:
+        raise InvalidShift(f"shift {shift} sends the domain minimum {dom_min} below 1")
+    # the instance is frozen; its fields are written once, here
+    d = g.__dict__
+    d["dom_min"] = dom_min
+    d["gaps"] = gaps
+    d["shift"] = shift
+    return g
+
+
+@total_ordering
+@dataclass(frozen=True, init=False)
 class PartialIso:
     """A cofinite partial shift: x -> x + shift off the ``excluded`` set.
 
-    ``excluded`` is strictly ascending; construction enforces
-    shift >= 1 - dom_min so the range stays inside the positive integers.
+    Built from the strictly ascending ``excluded`` tuple; construction
+    enforces shift >= 1 - dom_min so the range stays inside the positive
+    integers.  Stored as (dom_min, gaps, shift), see the module docstring;
+    ordering follows (excluded, shift).
     """
 
-    excluded: tuple[int, ...] = ()
-    shift: int = 0
+    dom_min: int
+    gaps: int
+    shift: int
 
-    def __post_init__(self) -> None:
-        prev = 0
-        for e in self.excluded:
+    def __init__(self, excluded: Iterable[int] = (), shift: int = 0) -> None:
+        u, gaps, prev = 1, 0, 0
+        for e in excluded:
             if not isinstance(e, int) or e < 1:
                 raise ValueError(f"excluded point {e!r} is not a positive integer")
             if e <= prev:
                 raise ValueError("excluded points must be strictly ascending")
             prev = e
-        if self.shift < 1 - self.dom_min:
-            raise InvalidShift(
-                f"shift {self.shift} sends the domain minimum {self.dom_min} below 1"
-            )
+            # the points 1, 2, ... excluded in a row lie below dom_min;
+            # after the first domain point every later one is a gap
+            if e == u:
+                u += 1
+            else:
+                gaps |= 1 << (e - u)
+        _fill(self, u, gaps, shift)
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def dom_min(self) -> int:
-        """Least point of the domain."""
-        u = 1
-        for e in self.excluded:
-            if e != u:
-                break
-            u += 1
-        return u
+    @cached_property
+    def excluded(self) -> tuple[int, ...]:
+        """The finite set off which the map is defined, ascending."""
+        u = self.dom_min
+        return (*range(1, u), *(u + i for i, b in enumerate(_bits(self.gaps)) if b == "1"))
 
     @property
     def tail_start(self) -> int:
         """Least n with the whole ray [n, oo) inside the domain."""
-        return self.excluded[-1] + 1 if self.excluded else 1
+        return self.dom_min + self.gaps.bit_length()
 
     @property
     def ran_min(self) -> int:
@@ -84,7 +111,7 @@ class PartialIso:
     @property
     def noise(self) -> int:
         """Length of the irregular head: tail_start - dom_min.  Never 1."""
-        return self.tail_start - self.dom_min
+        return self.gaps.bit_length()
 
     @property
     def pi(self) -> int:
@@ -96,7 +123,8 @@ class PartialIso:
         return self.shift == 0
 
     def defined_at(self, x: int) -> bool:
-        return x >= 1 and x not in self.excluded
+        i = x - self.dom_min
+        return i >= 0 and not self.gaps >> i & 1
 
     def hits(self, y: int) -> bool:
         """True when y lies in the range."""
@@ -111,30 +139,40 @@ class PartialIso:
         """Apply self first, then other.
 
         Defined where self is defined and the image lands in other's
-        domain, so the composite excludes self.excluded plus the pullback
-        of other.excluded; shifts add.  The result always satisfies the
-        construction invariant.
+        domain, so the composite excludes self's excluded set plus the
+        pullback of other's; shifts add.  Both sets are everything below
+        a minimum plus a mask above it: align the masks at the larger
+        minimum, or them, and move the minimum past any run of excluded
+        points that now starts there.
         """
-        ex = set(self.excluded)
-        for e in other.excluded:
-            if e - self.shift >= 1:
-                ex.add(e - self.shift)
-        return PartialIso(tuple(sorted(ex)), self.shift + other.shift)
+        u, v = self.dom_min, other.dom_min - self.shift
+        if u >= v:
+            gaps = self.gaps | other.gaps >> (u - v)
+        else:
+            u, gaps = v, self.gaps >> (v - u) | other.gaps
+        if gaps & 1:
+            run = (~gaps & (gaps + 1)).bit_length() - 1
+            u += run
+            gaps >>= run
+        return from_anatomy(u, gaps, self.shift + other.shift)
 
     __mul__ = compose
 
     def inverse(self) -> "PartialIso":
-        ex = set(range(1, self.shift + 1))
-        for e in self.excluded:
-            if e + self.shift >= 1:
-                ex.add(e + self.shift)
-        return PartialIso(tuple(sorted(ex)), -self.shift)
+        """The range, with the same gaps, carried back by -shift."""
+        return from_anatomy(self.dom_min + self.shift, self.gaps, -self.shift)
 
     def __pow__(self, n: int) -> "PartialIso":
+        """Square and multiply: O(log |n|) compositions."""
         base = self if n >= 0 else self.inverse()
         out = IDENTITY
-        for _ in range(abs(n)):
-            out = out.compose(base)
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = out.compose(base)
+            n >>= 1
+            if n:
+                base = base.compose(base)
         return out
 
     def tail(self) -> "PartialIso":
@@ -143,10 +181,23 @@ class PartialIso:
         This is a retraction onto the bicyclic submonoid and a
         homomorphism: (a * b).tail() == a.tail() * b.tail().
         """
-        return PartialIso(tuple(range(1, self.tail_start)), self.shift)
+        return from_anatomy(self.tail_start, 0, self.shift)
+
+    def __lt__(self, other: "PartialIso") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.excluded, self.shift) < (other.excluded, other.shift)
 
     def __repr__(self) -> str:
         return f"iso([{','.join(map(str, self.excluded))}],{self.shift})"
+
+
+def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:
+    """The element with least domain point dom_min, gap mask gaps (bit i
+    marks dom_min + i as excluded, bit 0 clear) and the given shift."""
+    if dom_min < 1 or gaps < 0 or gaps & 1:
+        raise ValueError(f"no element has dom_min {dom_min} and gap mask {gaps}")
+    return _fill(object.__new__(PartialIso), dom_min, gaps, shift)
 
 
 IDENTITY = PartialIso()
@@ -196,7 +247,13 @@ class NoiseParams:
 
 def leq(a: PartialIso, b: PartialIso) -> bool:
     """Natural partial order: a is b restricted to a smaller domain."""
-    return a.shift == b.shift and set(b.excluded) <= set(a.excluded)
+    # b's excluded set must lie inside a's: b's minimum is no larger, and
+    # b's gaps, aligned at a's minimum, are all gaps of a
+    return (
+        a.shift == b.shift
+        and b.dom_min <= a.dom_min
+        and not b.gaps >> (a.dom_min - b.dom_min) & ~a.gaps
+    )
 
 
 def group_congruent(a: PartialIso, b: PartialIso) -> bool:
@@ -211,7 +268,7 @@ def group_congruence_witness(a: PartialIso, b: PartialIso) -> Optional[PartialIs
     """
     if a.shift != b.shift:
         return None
-    return PartialIso(tuple(range(1, max(a.tail_start, b.tail_start))), 0)
+    return from_anatomy(max(a.tail_start, b.tail_start), 0, 0)
 
 
 # -- Green's relations ----------------------------------------------------
@@ -219,28 +276,21 @@ def group_congruence_witness(a: PartialIso, b: PartialIso) -> Optional[PartialIs
 
 def green_l(a: PartialIso, b: PartialIso) -> bool:
     """Equal domains."""
-    return a.excluded == b.excluded
+    return a.dom_min == b.dom_min and a.gaps == b.gaps
 
 
 def green_r(a: PartialIso, b: PartialIso) -> bool:
     """Equal ranges."""
-    return a.inverse().excluded == b.inverse().excluded
+    return a.ran_min == b.ran_min and a.gaps == b.gaps
 
 
 def green_h(a: PartialIso, b: PartialIso) -> bool:
     return a == b
 
 
-def _gap_pattern(g: PartialIso) -> tuple[int, ...]:
-    # excluded points above dom_min, re-based at dom_min: a translation
-    # invariant that determines the domain up to translation
-    u = g.dom_min
-    return tuple(e - u for e in g.excluded if e > u)
-
-
 def green_d(a: PartialIso, b: PartialIso) -> bool:
-    """The domains are translates of each other."""
-    return _gap_pattern(a) == _gap_pattern(b)
+    """The domains are translates of each other: equal gap masks."""
+    return a.gaps == b.gaps
 
 
 def d_witness(a: PartialIso, b: PartialIso) -> Optional[PartialIso]:
@@ -251,7 +301,7 @@ def d_witness(a: PartialIso, b: PartialIso) -> Optional[PartialIso]:
     """
     if not green_d(a, b):
         return None
-    return PartialIso(a.excluded, b.dom_min - a.dom_min)
+    return from_anatomy(a.dom_min, a.gaps, b.dom_min - a.dom_min)
 
 
 def green_j(a: PartialIso, b: PartialIso) -> bool:
@@ -268,8 +318,10 @@ def noise_bounded(g: PartialIso, j: int) -> bool:
 
 def head_offsets(g: PartialIso) -> tuple[int, ...]:
     """Distances from early domain points back to tail_start (0 included)."""
-    ts = g.tail_start
-    return tuple(ts - x for x in range(1, ts + 1) if g.defined_at(x))
+    # the domain points up to tail_start are dom_min + i for the clear
+    # bits i of the gap mask, plus tail_start itself
+    n = g.noise
+    return tuple(n - i for i, b in enumerate(_bits(g.gaps) + "0") if b == "0")
 
 
 def in_offset_class(g: PartialIso, params: NoiseParams) -> bool:

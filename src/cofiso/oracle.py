@@ -74,15 +74,17 @@ def window_compose(a: PartialIso, b: PartialIso, window: Optional[int] = None) -
         window = default_window(a, b)
     if window < min_window(a, b):
         raise WindowTooSmall(f"need window >= {min_window(a, b)}, got {window}")
+    # membership is read off the excluded sets, not off the maps' own
+    # arithmetic, so the table stays an independent route
+    holes_a, holes_b = set(a.excluded), set(b.excluded)
     table = {}
     for x in range(1, window + 1):
-        y = a.apply(x)
-        if y is None:
+        if x in holes_a:
             continue
-        z = b.apply(y)
-        if z is None:
+        y = x + a.shift
+        if y < 1 or y in holes_b:
             continue
-        table[x] = z
+        table[x] = y + b.shift
     return table
 
 

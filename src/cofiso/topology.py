@@ -15,9 +15,9 @@ from .core import (
     InvalidShift,
     NoiseParams,
     PartialIso,
+    from_anatomy,
     in_offset_class,
     leq,
-    make,
 )
 from .extension import ExtElem, Group
 
@@ -83,8 +83,13 @@ def seq_elem(spec: TailSeqSpec, n: int) -> PartialIso:
     the kept ones."""
     if n < min_index(spec):
         raise OffsetOutOfRange(f"need n >= {min_index(spec)}, got {n}")
-    kept = {n - m for m in spec.kept_offsets}
-    return PartialIso(tuple(x for x in range(1, n) if x not in kept), spec.shift)
+    # the domain minimum is n - max_offset; every point from there up to
+    # n is a gap except the kept ones
+    width = spec.max_offset
+    gaps = (1 << width) - 1
+    for m in spec.kept_offsets:
+        gaps &= ~(1 << (width - m))
+    return from_anatomy(n - width, gaps, spec.shift)
 
 
 def converges(spec: TailSeqSpec, k: int, params: NoiseParams) -> bool:
@@ -152,7 +157,7 @@ def cutoff_witness(k: int, i: int):
     if i < 2:
         raise ValueError("neighborhood index must be >= 2")
     try:
-        return make(range(1, i - 1), k)
+        return from_anatomy(i - 1, 0, k)
     except InvalidShift:
         return None
 

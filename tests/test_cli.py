@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cofiso import properties
-from cofiso.cli import invoke
+from cofiso.cli import invoke, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -255,3 +255,49 @@ class TestSubprocess:
     def test_verdict_exit_code_propagates(self):
         proc = run_cli("order", "a", "b")
         assert proc.returncode == 1
+
+
+# Exact stdout of schema-1 documents for elements with a noisy head,
+# recorded from the implementation that stored the excluded tuple itself.
+GOLDEN = [
+    (
+        ["eval", "iso([1,2,4,7],2)*e[10]*e[14]"],
+        '{"schema": 1, "value": {"excluded": [1, 2, 4, 7, 8, 12], "shift": 2}, '
+        '"repr": "iso([1,2,4,7,8,12],2)"}\n',
+    ),
+    (
+        ["eval", "(iso([2,5,6],1)*b^2)^-1"],
+        '{"schema": 1, "value": {"excluded": [1, 4, 5], "shift": 1}, "repr": "iso([1,4,5],1)"}\n',
+    ),
+    (
+        ["classify", "iso([1,3,4,8],-1)", "--j", "8", "--M", "2,4,5"],
+        '{"schema": 1, "value": {"excluded": [1, 3, 4, 8], "shift": -1}, "nd": 9, "und": 2, '
+        '"nr": 8, "unr": 1, "noise": 7, "pi": -1, "idempotent": false, "in_gj": true, '
+        '"in_M": false, "in_M_range": false, "bicyclic": null}\n',
+    ),
+    (
+        ["upset", "iso([1,3,5],0)", "--j", "4", "--bound", "5"],
+        '{"schema": 1, "elements": [{"excluded": [], "shift": 0}, {"excluded": [1], "shift": 0}, '
+        '{"excluded": [1, 3], "shift": 0}, {"excluded": [1, 3, 5], "shift": 0}, '
+        '{"excluded": [1, 5], "shift": 0}, {"excluded": [3], "shift": 0}], '
+        '"count": 6, "complete": true}\n',
+    ),
+    (
+        ["normalize", "bbabaab"],
+        '{"schema": 1, "k": 2, "l": 1, "reduced": "bba", '
+        '"value": {"excluded": [1, 2], "shift": -1}}\n',
+    ),
+    (
+        ["green", "D", "iso([1,3,6],0)", "iso([1,2,3,5,8],4)"],
+        '{"schema": 1, "relation": "D", "a": {"excluded": [1, 3, 6], "shift": 0}, '
+        '"b": {"excluded": [1, 2, 3, 5, 8], "shift": 4}, "related": true, '
+        '"witness": {"excluded": [1, 3, 6], "shift": 2}}\n',
+    ),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("argv,stdout", GOLDEN, ids=[g[0][0] + str(i) for i, g in enumerate(GOLDEN)])
+    def test_stdout_is_byte_identical(self, argv, stdout, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == stdout

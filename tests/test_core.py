@@ -1,4 +1,8 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofiso.core import (
     ALPHA,
@@ -10,6 +14,7 @@ from cofiso.core import (
     PartialIso,
     boundary_set,
     d_witness,
+    from_anatomy,
     green_d,
     green_h,
     green_l,
@@ -25,6 +30,7 @@ from cofiso.core import (
     punctured_identity,
     tail_chain,
 )
+from cofiso.oracle import EnumBounds, enumerate_elements
 
 
 class TestConstruction:
@@ -296,3 +302,118 @@ class TestPuncturedIdentity:
     def test_index_must_be_positive(self):
         with pytest.raises(ValueError):
             punctured_identity(0)
+
+
+def _ref_dom_min(excluded):
+    u = 1
+    while u in excluded:
+        u += 1
+    return u
+
+
+class TestRepresentation:
+    def test_round_trip_and_anatomy_match_the_excluded_tuple(self):
+        for g in enumerate_elements(EnumBounds(6, 3)):
+            ex = g.excluded
+            again = PartialIso(ex, g.shift)
+            assert again == g and hash(again) == hash(g)
+            tail_start = ex[-1] + 1 if ex else 1
+            assert g.dom_min == _ref_dom_min(ex)
+            assert g.tail_start == tail_start
+            assert g.noise == tail_start - _ref_dom_min(ex)
+            assert ex == tuple(x for x in range(1, tail_start) if not g.defined_at(x))
+            assert from_anatomy(g.dom_min, g.gaps, g.shift) == g
+
+    def test_ordering_follows_the_excluded_tuple(self):
+        elems = list(enumerate_elements(EnumBounds(6, 3)))[::-1]
+        assert sorted(elems) == sorted(elems, key=lambda g: (g.excluded, g.shift))
+
+    @pytest.mark.parametrize(
+        "excluded,shift,error,message",
+        [
+            ((0,), 0, ValueError, "excluded point 0 is not a positive integer"),
+            (("1",), 0, ValueError, "excluded point '1' is not a positive integer"),
+            ((2, 2), 0, ValueError, "excluded points must be strictly ascending"),
+            ((1, 2, 5), -3, InvalidShift, "shift -3 sends the domain minimum 3 below 1"),
+        ],
+    )
+    def test_constructor_errors(self, excluded, shift, error, message):
+        with pytest.raises(error) as info:
+            PartialIso(excluded, shift)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("dom_min,gaps", [(0, 0), (2, 1), (2, -2)])
+    def test_from_anatomy_rejects_impossible_triples(self, dom_min, gaps):
+        with pytest.raises(ValueError):
+            from_anatomy(dom_min, gaps, 0)
+        with pytest.raises(InvalidShift):
+            from_anatomy(3, 0, -3)
+
+
+class TestPowers:
+    def test_square_and_multiply_matches_the_loop(self):
+        for g in enumerate_elements(EnumBounds(4, 2)):
+            for n in range(-9, 10):
+                base = g if n >= 0 else g.inverse()
+                expected = IDENTITY
+                for _ in range(abs(n)):
+                    expected = expected * base
+                assert g ** n == expected, (g, n)
+
+    def test_huge_power_is_one_small_object(self):
+        t0 = time.perf_counter()
+        g = BETA ** 10**9
+        assert time.perf_counter() - t0 < 0.5
+        assert (g.tail_start, g.noise, g.shift) == (10**9 + 1, 0, -(10**9))
+        assert "excluded" not in vars(g)
+
+
+@st.composite
+def deep_isos(draw, near=None):
+    """Elements whose tail starts up to 10**4 out with noise at most 8;
+    given near, the domain minimum lies within 9 of it."""
+    noise = draw(st.sampled_from([0, 2, 3, 4, 5, 6, 7, 8]))
+    if near is None:
+        dom_min = draw(st.integers(min_value=1, max_value=10**4 - noise))
+    else:
+        dom_min = max(1, near + draw(st.integers(min_value=-9, max_value=9)))
+    # bit 0 of the gap mask is the domain minimum, bit noise - 1 the last gap
+    inner = draw(st.sets(st.integers(min_value=1, max_value=noise - 2))) if noise > 2 else set()
+    gaps = {dom_min + i for i in inner} | ({dom_min + noise - 1} if noise else set())
+    excluded = tuple(range(1, dom_min)) + tuple(sorted(gaps))
+    shift = draw(st.integers(min_value=1 - dom_min, max_value=10**4))
+    return PartialIso(excluded, shift)
+
+
+def _then_on_sets(a, b):
+    """Excluded set and shift of a-then-b, point by point."""
+    holes_a, holes_b = set(a.excluded), set(b.excluded)
+    window = a.tail_start + b.tail_start + abs(a.shift) + 1
+    holes = {x for x in range(1, window + 1) if x in holes_a or x + a.shift in holes_b}
+    return holes, a.shift + b.shift
+
+
+def _inverse_on_sets(g):
+    holes = set(g.excluded)
+    window = g.tail_start + abs(g.shift) + 1
+    return {y for y in range(1, window + 1) if y - g.shift < 1 or y - g.shift in holes}, -g.shift
+
+
+@st.composite
+def deep_pairs(draw):
+    """Two deep elements; often the second one's head meets the image of
+    the first one's head, so that the composite's gaps interact."""
+    a = draw(deep_isos())
+    near = draw(st.sampled_from([None, a.ran_min]))
+    return a, draw(deep_isos(near))
+
+
+class TestDeepElements:
+    @settings(deadline=None, max_examples=80)
+    @given(pair=deep_pairs())
+    def test_compose_and_inverse_match_sets(self, pair):
+        a, b = pair
+        ab = a * b
+        assert (set(ab.excluded), ab.shift) == _then_on_sets(a, b)
+        ai = a.inverse()
+        assert (set(ai.excluded), ai.shift) == _inverse_on_sets(a)
