@@ -8,17 +8,23 @@ Grammar, loosely:
             | "iso([" ints "]," int ")" | "grp(" int ")"
             | "(" expr ")"
 
-Parse errors carry the offending column.  Evaluation returns a map or an
+Lexical rules: blanks (any Unicode whitespace) may stand between tokens;
+an integer is a run of decimal digits of any script, as ``int`` reads
+them, so superscript digits are not digits here.
+
+Parse errors carry the offending column; a character that starts no token
+is reported ahead of any grammar error.  Evaluation returns a map or an
 adjoined integer; with params given, results above the noise bound are
 rejected.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import ALPHA, BETA, IDENTITY, InvalidShift, NoiseParams, PartialIso, punctured_identity
+from .core import ALPHA, BETA, IDENTITY, NoiseParams, PartialIso, punctured_identity
 from .extension import ExtElem, Group, ext_mul
 
 
@@ -70,51 +76,43 @@ Node = Union[Gen, Puncture, IsoLit, GrpLit, Prod, Pow]
 _GENS = {"a": ALPHA, "b": BETA, "I": IDENTITY}
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        col = pos + 1
-        if ch.isspace():
-            pos += 1
-            continue
-        if text.startswith("iso", pos):
-            tokens.append(("iso", "iso", col))
-            pos += 3
-        elif text.startswith("grp", pos):
-            tokens.append(("grp", "grp", col))
-            pos += 3
-        elif ch in "abIe":
-            tokens.append(("name", ch, col))
-            pos += 1
-        elif ch.isdigit():
-            end = pos
-            while end < len(text) and text[end].isdigit():
-                end += 1
-            tokens.append(("int", text[pos:end], col))
-            pos = end
-        elif ch in "()[],*^-":
-            tokens.append((ch, ch, col))
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", col)
-    return tokens
+# Every legal sequence of characters.  A greedy match with nothing after it
+# never backtracks, so it ends at the first character no token can start.
+_LEGAL = re.compile(r"(?:[\s\dabIe()\[\],*^-]+|iso|grp)*")
+# The next token, after any blanks.
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\],*^-]))")
+# A literal's points from its first integer on, read in one match.  The
+# blanks around commas are those int() strips: all of \s but U+001C-U+001F.
+_POINTS = re.compile(r"\d+(?:[^\S\x1c-\x1f]*,[^\S\x1c-\x1f]*\d+)*")
 
 
 class _Parser:
-    def __init__(self, tokens: list):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent with one token of lookahead, scanned on demand.
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    ``tok`` is the next token as (kind, text, column), or None at the end
+    of the input; ``pos`` is the index just past it.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.scan(0)
+
+    def scan(self, pos: int) -> None:
+        m = _TOKEN.match(self.text, pos)
+        if m is None:
+            self.tok = None
+            return
+        kind = m.lastgroup
+        value = m[kind]
+        self.tok = (value if kind == "sym" else kind, value, m.start(kind) + 1)
+        self.pos = m.end()
 
     def next(self):
-        tok = self.peek()
+        tok = self.tok
         if tok is None:
-            raise ParseError("unexpected end of input", len_hint(self.tokens))
-        self.pos += 1
+            # the column just past the last token
+            raise ParseError("unexpected end of input", len(self.text.rstrip()) + 1)
+        self.scan(self.pos)
         return tok
 
     def expect(self, kind: str):
@@ -123,10 +121,13 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def at(self, kind: str) -> bool:
+        return self.tok is not None and self.tok[0] == kind
+
     def parse_expr(self) -> Node:
         node = self.parse_power()
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok is None:
                 return node
             if tok[0] == "*":
@@ -139,7 +140,7 @@ class _Parser:
 
     def parse_power(self) -> Node:
         node = self.parse_atom()
-        while self.peek() is not None and self.peek()[0] == "^":
+        while self.at("^"):
             self.next()
             node = Pow(node, self.signed_int())
         return node
@@ -169,9 +170,13 @@ class _Parser:
             self.expect("(")
             self.expect("[")
             entries = []
-            if self.peek() is not None and self.peek()[0] == "int":
-                entries.append(int(self.next()[1]))
-                while self.peek() is not None and self.peek()[0] == ",":
+            if self.at("int"):
+                run = _POINTS.match(self.text, self.tok[2] - 1)
+                entries = list(map(int, run[0].split(",")))
+                self.scan(run.end())
+                # the run stops at a comma it cannot read: one not followed
+                # by an integer, or next to U+001C-U+001F; go on token by token
+                while self.at(","):
                     self.next()
                     entries.append(int(self.expect("int")[1]))
             self.expect("]")
@@ -191,14 +196,13 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
-def len_hint(tokens: list) -> int:
-    return tokens[-1][2] + len(tokens[-1][1]) if tokens else 1
-
-
 def parse(text: str) -> Node:
-    parser = _Parser(_tokenize(text))
+    stray = _LEGAL.match(text).end()
+    if stray < len(text):
+        raise ParseError(f"unexpected character {text[stray]!r}", stray + 1)
+    parser = _Parser(text)
     node = parser.parse_expr()
-    tok = parser.peek()
+    tok = parser.tok
     if tok is not None:
         raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
     return node
@@ -218,7 +222,7 @@ def _eval(node: Node) -> ExtElem:
     if isinstance(node, IsoLit):
         try:
             return PartialIso(node.excluded, node.shift)
-        except (InvalidShift, ValueError) as exc:
+        except ValueError as exc:
             raise EvalError(f"bad literal {unparse(node)}: {exc}") from exc
     if isinstance(node, GrpLit):
         return Group(node.k)

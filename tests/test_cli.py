@@ -46,6 +46,16 @@ class TestEval:
         assert doc["error"]["type"] == "ParseError"
         assert doc["error"]["column"] == 3
 
+    @pytest.mark.parametrize("text,column", [("e[²]", 3), ("a^²", 3), ("iso([²],0)", 6)])
+    def test_superscript_digit_is_a_located_parse_error(self, text, column):
+        code, doc = invoke(["eval", text])
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParseError",
+            "message": f"column {column}: unexpected character '²'",
+            "column": column,
+        }
+
 
 class TestClassify:
     def test_profile_row(self):
@@ -294,6 +304,21 @@ GOLDEN = [
         '"witness": {"excluded": [1, 3, 6], "shift": 2}}\n',
     ),
 ]
+
+
+# A 300-point literal with blanks around its commas, times a far puncture.
+_LONG_POINTS = [*range(1, 299), 300, 303]
+GOLDEN.append(
+    (
+        [
+            "eval",
+            "iso([" + " , ".join(map(str, _LONG_POINTS[:150])) + ",\t"
+            + ", ".join(map(str, _LONG_POINTS[150:])) + "] , -7)*e[300]",
+        ],
+        '{"schema": 1, "value": {"excluded": [' + ", ".join(map(str, _LONG_POINTS)) + ', 307], "shift": -7}, '
+        '"repr": "iso([' + ",".join(map(str, _LONG_POINTS)) + ',307],-7)"}\n',
+    )
+)
 
 
 class TestGolden:

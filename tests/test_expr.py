@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
 from cofiso.expr import (
@@ -62,6 +64,95 @@ class TestParse:
     def test_list_entries_are_unsigned(self):
         with pytest.raises(ParseError):
             parse("iso([-1],0)")
+
+
+# Malformed inputs and the exact error each raises: message and column.
+# Recorded from the tokenizer that scanned one character at a time.
+_LONG_BAD = "iso([" + ",".join(map(str, range(1, 1498))) + ",,1499,1500],0)"
+ERRORS = [
+    ("", "column 1: unexpected end of input", 1),
+    ("a^ ", "column 3: unexpected end of input", 3),
+    ("a)+", "column 3: unexpected character '+'", 3),
+    ("iso([1 2],0)", "column 8: expected ']', found '2'", 8),
+    ("iso([1,2,],0)", "column 10: expected 'int', found ']'", 10),
+    ("iso([1,,2],0)", "column 8: expected 'int', found ','", 8),
+    ("iso([-1],0)", "column 6: expected ']', found '-'", 6),
+    ("iso([,1],0)", "column 6: expected ']', found ','", 6),
+    (_LONG_BAD, "column 6384: expected 'int', found ','", 6384),
+    ("e[0]", "column 3: puncture index must be >= 1", 3),
+    ("e[00]", "column 3: puncture index must be >= 1", 3),
+    ("grp(-)", "column 6: expected 'int', found ')'", 6),
+    ("b^x", "column 3: unexpected character 'x'", 3),
+    ("is", "column 1: unexpected character 'i'", 1),
+    ("a)", "column 2: unexpected trailing input ')'", 2),
+    ("iso([1],0) )", "column 12: unexpected trailing input ')'", 12),
+    ("a^1 2", "column 5: unexpected trailing input '2'", 5),
+    ("(a", "column 3: unexpected end of input", 3),
+    ("e[]", "column 3: expected 'int', found ']'", 3),
+    ("iso([1],)", "column 9: expected an integer, found ')'", 9),
+    ("iso(1)", "column 5: expected '[', found '1'", 5),
+    ("*a", "column 1: unexpected token '*'", 1),
+    ("()", "column 2: unexpected token ')'", 2),
+    ("a^--1", "column 4: expected 'int', found '-'", 4),
+    ("iso([1,2]0)", "column 10: expected ',', found '0'", 10),
+    ("iso([1, 2 ,],0)", "column 12: expected 'int', found ']'", 12),
+    ("iso([1,2", "column 9: unexpected end of input", 9),
+    ("iso([1,2,   ", "column 10: unexpected end of input", 10),
+    ("iso([],0", "column 9: unexpected end of input", 9),
+]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("text,message,column", ERRORS, ids=[e[0][:16] for e in ERRORS])
+    def test_message_and_column(self, text, message, column):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.column) == (message, column)
+
+    @pytest.mark.parametrize("text,column", [("e[²]", 3), ("a^²", 3), ("iso([²],0)", 6), ("e[1²]", 4)])
+    def test_non_decimal_digits_are_stray_characters(self, text, column):
+        # str.isdigit accepts superscripts, which int() rejects
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.column) == (f"column {column}: unexpected character '²'", column)
+
+    def test_decimal_digits_of_any_script(self):
+        assert parse("e[٣]") == Puncture(3)
+        assert parse("iso([١,٢٣],-١)") == IsoLit((1, 23), -1)
+
+
+class TestLiterals:
+    def test_long_literal(self):
+        points = [*range(1, 4998), 5000, 5003, 5004]
+        assert parse(f"iso([{','.join(map(str, points))}],-9)") == IsoLit(tuple(points), -9)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "iso([1, 2 ,3] , 0)",
+            " iso ( [ 1 ,2,  3 ] ,0 ) ",
+            "iso([1\t,\n2,\u30003],0)",
+            "iso([1\x1c,\x1f2,3],0)",  # blanks that int() does not strip
+        ],
+    )
+    def test_blanks_between_tokens(self, text):
+        assert parse(text) == IsoLit((1, 2, 3), 0)
+
+
+# Token pieces, including ones that int() or the grammar rejects.
+_PIECES = list("abIe()[],*^- 0123456789") + ["iso", "grp", "e[", "iso([", "],", "grp(", "^-", "٣", "²", "x", "+", "\u3000", "\x1c", "\n"]
+
+
+class TestFuzz:
+    @settings(deadline=None, max_examples=400)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+    def test_parse_round_trips_or_locates_its_error(self, text):
+        try:
+            node = parse(text)
+        except ParseError as exc:
+            assert 1 <= exc.column <= len(text) + 1
+        else:
+            assert parse(unparse(node)) == node
 
 
 class TestEvaluate:
