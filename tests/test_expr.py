@@ -140,7 +140,11 @@ class TestLiterals:
 
 
 # Token pieces, including ones that int() or the grammar rejects.
-_PIECES = list("abIe()[],*^- 0123456789") + ["iso", "grp", "e[", "iso([", "],", "grp(", "^-", "٣", "²", "x", "+", "\u3000", "\x1c", "\n"]
+_PIECES = [
+    *"abIe()[],*^- 0123456789",
+    *("iso", "grp", "e[", "iso([", "],", "grp(", "^-"),
+    *("٣", "²", "x", "+", "\u3000", "\x1c", "\n"),
+]
 
 
 class TestFuzz:
