@@ -81,9 +81,9 @@ _GENS = {"a": ALPHA, "b": BETA, "I": IDENTITY}
 _LEGAL = re.compile(r"(?:[\s\dabIe()\[\],*^-]+|iso|grp)*")
 # The next token, after any blanks.
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\],*^-]))")
-# A literal's points from its first integer on, read in one match.  The
-# blanks around commas are those int() strips: all of \s but U+001C-U+001F.
-_POINTS = re.compile(r"\d+(?:[^\S\x1c-\x1f]*,[^\S\x1c-\x1f]*\d+)*")
+# A literal's digits and commas from its first integer on, read in one
+# match.  A repeated character class keeps no backtracking stack.
+_POINTS = re.compile(r"[\d,]*")
 
 
 class _Parser:
@@ -171,11 +171,11 @@ class _Parser:
             self.expect("[")
             entries = []
             if self.at("int"):
-                run = _POINTS.match(self.text, self.tok[2] - 1)
-                entries = list(map(int, run[0].split(",")))
-                self.scan(run.end())
-                # the run stops at a comma it cannot read: one not followed
-                # by an integer, or next to U+001C-U+001F; go on token by token
+                start = self.tok[2] - 1
+                run = _POINTS.match(self.text, start)[0].split(",,", 1)[0].rstrip(",")
+                entries = list(map(int, run.split(",")))
+                self.scan(start + len(run))
+                # a comma the run left (",]", ",,", " ,", ", ") goes token by token
                 while self.at(","):
                     self.next()
                     entries.append(int(self.expect("int")[1]))
