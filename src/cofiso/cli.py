@@ -136,8 +136,13 @@ def _offsets(text: Optional[str], j: int) -> frozenset:
     return frozenset(int(part) for part in text.split(","))
 
 
-def _require_iso(value, label: str) -> PartialIso:
-    if not isinstance(value, PartialIso):
+def _params(args) -> Optional[NoiseParams]:
+    return None if args.j is None else NoiseParams(args.j, _offsets(args.M, args.j))
+
+
+def _value(text: str, label: Optional[str] = None, params: Optional[NoiseParams] = None):
+    value = evaluate(parse(text), params)
+    if label is not None and not isinstance(value, PartialIso):
         raise EvalError(f"{label} must denote a map, not the adjoined integer {value!r}")
     return value
 
@@ -149,13 +154,12 @@ def _dispatch(args) -> tuple:
     cmd = args.cmd
 
     if cmd == "eval":
-        params = NoiseParams(args.j, _offsets(args.M, args.j)) if args.j is not None else None
-        value = evaluate(parse(args.expr), params)
+        value = _value(args.expr, params=_params(args))
         return 0, {"value": _elem_doc(value), "repr": repr(value)}
 
     if cmd == "classify":
-        g = _require_iso(evaluate(parse(args.expr)), "classify")
-        params = NoiseParams(args.j, _offsets(args.M, args.j))
+        g = _value(args.expr, "classify")
+        params = _params(args)
         nf = recognize(g)
         return 0, {
             "value": _elem_doc(g),
@@ -173,8 +177,8 @@ def _dispatch(args) -> tuple:
         }
 
     if cmd == "green":
-        a = _require_iso(evaluate(parse(args.a)), "operand A")
-        b = _require_iso(evaluate(parse(args.b)), "operand B")
+        a = _value(args.a, "operand A")
+        b = _value(args.b, "operand B")
         related = _GREEN[args.relation](a, b)
         doc = {"relation": args.relation, "a": _elem_doc(a), "b": _elem_doc(b), "related": related}
         if args.relation == "D" and related:
@@ -182,17 +186,16 @@ def _dispatch(args) -> tuple:
         return (0 if related else 1), doc
 
     if cmd == "order":
-        a = evaluate(parse(args.a))
-        b = evaluate(parse(args.b))
+        a = _value(args.a)
+        b = _value(args.b)
         verdict = ext_leq(a, b)
         return (0 if verdict else 1), {"a": _elem_doc(a), "b": _elem_doc(b), "leq": verdict}
 
     if cmd == "pi":
-        value = evaluate(parse(args.expr))
-        return 0, {"pi": ext_pi(value)}
+        return 0, {"pi": ext_pi(_value(args.expr))}
 
     if cmd == "arrow":
-        g = _require_iso(evaluate(parse(args.expr)), "arrow")
+        g = _value(args.expr, "arrow")
         r = g.tail()
         nf = recognize(r)
         return 0, {"value": _elem_doc(r), "bicyclic": {"k": nf.k, "l": nf.l}}
@@ -207,8 +210,8 @@ def _dispatch(args) -> tuple:
         }
 
     if cmd == "nbhd":
-        value = evaluate(parse(args.elem))
-        spec = NbhdSpec(args.k, args.i, NoiseParams(args.j, _offsets(args.M, args.j)))
+        value = _value(args.elem)
+        spec = NbhdSpec(args.k, args.i, _params(args))
         member = nbhd_member(value, spec)
         return (0 if member else 1), {
             "element": _elem_doc(value),
@@ -219,7 +222,7 @@ def _dispatch(args) -> tuple:
 
     if cmd == "converge":
         seq = TailSeqSpec(_offsets(args.offsets, args.j), args.shift)
-        params = NoiseParams(args.j, _offsets(args.M, args.j))
+        params = _params(args)
         closed = converges(seq, args.k, params)
         probe = empirical_converges(seq, args.k, params, depth=args.depth, horizon=args.horizon)
         doc = {
@@ -244,8 +247,7 @@ def _dispatch(args) -> tuple:
         }
 
     if cmd == "upset":
-        value = evaluate(parse(args.elem))
-        view = up_set_truncated(value, NoiseParams(args.j), args.bound)
+        view = up_set_truncated(_value(args.elem), NoiseParams(args.j), args.bound)
         return 0, {
             "elements": [_elem_doc(x) for x in view.elements],
             "count": len(view.elements),
@@ -264,6 +266,7 @@ def _dispatch(args) -> tuple:
             "description": report.description,
             "passed": report.passed,
             "instances": report.instances,
+            "failures": report.failures,
             "counterexamples": [list(c) for c in report.counterexamples],
         }
         return (0 if report.passed else 3), doc

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
-from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class InvalidShift(ValueError):
@@ -37,6 +36,30 @@ class InvalidShift(ValueError):
 
 class NotIdempotent(ValueError):
     """The operation requires a partial identity (shift 0)."""
+
+
+def subsets(points: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Subsets of the ascending points in lexicographic order, by index stack.
+
+    >>> list(subsets([1, 2, 3]))
+    [(), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,)]
+    """
+    pts = tuple(points)
+    stack: list[int] = []  # indices of the chosen points, ascending
+    chosen: list[int] = []  # the points themselves, kept in step
+    while True:
+        yield tuple(chosen)
+        i = stack[-1] + 1 if stack else 0
+        if i < len(pts):
+            stack.append(i)
+            chosen.append(pts[i])
+        elif len(stack) > 1:
+            stack.pop()
+            chosen.pop()
+            stack[-1] += 1
+            chosen[-1] = pts[stack[-1]]
+        else:
+            return
 
 
 def _bits(gaps: int) -> str:
@@ -374,9 +397,4 @@ def boundary_set(j: int) -> tuple[PartialIso, ...]:
     """
     if j < 2:
         raise ValueError("noise bound must be >= 2")
-    out = [
-        PartialIso(c, 0)
-        for r in range(j)
-        for c in combinations(range(2, j + 1), r)
-    ]
-    return tuple(sorted(out))
+    return tuple(PartialIso(c, 0) for c in subsets(range(2, j + 1)))

@@ -10,7 +10,8 @@ Grammar, loosely:
 
 Lexical rules: blanks (any Unicode whitespace) may stand between tokens;
 an integer is a run of decimal digits of any script, as ``int`` reads
-them, so superscript digits are not digits here.
+them, so superscript digits are not digits here; one longer than ``int``
+reads (4300 digits by default) is an error at its first digit.
 
 Parse errors carry the offending column; a character that starts no token
 is reported ahead of any grammar error.  Evaluation returns a map or an
@@ -21,6 +22,7 @@ rejected.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -124,6 +126,20 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.tok is not None and self.tok[0] == kind
 
+    def ints(self, run: str, column: int) -> list[int]:
+        """The integers of a comma-separated run of digits that starts at column."""
+        parts = run.split(",")
+        try:
+            return list(map(int, parts))
+        except ValueError:  # more digits than int() reads (4300 by default)
+            limit = sys.get_int_max_str_digits()
+            bad = next(n for n, part in enumerate(parts) if len(part) > limit)
+            column += sum(map(len, parts[:bad])) + bad
+            raise ParseError(f"integer of {len(parts[bad])} digits is too long", column) from None
+
+    def int_token(self, tok) -> int:
+        return self.ints(tok[1], tok[2])[0]
+
     def parse_expr(self) -> Node:
         node = self.parse_power()
         while True:
@@ -148,9 +164,9 @@ class _Parser:
     def signed_int(self) -> int:
         tok = self.next()
         if tok[0] == "-":
-            return -int(self.expect("int")[1])
+            return -self.int_token(self.expect("int"))
         if tok[0] == "int":
-            return int(tok[1])
+            return self.int_token(tok)
         raise ParseError(f"expected an integer, found {tok[1]!r}", tok[2])
 
     def parse_atom(self) -> Node:
@@ -161,7 +177,7 @@ class _Parser:
         if kind == "name":  # "e", needs a bracketed index
             self.expect("[")
             num = self.expect("int")
-            index = int(num[1])
+            index = self.int_token(num)
             if index < 1:
                 raise ParseError("puncture index must be >= 1", num[2])
             self.expect("]")
@@ -173,12 +189,12 @@ class _Parser:
             if self.at("int"):
                 start = self.tok[2] - 1
                 run = _POINTS.match(self.text, start)[0].split(",,", 1)[0].rstrip(",")
-                entries = list(map(int, run.split(",")))
+                entries = self.ints(run, start + 1)
                 self.scan(start + len(run))
                 # a comma the run left (",]", ",,", " ,", ", ") goes token by token
                 while self.at(","):
                     self.next()
-                    entries.append(int(self.expect("int")[1]))
+                    entries.append(self.int_token(self.expect("int")))
             self.expect("]")
             self.expect(",")
             shift = self.signed_int()

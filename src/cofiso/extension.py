@@ -12,7 +12,6 @@ grp(2)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Union
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     PartialIso,
     leq,
     noise_bounded,
+    subsets,
 )
 
 
@@ -85,48 +85,34 @@ class UpSet:
     complete: bool
 
 
-def _sort_key(e: ExtElem):
-    if isinstance(e, Group):
-        return (0, e.k, (), 0)
-    return (1, 0, e.excluded, e.shift)
-
-
-def _subsets(points) -> list[tuple[int, ...]]:
-    pts = tuple(points)
-    return [c for r in range(len(pts) + 1) for c in combinations(pts, r)]
-
-
 def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
-    """All y >= x whose excluded set fits inside {1..bound}.
+    """All y >= x whose excluded set fits inside {1..bound}: x first
+    when it is a Group element, then maps ordered by excluded set.
 
     For a map this is the whole (finite) up-set as soon as bound reaches
     tail_start - 1; for a Group element the up-set is infinite and the
     truncation is never complete.
     """
     if isinstance(x, Group):
-        members: list[ExtElem] = [x]
-        for ex in _subsets(range(1, bound + 1)):
-            try:
-                g = PartialIso(ex, x.k)
-            except InvalidShift:
-                continue
-            if noise_bounded(g, params.j):
-                members.append(g)
-        return UpSet(tuple(sorted(members, key=_sort_key)), complete=False)
-    _check_member(x, params)
-    members = []
-    for ex in _subsets(e for e in x.excluded if e <= bound):
+        shift, points, complete, members = x.k, range(1, bound + 1), False, [x]
+    else:
+        _check_member(x, params)
+        shift, points, members = x.shift, [e for e in x.excluded if e <= bound], []
+        complete = not x.excluded or x.excluded[-1] <= bound
+    # the subsets come in lexicographic order, which is the maps' order
+    for ex in subsets(points):
         try:
-            g = PartialIso(ex, x.shift)
+            g = PartialIso(ex, shift)
         except InvalidShift:
             continue
         if noise_bounded(g, params.j):
             members.append(g)
-    complete = not x.excluded or x.excluded[-1] <= bound
-    return UpSet(tuple(sorted(members, key=_sort_key)), complete)
+    return UpSet(tuple(members), complete)
 
 
-def _require_above_zero(x: ExtElem, params: Optional[NoiseParams]) -> None:
+def _require_above_zero(x: ExtElem, k: int, params: Optional[NoiseParams]) -> None:
+    if k < 1:
+        raise ValueError("step count must be >= 1")
     _check_member(x, params)
     if isinstance(x, Group):
         if x.k != 0:
@@ -140,9 +126,7 @@ def translate_right(x: ExtElem, k: int, params: Optional[NoiseParams] = None) ->
 
     Inverted by right-multiplying with BETA^k.
     """
-    if k < 1:
-        raise ValueError("step count must be >= 1")
-    _require_above_zero(x, params)
+    _require_above_zero(x, k, params)
     return ext_mul(x, ALPHA ** k, params)
 
 
@@ -151,7 +135,5 @@ def translate_left(x: ExtElem, k: int, params: Optional[NoiseParams] = None) -> 
 
     Inverted by left-multiplying with ALPHA^k.
     """
-    if k < 1:
-        raise ValueError("step count must be >= 1")
-    _require_above_zero(x, params)
+    _require_above_zero(x, k, params)
     return ext_mul(BETA ** k, x, params)

@@ -10,10 +10,9 @@ equivalence property verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Iterator, Optional
 
-from .core import InvalidShift, PartialIso
+from .core import InvalidShift, PartialIso, subsets
 
 
 class WindowTooSmall(ValueError):
@@ -39,11 +38,7 @@ class EnumBounds:
 def enumerate_elements(bounds: EnumBounds) -> Iterator[PartialIso]:
     """All valid elements within the budget, exclusion sets in
     lexicographic tuple order, shifts ascending within each set."""
-    pts = range(1, bounds.n + 1)
-    subsets = sorted(
-        chain.from_iterable(combinations(pts, r) for r in range(bounds.n + 1))
-    )
-    for ex in subsets:
+    for ex in subsets(range(1, bounds.n + 1)):
         for s in range(-bounds.s, bounds.s + 1):
             try:
                 g = PartialIso(ex, s)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Optional
 
 from .bicyclic import BicyclicNF, embed, normalize_word, parse_word, recognize, reduce_word, word_iso
@@ -37,6 +36,7 @@ from .core import (
     leq,
     make,
     noise_bounded,
+    subsets,
     tail_chain,
 )
 from .extension import (
@@ -72,6 +72,7 @@ class Report:
     passed: bool
     instances: int
     counterexamples: tuple = ()
+    failures: int = 0  # every failed check; counterexamples keeps the first few
 
 
 _CAP = 5
@@ -122,6 +123,7 @@ def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] =
         tally.failures == 0,
         tally.instances,
         tuple(tally.bad),
+        tally.failures,
     )
 
 
@@ -129,9 +131,9 @@ def _params_j(params: Optional[NoiseParams], default: int) -> int:
     return params.j if params is not None else default
 
 
-def _all_offset_sets(j: int) -> list[frozenset]:
-    menu = range(2, j + 1)
-    return [frozenset(c) for r in range(j) for c in combinations(menu, r)]
+def _all_params(j: int) -> list[NoiseParams]:
+    """Noise bound j with each offset set inside {2..j}."""
+    return [NoiseParams(j, c) for c in subsets(range(2, j + 1))]
 
 
 # -- element algebra ------------------------------------------------------
@@ -292,20 +294,19 @@ def _retraction(t, bounds, params):
 def _offset_classes(t, bounds, params):
     j = _params_j(params, 3)
     elems = list(enumerate_elements(bounds))
-    sets_ = _all_offset_sets(j)
-    for m_set in sets_:
-        p = NoiseParams(j, m_set)
+    all_p = _all_params(j)
+    for p in all_p:
         for g in elems:
-            t.check(in_offset_class(g, p) == in_offset_class_range(g, p), g, m_set)
+            t.check(in_offset_class(g, p) == in_offset_class_range(g, p), g, p.offsets)
     empty = NoiseParams(j)
     full = NoiseParams.full(j)
     for g in elems:
         t.check(in_offset_class(g, empty) == (g.noise == 0), g)
         t.check(in_offset_class(g, full) == noise_bounded(g, j), g)
-    for m1 in sets_:
-        for m2 in sets_:
+    for p1 in all_p:
+        for p2 in all_p:
+            m1, m2 = p1.offsets, p2.offsets
             if m1 < m2:
-                p1, p2 = NoiseParams(j, m1), NoiseParams(j, m2)
                 for g in elems:
                     t.check(not in_offset_class(g, p1) or in_offset_class(g, p2), g, m1, m2)
                 m = min(m2 - m1)
@@ -317,15 +318,14 @@ def _offset_classes(t, bounds, params):
 def _class_closure(t, bounds, params):
     j = _params_j(params, 3)
     elems = list(enumerate_elements(bounds))
-    for m_set in _all_offset_sets(j):
-        p = NoiseParams(j, m_set)
-        t.check(in_offset_class(IDENTITY, p), m_set)
+    for p in _all_params(j):
+        t.check(in_offset_class(IDENTITY, p), p.offsets)
         members = [g for g in elems if in_offset_class(g, p)]
         for g in members:
-            t.check(in_offset_class(g.inverse(), p), g, m_set)
+            t.check(in_offset_class(g.inverse(), p), g, p.offsets)
         for a in members:
             for b in members:
-                t.check(in_offset_class(a * b, p), a, b, m_set)
+                t.check(in_offset_class(a * b, p), a, b, p.offsets)
 
 
 @register("noise_one_absent", "no element has noise exactly 1")
@@ -518,21 +518,19 @@ def _topo_pool(bounds, params):
 @register("nbhd_nesting", "neighborhoods shrink as the base index grows")
 def _nbhd_nesting(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
-    for m_set in _all_offset_sets(j):
-        p = NoiseParams(j, m_set)
+    for p in _all_params(j):
         for k in range(-2, 3):
             for i in range(1, 7):
                 inner = NbhdSpec(k, i + 1, p)
                 outer = NbhdSpec(k, i, p)
                 for x in pool:
-                    t.check(not nbhd_member(x, inner) or nbhd_member(x, outer), x, k, i, m_set)
+                    t.check(not nbhd_member(x, inner) or nbhd_member(x, outer), x, k, i, p.offsets)
 
 
 @register("nbhd_inversion", "members invert into the mirrored neighborhood at the shifted index")
 def _nbhd_inversion(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
-    for m_set in _all_offset_sets(j):
-        p = NoiseParams(j, m_set)
+    for p in _all_params(j):
         for k in range(-2, 3):
             for i in range(1, 7):
                 spec = NbhdSpec(k, i, p)
@@ -540,7 +538,7 @@ def _nbhd_inversion(t, bounds, params):
                 for x in pool:
                     t.check(
                         nbhd_member(x, spec) == nbhd_member(ext_inv(x), mirror),
-                        x, k, i, m_set,
+                        x, k, i, p.offsets,
                     )
 
 
@@ -558,8 +556,7 @@ def _members_by_level(pool, i, p):
 def _nbhd_translation(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     movers = list(enumerate_elements(EnumBounds(2, 2)))
-    for m_set in _all_offset_sets(j):
-        p = NoiseParams(j, m_set)
+    for p in _all_params(j):
         for gam in movers:
             head = gam.tail_start - 1
             reach = max(head, head + gam.shift)
@@ -572,20 +569,19 @@ def _nbhd_translation(t, bounds, params):
                     for x in by_k.get(k, []):
                         t.check(
                             nbhd_member(ext_mul(gam, x), left_target),
-                            gam, x, k, i, m_set,
+                            gam, x, k, i, p.offsets,
                         )
                         if check_right:
                             t.check(
                                 nbhd_member(ext_mul(x, gam), right_target),
-                                gam, x, k, i, m_set,
+                                gam, x, k, i, p.offsets,
                             )
 
 
 @register("nbhd_product", "products of same-index members land in the summed-level neighborhood")
 def _nbhd_product(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
-    for m_set in _all_offset_sets(j):
-        p = NoiseParams(j, m_set)
+    for p in _all_params(j):
         for i in range(j + 1, j + 3):
             by_k = _members_by_level(pool, i, p)
             for k1 in range(-2, 3):
@@ -593,14 +589,13 @@ def _nbhd_product(t, bounds, params):
                     target = NbhdSpec(k1 + k2, i, p)
                     for x in by_k.get(k1, []):
                         for y in by_k.get(k2, []):
-                            t.check(nbhd_member(ext_mul(x, y), target), x, y, k1, k2, i, m_set)
+                            t.check(nbhd_member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
 
 
 @register("nbhd_hausdorff", "neighborhoods of different levels never meet")
 def _nbhd_hausdorff(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
-    for m_set in _all_offset_sets(j):
-        p = NoiseParams(j, m_set)
+    for p in _all_params(j):
         for k1 in range(-2, 3):
             for k2 in range(k1 + 1, 3):
                 for i in (1, 3, 5):
@@ -612,15 +607,16 @@ def _nbhd_hausdorff(t, bounds, params):
 @register("nbhd_monotone", "a larger offset set only enlarges each neighborhood")
 def _nbhd_monotone(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
-    sets_ = _all_offset_sets(j)
-    for m1 in sets_:
-        for m2 in sets_:
+    all_p = _all_params(j)
+    for p1 in all_p:
+        for p2 in all_p:
+            m1, m2 = p1.offsets, p2.offsets
             if not m1 < m2:
                 continue
             for k in (-1, 0, 2):
                 for i in (1, 4):
-                    small = NbhdSpec(k, i, NoiseParams(j, m1))
-                    large = NbhdSpec(k, i, NoiseParams(j, m2))
+                    small = NbhdSpec(k, i, p1)
+                    large = NbhdSpec(k, i, p2)
                     for x in pool:
                         t.check(not nbhd_member(x, small) or nbhd_member(x, large), x, m1, m2, k, i)
 
@@ -628,26 +624,24 @@ def _nbhd_monotone(t, bounds, params):
 @register("upset_char", "the index cutoff equals exclusion from the cutoff witness's up-set")
 def _upset_char(t, bounds, params):
     j = _params_j(params, 2)
-    for m_set in _all_offset_sets(j):
-        p = NoiseParams(j, m_set)
+    for p in _all_params(j):
         for k in range(-2, 3):
             for i in range(2, 9):
-                t.check(nbhd_upset_agreement(k, i, p, n_max=bounds.n), k, i, m_set)
+                t.check(nbhd_upset_agreement(k, i, p, n_max=bounds.n), k, i, p.offsets)
 
 
 @register("convergence_probe", "closed-form convergence verdicts match the direct neighborhood probe")
 def _convergence_probe(t, bounds, params):
     j = _params_j(params, 3)
-    kept_menu = [frozenset(c) for r in range(j) for c in combinations(range(2, j + 1), r)]
-    for kept in kept_menu:
+    all_p = _all_params(j)
+    for kept in all_p:
         for shift in range(-2, 3):
-            spec = TailSeqSpec(kept, shift)
-            for m_set in _all_offset_sets(j):
-                p = NoiseParams(j, m_set)
+            spec = TailSeqSpec(kept.offsets, shift)
+            for p in all_p:
                 for k in range(-2, 3):
                     t.check(
                         converges(spec, k, p) == empirical_converges(spec, k, p),
-                        spec, k, m_set,
+                        spec, k, p.offsets,
                     )
 
 

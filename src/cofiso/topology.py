@@ -18,6 +18,7 @@ from .core import (
     from_anatomy,
     in_offset_class,
     leq,
+    subsets,
 )
 from .extension import ExtElem, Group
 
@@ -92,13 +93,17 @@ def seq_elem(spec: TailSeqSpec, n: int) -> PartialIso:
     return from_anatomy(n - width, gaps, spec.shift)
 
 
-def converges(spec: TailSeqSpec, k: int, params: NoiseParams) -> bool:
-    """Closed form: the sequence converges to Group(k) iff the shift is k
-    and every kept offset is allowed by the topology's offset set."""
+def _require_inside(spec: TailSeqSpec, params: NoiseParams) -> None:
     if spec.max_offset > params.j:
         raise OutsideSpace(
             f"kept offset {spec.max_offset} exceeds the noise bound {params.j}"
         )
+
+
+def converges(spec: TailSeqSpec, k: int, params: NoiseParams) -> bool:
+    """Closed form: the sequence converges to Group(k) iff the shift is k
+    and every kept offset is allowed by the topology's offset set."""
+    _require_inside(spec, params)
     return spec.shift == k and spec.kept_offsets <= params.offsets
 
 
@@ -117,10 +122,7 @@ def empirical_converges(
     tail_start n, so membership at index i is the index-1 membership
     plus n >= i, and the per-element work is shared across all i.
     """
-    if spec.max_offset > params.j:
-        raise OutsideSpace(
-            f"kept offset {spec.max_offset} exceeds the noise bound {params.j}"
-        )
+    _require_inside(spec, params)
     start = min_index(spec)
     if horizon < start:
         raise ValueError(f"horizon {horizon} is below the first index {start}")
@@ -166,35 +168,18 @@ def nbhd_upset_agreement(k: int, i: int, params: NoiseParams, n_max: int = 8) ->
     """Check, over a truncated enumeration, that the neighborhood equals
     {Group(k)} plus the shift-k offset-class members NOT above the cutoff
     witness (no cut when the witness does not exist)."""
-    if i < 2:
-        raise ValueError("neighborhood index must be >= 2")
-    w = cutoff_witness(k, i)
+    w = cutoff_witness(k, i)  # refuses i < 2
     spec = NbhdSpec(k, i, params)
-    for x in _candidates(k, n_max):
-        base = nbhd_member(x, spec)
-        if isinstance(x, Group):
-            alt = x.k == k
-        else:
-            alt = (
-                x.shift == k
-                and in_offset_class(x, params)
-                and (w is None or not leq(w, x))
-            )
-        if base != alt:
-            return False
+    # the level's own base point is a member, the next level's is not
+    if not nbhd_member(Group(k), spec) or nbhd_member(Group(k + 1), spec):
+        return False
+    for ex in subsets(range(1, n_max + 1)):
+        for s in (k - 1, k, k + 1):
+            try:
+                x = PartialIso(ex, s)
+            except InvalidShift:
+                continue
+            alt = x.shift == k and in_offset_class(x, params) and (w is None or not leq(w, x))
+            if nbhd_member(x, spec) != alt:
+                return False
     return True
-
-
-def _candidates(k: int, n_max: int):
-    from itertools import combinations
-
-    yield Group(k)
-    yield Group(k + 1)
-    pts = range(1, n_max + 1)
-    for r in range(n_max + 1):
-        for ex in combinations(pts, r):
-            for s in (k - 1, k, k + 1):
-                try:
-                    yield PartialIso(ex, s)
-                except InvalidShift:
-                    continue

@@ -56,6 +56,15 @@ class TestEval:
             "column": column,
         }
 
+    def test_overlong_integer_is_a_located_parse_error(self):
+        code, doc = invoke(["eval", "e[" + "1" * 5000 + "]"])
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParseError",
+            "message": "column 3: integer of 5000 digits is too long",
+            "column": 3,
+        }
+
 
 class TestClassify:
     def test_profile_row(self):

@@ -99,6 +99,11 @@ ERRORS = [
     ("iso([1,2", "column 9: unexpected end of input", 9),
     ("iso([1,2,   ", "column 10: unexpected end of input", 10),
     ("iso([],0", "column 9: unexpected end of input", 9),
+    # more digits than int() reads
+    ("a^" + "1" * 5000, "column 3: integer of 5000 digits is too long", 3),
+    ("e[" + "1" * 5000 + "]", "column 3: integer of 5000 digits is too long", 3),
+    ("iso([1," + "1" * 5000 + "],0)", "column 8: integer of 5000 digits is too long", 8),
+    ("grp(-" + "1" * 5000 + ")", "column 6: integer of 5000 digits is too long", 6),
 ]
 
 

@@ -101,3 +101,14 @@ class TestLaws:
     def test_word_normalization_sound(self, text):
         word = tuple(text)
         assert word_iso(word) == embed(normalize_word(word))
+
+
+def test_report_counts_every_failure(monkeypatch):
+    def many_failures(t, bounds, params):
+        for i in range(10):
+            t.check(False, i)
+
+    monkeypatch.setitem(_REGISTRY, "many_failures", ("fails ten times", many_failures))
+    report = verify("many_failures", EnumBounds(1, 0))
+    assert report.failures == 10
+    assert len(report.counterexamples) == 5
