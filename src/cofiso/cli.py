@@ -11,7 +11,6 @@ import json
 import sys
 from typing import Optional
 
-from .bicyclic import embed, normalize_word, parse_word, recognize
 from .core import (
     NoiseParams,
     PartialIso,
@@ -28,16 +27,9 @@ from .core import (
 )
 from .expr import EvalError, ParseError, evaluate, parse
 from .extension import Group, ext_leq, ext_pi, up_set_truncated
-from .oracle import EnumBounds
-from .properties import verify
-from .topology import (
-    NbhdSpec,
-    TailSeqSpec,
-    converges,
-    distinguish,
-    empirical_converges,
-    nbhd_member,
-)
+
+# bicyclic, topology, oracle and properties are imported by the commands
+# that use them, so a call loads only what it runs.
 
 _SCHEMA = 1
 
@@ -128,16 +120,28 @@ def _elem_doc(x) -> dict:
     return {"excluded": list(x.excluded), "shift": x.shift}
 
 
-def _offsets(text: Optional[str], j: int) -> frozenset:
+def _offsets(text: Optional[str], j: int, name: str) -> frozenset:
+    """The offsets that option or operand ``name`` lists: "none", "all" or
+    integers separated by commas."""
     if text is None or text.strip() in ("", "none", "-"):
         return frozenset()
     if text.strip() == "all":
         return frozenset(range(2, j + 1))
-    return frozenset(int(part) for part in text.split(","))
+    offsets = set()
+    for part in text.split(","):
+        try:
+            offsets.add(int(part))
+        except ValueError:
+            if part.strip().isdecimal():  # more digits than int() reads
+                message = f"offset of {len(part.strip())} digits is too long"
+            else:
+                message = f"offset {part!r} is not an integer"
+            raise _UsageError(f"argument {name}: {message}") from None
+    return frozenset(offsets)
 
 
 def _params(args) -> Optional[NoiseParams]:
-    return None if args.j is None else NoiseParams(args.j, _offsets(args.M, args.j))
+    return None if args.j is None else NoiseParams(args.j, _offsets(args.M, args.j, "--M"))
 
 
 def _value(text: str, label: Optional[str] = None, params: Optional[NoiseParams] = None):
@@ -158,6 +162,8 @@ def _dispatch(args) -> tuple:
         return 0, {"value": _elem_doc(value), "repr": repr(value)}
 
     if cmd == "classify":
+        from .bicyclic import recognize
+
         g = _value(args.expr, "classify")
         params = _params(args)
         nf = recognize(g)
@@ -195,12 +201,16 @@ def _dispatch(args) -> tuple:
         return 0, {"pi": ext_pi(_value(args.expr))}
 
     if cmd == "arrow":
+        from .bicyclic import recognize
+
         g = _value(args.expr, "arrow")
         r = g.tail()
         nf = recognize(r)
         return 0, {"value": _elem_doc(r), "bicyclic": {"k": nf.k, "l": nf.l}}
 
     if cmd == "normalize":
+        from .bicyclic import embed, normalize_word, parse_word
+
         nf = normalize_word(parse_word(args.word))
         return 0, {
             "k": nf.k,
@@ -210,6 +220,8 @@ def _dispatch(args) -> tuple:
         }
 
     if cmd == "nbhd":
+        from .topology import NbhdSpec, nbhd_member
+
         value = _value(args.elem)
         spec = NbhdSpec(args.k, args.i, _params(args))
         member = nbhd_member(value, spec)
@@ -221,7 +233,9 @@ def _dispatch(args) -> tuple:
         }
 
     if cmd == "converge":
-        seq = TailSeqSpec(_offsets(args.offsets, args.j), args.shift)
+        from .topology import TailSeqSpec, converges, empirical_converges
+
+        seq = TailSeqSpec(_offsets(args.offsets, args.j, "--offsets"), args.shift)
         params = _params(args)
         closed = converges(seq, args.k, params)
         probe = empirical_converges(seq, args.k, params, depth=args.depth, horizon=args.horizon)
@@ -236,8 +250,10 @@ def _dispatch(args) -> tuple:
         return (0 if closed else 1), doc
 
     if cmd == "distinguish":
-        m1 = _offsets(args.m1, args.j)
-        m2 = _offsets(args.m2, args.j)
+        from .topology import converges, distinguish
+
+        m1 = _offsets(args.m1, args.j, "m1")
+        m2 = _offsets(args.m2, args.j, "m2")
         seq = distinguish(m1, m2, args.j)
         return 0, {
             "kept_offsets": sorted(seq.kept_offsets),
@@ -259,6 +275,9 @@ def _dispatch(args) -> tuple:
         return 0, {"count": len(elems), "elements": [_elem_doc(g) for g in elems]}
 
     if cmd == "verify":
+        from .oracle import EnumBounds
+        from .properties import verify
+
         params = NoiseParams(args.j) if args.j is not None else None
         report = verify(args.property, EnumBounds(args.N, args.S), params)
         doc = {
@@ -277,13 +296,11 @@ def _dispatch(args) -> tuple:
 def invoke(argv) -> tuple:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code, doc = _dispatch(parser.parse_args(argv))
     except SystemExit as exc:  # --help prints and exits itself
         return (exc.code or 0), None
     except _UsageError as exc:
         return 2, {"schema": _SCHEMA, "error": {"type": "usage", "message": str(exc)}}
-    try:
-        code, doc = _dispatch(args)
     except ValueError as exc:
         err = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):

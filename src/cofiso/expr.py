@@ -12,6 +12,8 @@ Lexical rules: blanks (any Unicode whitespace) may stand between tokens;
 an integer is a run of decimal digits of any script, as ``int`` reads
 them, so superscript digits are not digits here; one longer than ``int``
 reads (4300 digits by default) is an error at its first digit.
+Parentheses nest at most MAX_NESTING deep; a deeper one is an error at
+its own column.  Chains of products and powers may be of any length.
 
 Parse errors carry the offending column; a character that starts no token
 is reported ahead of any grammar error.  Evaluation returns a map or an
@@ -86,6 +88,9 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\
 # A literal's digits and commas from its first integer on, read in one
 # match.  A repeated character class keeps no backtracking stack.
 _POINTS = re.compile(r"[\d,]*")
+# Deepest parenthesis nesting parse accepts: each level costs three parser
+# frames, so this keeps parsing far from the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -97,6 +102,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.text = text
+        self.depth = 0  # open parentheses around the current atom
         self.scan(0)
 
     def scan(self, pos: int) -> None:
@@ -206,8 +212,12 @@ class _Parser:
             self.expect(")")
             return GrpLit(k)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
+            self.depth += 1
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
@@ -230,7 +240,29 @@ def _ext_pow(x: ExtElem, n: int) -> ExtElem:
     return x ** n
 
 
+def _left_spine(node: Node) -> tuple[Node, list]:
+    """The leftmost operand of a product or power, and the Prod and Pow
+    nodes above it, innermost last: walked with a loop, so a long chain
+    such as a*a*...*a or a^2^...^2 needs no deep recursion."""
+    spine = []
+    while isinstance(node, (Prod, Pow)):
+        spine.append(node)
+        node = node.left if isinstance(node, Prod) else node.base
+    return node, spine
+
+
 def _eval(node: Node) -> ExtElem:
+    node, spine = _left_spine(node)
+    value = _eval_operand(node)
+    for node in reversed(spine):
+        if isinstance(node, Prod):
+            value = ext_mul(value, _eval(node.right))
+        else:
+            value = _ext_pow(value, node.exponent)
+    return value
+
+
+def _eval_operand(node: Node) -> ExtElem:
     if isinstance(node, Gen):
         return _GENS[node.name]
     if isinstance(node, Puncture):
@@ -242,10 +274,6 @@ def _eval(node: Node) -> ExtElem:
             raise EvalError(f"bad literal {unparse(node)}: {exc}") from exc
     if isinstance(node, GrpLit):
         return Group(node.k)
-    if isinstance(node, Prod):
-        return ext_mul(_eval(node.left), _eval(node.right))
-    if isinstance(node, Pow):
-        return _ext_pow(_eval(node.base), node.exponent)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -260,6 +288,23 @@ def evaluate(node: Node, params: Optional[NoiseParams] = None) -> ExtElem:
 
 
 def unparse(node: Node) -> str:
+    node, spine = _left_spine(node)
+    # every parenthesis a power adds opens before the leftmost operand
+    opens = 0
+    parts = [_unparse_operand(node)]
+    for node in reversed(spine):
+        if isinstance(node, Prod):
+            right = unparse(node.right)
+            parts.append(f"*({right})" if isinstance(node.right, Prod) else f"*{right}")
+        else:
+            if isinstance(node.base, Prod):  # powers chain to the left unbracketed
+                opens += 1
+                parts.append(")")
+            parts.append(f"^{node.exponent}")
+    return "(" * opens + "".join(parts)
+
+
+def _unparse_operand(node: Node) -> str:
     if isinstance(node, Gen):
         return node.name
     if isinstance(node, Puncture):
@@ -268,15 +313,4 @@ def unparse(node: Node) -> str:
         return f"iso([{','.join(str(x) for x in node.excluded)}],{node.shift})"
     if isinstance(node, GrpLit):
         return f"grp({node.k})"
-    if isinstance(node, Prod):
-        left = unparse(node.left)
-        right = unparse(node.right)
-        if isinstance(node.right, Prod):
-            right = f"({right})"
-        return f"{left}*{right}"
-    if isinstance(node, Pow):
-        base = unparse(node.base)
-        if isinstance(node.base, (Prod, Pow)):
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
     raise TypeError(f"not an expression node: {node!r}")

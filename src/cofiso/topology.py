@@ -120,7 +120,9 @@ def empirical_converges(
 
     The last ten indices stand in for "eventually"; the n-th element has
     tail_start n, so membership at index i is the index-1 membership
-    plus n >= i, and the per-element work is shared across all i.
+    plus n >= i.  That holds for every i up to depth exactly when every
+    element of the stretch is an index-1 member and the stretch starts
+    at depth or later, so the cost does not grow with depth.
     """
     _require_inside(spec, params)
     start = min_index(spec)
@@ -128,11 +130,8 @@ def empirical_converges(
         raise ValueError(f"horizon {horizon} is below the first index {start}")
     base = NbhdSpec(k, 1, params)
     stretch = range(max(start, horizon - 9), horizon + 1)
-    inside = {n: nbhd_member(seq_elem(spec, n), base) for n in stretch}
-    for i in range(1, depth + 1):
-        if not all(inside[n] and n >= i for n in stretch):
-            return False
-    return True
+    inside = [nbhd_member(seq_elem(spec, n), base) for n in stretch]
+    return depth < 1 or (all(inside) and stretch.start >= depth)
 
 
 def distinguish(m1, m2, j: int) -> TailSeqSpec:

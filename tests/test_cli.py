@@ -12,7 +12,7 @@ from cofiso.cli import invoke, main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -21,6 +21,7 @@ def run_cli(*args):
         text=True,
         env=env,
         cwd=ROOT,
+        timeout=timeout,
     )
 
 
@@ -64,6 +65,62 @@ class TestEval:
             "message": "column 3: integer of 5000 digits is too long",
             "column": 3,
         }
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("a" + "*a" * 5000, {"excluded": [], "shift": 5001}),
+            ("a" + "^2" * 3000, {"excluded": [], "shift": 2**3000}),
+            ("(" * 100 + "b" + ")" * 100, {"excluded": [1], "shift": -1}),
+        ],
+        ids=["long product", "long power chain", "100 parentheses"],
+    )
+    def test_deep_expressions_evaluate(self, text, value):
+        code, doc = invoke(["eval", text])
+        assert (code, doc["value"]) == (0, value)
+
+    def test_deep_parenthesis_nesting_is_a_located_parse_error(self):
+        code, doc = invoke(["eval", "(" * 1000 + "a" + ")" * 1000])
+        assert code == 2
+        assert doc["error"] == {
+            "type": "ParseError",
+            "message": "column 101: parentheses nested deeper than 100",
+            "column": 101,
+        }
+
+    def test_noise_gate_names_a_long_product(self):
+        code, doc = invoke(["eval", "e[2]" + "*e[2]" * 5000, "--j", "1"])
+        assert code == 2
+        assert doc["error"]["type"] == "EvalError"
+        assert doc["error"]["message"].startswith("e[2]*e[2]*")
+
+
+class TestOffsetLists:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval", "a", "--j", "3", "--M", "x"], "argument --M: offset 'x' is not an integer"),
+            (["eval", "a", "--j", "3", "--M", "2,,3"], "argument --M: offset '' is not an integer"),
+            (["classify", "a", "--j", "3", "--M", "2, 3,"], "argument --M: offset '' is not an integer"),
+            (
+                ["converge", "--offsets", "2,x3", "--k", "0", "--j", "3"],
+                "argument --offsets: offset 'x3' is not an integer",
+            ),
+            (["distinguish", "2", "3,y", "--j", "3"], "argument m2: offset 'y' is not an integer"),
+            (["distinguish", "2.5", "3", "--j", "3"], "argument m1: offset '2.5' is not an integer"),
+            (
+                ["eval", "a", "--j", "3", "--M", "2," + "1" * 5000],
+                "argument --M: offset of 5000 digits is too long",
+            ),
+        ],
+        ids=["letter", "empty part", "trailing comma", "offsets", "operand m2", "operand m1", "overlong"],
+    )
+    def test_bad_part_is_a_usage_error(self, argv, message):
+        assert invoke(argv) == (2, {"schema": 1, "error": {"type": "usage", "message": message}})
+
+    def test_blanks_around_parts_are_read(self):
+        code, doc = invoke(["classify", "iso([2],0)", "--j", "3", "--M", " 2 , 3"])
+        assert (code, doc["in_M"]) == (0, True)
 
 
 class TestClassify:
@@ -178,6 +235,13 @@ class TestTopologyCommands:
         assert code == 1
         assert doc["converges"] is False
         assert doc["agree"] is True
+
+    def test_converge_far_depth_returns_promptly(self):
+        far = str(10**12)
+        proc = run_cli("converge", "--k", "0", "--j", "2", "--depth", far, "--horizon", far, timeout=30)
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert (doc["converges"], doc["empirical"]) == (True, False)
 
     def test_converge_outside_the_space(self):
         code, doc = invoke(["converge", "--offsets", "3", "--k", "0", "--j", "2"])

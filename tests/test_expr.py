@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
 from cofiso.expr import (
+    MAX_NESTING,
     EvalError,
     Gen,
     GrpLit,
@@ -104,6 +105,10 @@ ERRORS = [
     ("e[" + "1" * 5000 + "]", "column 3: integer of 5000 digits is too long", 3),
     ("iso([1," + "1" * 5000 + "],0)", "column 8: integer of 5000 digits is too long", 8),
     ("grp(-" + "1" * 5000 + ")", "column 6: integer of 5000 digits is too long", 6),
+    # parentheses nested past MAX_NESTING, reported at the first one too many
+    ("(" * 101 + "a" + ")" * 101, "column 101: parentheses nested deeper than 100", 101),
+    ("a*(" * 1000 + "a" + ")" * 1000, "column 303: parentheses nested deeper than 100", 303),
+    ("(" * 1000, "column 101: parentheses nested deeper than 100", 101),
 ]
 
 
@@ -199,6 +204,12 @@ class TestEvaluate:
     def test_group_literals_ignore_the_gate(self):
         assert evaluate(parse("grp(7)"), NoiseParams(0)) == Group(7)
 
+    def test_long_chains(self):
+        # longer than the interpreter's recursion limit
+        assert evaluate(parse("a" + "*a" * 5000)) == make([], 5001)
+        assert evaluate(parse("b" + "^-1" * 3001)) == ALPHA
+        assert evaluate(parse("(" * MAX_NESTING + "b" + ")" * MAX_NESTING)) == BETA
+
 
 class TestPrinting:
     def test_unparse_round_trips_through_parse(self):
@@ -210,8 +221,17 @@ class TestPrinting:
         for value in (IDENTITY, ALPHA, make([1, 3], -1), Group(-2)):
             assert evaluate(parse(repr(value))) == value
 
+    def test_long_chains(self):
+        product = "e[2]" + "*e[2]" * 5000
+        assert unparse(parse(product)) == product
+        assert unparse(parse("a" + "^2" * 3000)) == "a" + "^2" * 3000
+        nested = "a*(" * MAX_NESTING + "a*a" + ")" * MAX_NESTING
+        assert unparse(parse(nested)) == nested
+
     def test_minimal_parens(self):
         assert unparse(parse("a*(b*I)")) == "a*(b*I)"
         assert unparse(parse("a*b*I")) == "a*b*I"
         assert unparse(parse("(a*b)^2")) == "(a*b)^2"
+        assert unparse(parse("(a^2)^-3")) == "a^2^-3"
+        assert unparse(parse("((a*b)^2)^3")) == "(a*b)^2^3"
         assert unparse(Puncture(4)) == "e[4]"

@@ -1,0 +1,103 @@
+"""The package and the CLI load only the modules a caller uses."""
+
+import argparse
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cofiso
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """A fresh interpreter on this checkout's src/, compiling from source
+    as it does when no bytecode may be written."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT, timeout=60
+    )
+
+
+class TestPackage:
+    def test_bare_import_loads_no_module(self):
+        proc = run_python(
+            "-c", "import sys, cofiso; print(sorted(m for m in sys.modules if m.startswith('cofiso')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['cofiso']"
+
+    def test_public_names_are_their_home_module_objects(self):
+        for name in cofiso.__all__:
+            home = importlib.import_module(f"cofiso.{cofiso._HOME[name]}")
+            assert getattr(cofiso, name) is vars(home)[name], name
+
+    def test_modules_load_on_attribute_access(self):
+        from cofiso import properties
+
+        assert cofiso.properties is properties is sys.modules["cofiso.properties"]
+        assert cofiso.verify is properties.verify
+
+    def test_dir_lists_every_public_name(self):
+        assert set(cofiso.__all__) <= set(dir(cofiso))
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            cofiso.nope
+
+
+_BASE = {"cofiso", "cofiso.cli", "cofiso.core", "cofiso.expr", "cofiso.extension"}
+_BICYCLIC = _BASE | {"cofiso.bicyclic"}
+_TOPOLOGY = _BASE | {"cofiso.topology"}
+
+# one call per subcommand, and the package modules it must load
+COMMANDS = [
+    (["eval", "a*b"], _BASE),
+    (["classify", "b^2*a", "--j", "2"], _BICYCLIC),
+    (["green", "D", "iso([2],0)", "iso([1,3],1)"], _BASE),
+    (["order", "grp(0)", "e[5]"], _BASE),
+    (["pi", "a^3 b"], _BASE),
+    (["arrow", "iso([2],0)"], _BICYCLIC),
+    (["normalize", "baab"], _BICYCLIC),
+    (["nbhd", "iso([2],0)", "--k", "0", "--i", "2", "--j", "2", "--M", "2"], _TOPOLOGY),
+    (["converge", "--offsets", "2", "--k", "0", "--j", "2"], _TOPOLOGY),
+    (["distinguish", "2", "3", "--j", "3"], _TOPOLOGY),
+    (["upset", "iso([1,2],0)", "--j", "2", "--bound", "3"], _BASE),
+    (["boundary", "--j", "2"], _BASE),
+    (
+        ["verify", "absorption", "--N", "1", "--S", "0"],
+        _BICYCLIC | _TOPOLOGY | {"cofiso.oracle", "cofiso.properties"},
+    ),
+]
+
+
+# Runs the package as ``python -m cofiso`` does, through runpy, and at
+# exit lists the package modules in sys.modules on stderr.
+_RUN_AS_MAIN = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*(m for m in sys.modules if m.split('.')[0] == 'cofiso'), file=sys.stderr))\n"
+    "runpy.run_module('cofiso', run_name='__main__', alter_sys=True)\n"
+)
+
+
+class TestCliLoading:
+    def test_every_subcommand_is_listed(self):
+        from cofiso.cli import build_parser
+
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(sub.choices) == sorted(argv[0] for argv, _ in COMMANDS)
+
+    @pytest.mark.parametrize("argv,modules", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+    def test_subcommand_loads_only_its_modules(self, argv, modules):
+        proc = run_python("-c", _RUN_AS_MAIN, *argv)
+        assert proc.returncode in (0, 1), proc.stdout
+        assert json.loads(proc.stdout)["schema"] == 1
+        assert proc.stdout.count("\n") == 1
+        assert set(proc.stderr.split()) == modules

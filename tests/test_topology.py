@@ -1,6 +1,6 @@
 import pytest
 
-from cofiso.core import ALPHA, IDENTITY, NoiseParams, leq, make
+from cofiso.core import ALPHA, IDENTITY, NoiseParams, leq, make, subsets
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.topology import (
     NbhdSpec,
@@ -99,6 +99,53 @@ class TestConverges:
     def test_probe_horizon_validated(self):
         with pytest.raises(ValueError):
             empirical_converges(TailSeqSpec(frozenset(), 0), 0, NoiseParams(2), horizon=0)
+
+    def test_probe_cost_does_not_grow_with_depth(self):
+        spec = TailSeqSpec(frozenset(), 0)
+        far = 10**12
+        assert empirical_converges(spec, 0, NoiseParams(2), depth=far - 9, horizon=far)
+        assert not empirical_converges(spec, 0, NoiseParams(2), depth=far, horizon=far)
+
+
+def _loop_probe(spec, k, params, depth, horizon):
+    """The probe as a loop over every neighborhood index up to depth: the
+    reference for the closed form in empirical_converges."""
+    start = min_index(spec)
+    base = NbhdSpec(k, 1, params)
+    stretch = range(max(start, horizon - 9), horizon + 1)
+    inside = {n: nbhd_member(seq_elem(spec, n), base) for n in stretch}
+    for i in range(1, depth + 1):
+        if not all(inside[n] and n >= i for n in stretch):
+            return False
+    return True
+
+
+# Every kept-offset set of level 4 and shift in -2..2, in a topology that
+# allows half of the sets.  The full product of k, depth and horizon is
+# ~10^6 probes, so the per-spec test takes the depths around the stretch
+# start, and one converging spec takes the whole depth-by-horizon grid.
+_PROBE_PARAMS = NoiseParams(4, {2, 4})
+_PROBE_SPECS = [TailSeqSpec(kept, shift) for kept in subsets(range(2, 5)) for shift in range(-2, 3)]
+
+
+class TestProbeClosedForm:
+    @pytest.mark.parametrize("spec", _PROBE_SPECS, ids=repr)
+    def test_matches_the_loop_at_the_stretch_start(self, spec):
+        first = min_index(spec)
+        for k in range(-2, 3):
+            for horizon in (first, first + 9, 70):
+                start = max(first, horizon - 9)
+                for depth in {-1, 0, 1, start - 1, start, start + 1, 70}:
+                    got = empirical_converges(spec, k, _PROBE_PARAMS, depth, horizon)
+                    assert got == _loop_probe(spec, k, _PROBE_PARAMS, depth, horizon), (k, depth, horizon)
+
+    def test_matches_the_loop_on_every_depth_and_horizon(self):
+        spec = TailSeqSpec({2, 4}, -2)
+        assert converges(spec, -2, _PROBE_PARAMS)
+        for horizon in range(min_index(spec), 71):
+            for depth in range(-1, 71):
+                got = empirical_converges(spec, -2, _PROBE_PARAMS, depth, horizon)
+                assert got == _loop_probe(spec, -2, _PROBE_PARAMS, depth, horizon), (depth, horizon)
 
 
 class TestDistinguish:
