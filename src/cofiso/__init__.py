@@ -36,6 +36,7 @@ _EXPORTS = {
         "PartialIso",
         "boundary_set",
         "d_witness",
+        "elements",
         "from_anatomy",
         "green_d",
         "green_h",

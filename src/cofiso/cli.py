@@ -33,9 +33,31 @@ from .extension import Group, ext_leq, ext_pi, up_set_truncated
 
 _SCHEMA = 1
 
+# the most elements, subsets or excluded points one call may list
+_BUDGET = 1 << 16
+
 
 class _UsageError(Exception):
     pass
+
+
+class OverBudget(ValueError):
+    """The call would list more than the budget allows; refused up front."""
+
+
+def _check_walk(exponent: int, what: str, items: str) -> None:
+    # 2^exponent > _BUDGET, decided without building 2^exponent
+    if exponent >= _BUDGET.bit_length():
+        raise OverBudget(f"{what} 2^{exponent} {items}, above the budget of {_BUDGET}")
+
+
+def _walked_points(x, bound: int) -> int:
+    """How many points the up-set of x walks up to bound, read off the
+    anatomy: the points below dom_min plus the gaps up to bound."""
+    if isinstance(x, Group):
+        return max(bound, 0)
+    width = min(max(bound + 1 - x.dom_min, 0), x.noise)
+    return min(x.dom_min - 1, max(bound, 0)) + (x.gaps & ((1 << width) - 1)).bit_count()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,6 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _elem_doc(x) -> dict:
     if isinstance(x, Group):
         return {"group": x.k}
+    count = x.dom_min - 1 + x.gaps.bit_count()
+    if count > _BUDGET:
+        raise OverBudget(f"the value excludes {count} points, above the budget of {_BUDGET}")
     return {"excluded": list(x.excluded), "shift": x.shift}
 
 
@@ -263,7 +288,9 @@ def _dispatch(args) -> tuple:
         }
 
     if cmd == "upset":
-        view = up_set_truncated(_value(args.elem), NoiseParams(args.j), args.bound)
+        base = _value(args.elem)
+        _check_walk(_walked_points(base, args.bound), "upset walks", "subsets")
+        view = up_set_truncated(base, NoiseParams(args.j), args.bound)
         return 0, {
             "elements": [_elem_doc(x) for x in view.elements],
             "count": len(view.elements),
@@ -271,6 +298,7 @@ def _dispatch(args) -> tuple:
         }
 
     if cmd == "boundary":
+        _check_walk(args.j - 1, "boundary lists", "elements")
         elems = boundary_set(args.j)
         return 0, {"count": len(elems), "elements": [_elem_doc(g) for g in elems]}
 

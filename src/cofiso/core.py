@@ -62,6 +62,26 @@ def subsets(points: Iterable[int]) -> Iterator[tuple[int, ...]]:
             return
 
 
+def elements(
+    points: Iterable[int], shifts: Iterable[int], j: Optional[int] = None
+) -> Iterator["PartialIso"]:
+    """Every element excluding a subset of the ascending points, with a
+    shift from ``shifts`` and noise at most j (no cap when j is None):
+    subsets in lexicographic order, shifts in the given order within each.
+
+    >>> list(elements([1, 2], (-1, 0)))
+    [iso([],0), iso([1],-1), iso([1],0), iso([1,2],-1), iso([1,2],0), iso([2],0)]
+    """
+    shifts = tuple(shifts)
+    for ex in subsets(points):
+        g = PartialIso(ex)  # shift 0 is always admissible
+        if j is not None and g.noise > j:
+            continue
+        for s in shifts:
+            if s >= 1 - g.dom_min:
+                yield from_anatomy(g.dom_min, g.gaps, s)
+
+
 def _bits(gaps: int) -> str:
     """Binary digits of a gap mask, least significant first."""
     return bin(gaps)[:1:-1] if gaps else ""
@@ -359,7 +379,8 @@ def in_offset_class_range(g: PartialIso, params: NoiseParams) -> bool:
     if not noise_bounded(g, params.j):
         return False
     rts = g.ran_tail_start
-    for y in range(1, rts + 1):
+    # no point below ran_min is in the range
+    for y in range(g.ran_min, rts + 1):
         if g.hits(y):
             o = rts - y
             if o != 0 and o not in params.offsets:
@@ -397,4 +418,4 @@ def boundary_set(j: int) -> tuple[PartialIso, ...]:
     """
     if j < 2:
         raise ValueError("noise bound must be >= 2")
-    return tuple(PartialIso(c, 0) for c in subsets(range(2, j + 1)))
+    return tuple(elements(range(2, j + 1), (0,)))

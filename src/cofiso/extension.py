@@ -17,12 +17,12 @@ from typing import Optional, Union
 from .core import (
     ALPHA,
     BETA,
-    InvalidShift,
     NoiseParams,
     PartialIso,
+    _bits,
+    elements,
     leq,
     noise_bounded,
-    subsets,
 )
 
 
@@ -97,16 +97,14 @@ def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
         shift, points, complete, members = x.k, range(1, bound + 1), False, [x]
     else:
         _check_member(x, params)
-        shift, points, members = x.shift, [e for e in x.excluded if e <= bound], []
-        complete = not x.excluded or x.excluded[-1] <= bound
+        # the excluded points up to bound, read off the anatomy, so a far
+        # dom_min costs nothing past bound
+        u, head = x.dom_min, _bits(x.gaps)[: max(bound + 1 - x.dom_min, 0)]
+        points = [*range(1, min(u, bound + 1)), *(u + i for i, b in enumerate(head) if b == "1")]
+        shift, members = x.shift, []
+        complete = len(points) == u - 1 + x.gaps.bit_count()
     # the subsets come in lexicographic order, which is the maps' order
-    for ex in subsets(points):
-        try:
-            g = PartialIso(ex, shift)
-        except InvalidShift:
-            continue
-        if noise_bounded(g, params.j):
-            members.append(g)
+    members.extend(elements(points, (shift,), params.j))
     return UpSet(tuple(members), complete)
 
 

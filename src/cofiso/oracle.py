@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import InvalidShift, PartialIso, subsets
+from .core import PartialIso, elements
 
 
 class WindowTooSmall(ValueError):
@@ -38,15 +38,7 @@ class EnumBounds:
 def enumerate_elements(bounds: EnumBounds) -> Iterator[PartialIso]:
     """All valid elements within the budget, exclusion sets in
     lexicographic tuple order, shifts ascending within each set."""
-    for ex in subsets(range(1, bounds.n + 1)):
-        for s in range(-bounds.s, bounds.s + 1):
-            try:
-                g = PartialIso(ex, s)
-            except InvalidShift:
-                continue
-            if bounds.j is not None and g.noise > bounds.j:
-                continue
-            yield g
+    yield from elements(range(1, bounds.n + 1), range(-bounds.s, bounds.s + 1), bounds.j)
 
 
 def _reach(g: PartialIso) -> int:

@@ -15,10 +15,10 @@ from .core import (
     InvalidShift,
     NoiseParams,
     PartialIso,
+    elements,
     from_anatomy,
     in_offset_class,
     leq,
-    subsets,
 )
 from .extension import ExtElem, Group
 
@@ -172,13 +172,8 @@ def nbhd_upset_agreement(k: int, i: int, params: NoiseParams, n_max: int = 8) ->
     # the level's own base point is a member, the next level's is not
     if not nbhd_member(Group(k), spec) or nbhd_member(Group(k + 1), spec):
         return False
-    for ex in subsets(range(1, n_max + 1)):
-        for s in (k - 1, k, k + 1):
-            try:
-                x = PartialIso(ex, s)
-            except InvalidShift:
-                continue
-            alt = x.shift == k and in_offset_class(x, params) and (w is None or not leq(w, x))
-            if nbhd_member(x, spec) != alt:
-                return False
+    for x in elements(range(1, n_max + 1), (k - 1, k, k + 1)):
+        alt = x.shift == k and in_offset_class(x, params) and (w is None or not leq(w, x))
+        if nbhd_member(x, spec) != alt:
+            return False
     return True

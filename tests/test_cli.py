@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from cofiso import properties
+from cofiso import cli, properties
 from cofiso.cli import invoke, main
+from cofiso.extension import Group
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +125,12 @@ class TestOffsetLists:
 
 
 class TestClassify:
+    def test_far_forward_shift_returns_promptly(self):
+        proc = run_cli("classify", "a^1000000000", "--j", "2", timeout=30)
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert (doc["unr"], doc["in_M"], doc["in_M_range"]) == (1000000001, True, True)
+
     def test_profile_row(self):
         code, doc = invoke(["classify", "iso([2],0)", "--j", "3", "--M", "2"])
         assert code == 0
@@ -270,6 +277,86 @@ class TestTopologyCommands:
     def test_upset_gate(self):
         code, doc = invoke(["upset", "iso([3],0)", "--j", "2", "--bound", "4"])
         assert code == 2
+
+
+class TestBudget:
+    """Listings larger than ``cli._BUDGET`` are refused from their count."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["boundary", "--j", "40"], "boundary lists 2^39 elements, above the budget of 65536"),
+            (
+                ["upset", "grp(0)", "--j", "2", "--bound", "40"],
+                "upset walks 2^40 subsets, above the budget of 65536",
+            ),
+            (
+                ["upset", "b^38*iso([2,4,7],0)*a^38", "--j", "7", "--bound", "1000"],
+                "upset walks 2^41 subsets, above the budget of 65536",
+            ),
+            (["eval", "b^1000000000"], "the value excludes 1000000000 points, above the budget of 65536"),
+            (["eval", "b^65537"], "the value excludes 65537 points, above the budget of 65536"),
+            (["arrow", "b^65537*e[3]"], "the value excludes 65540 points, above the budget of 65536"),
+        ],
+        ids=["boundary", "upset group", "upset map", "eval far", "eval budget+1", "arrow"],
+    )
+    def test_over_budget_is_refused(self, argv, message):
+        assert invoke(argv) == (2, {"schema": 1, "error": {"type": "OverBudget", "message": message}})
+
+    def test_budget_sized_value_is_printed(self):
+        code, doc = invoke(["eval", "b^65536"])
+        assert (code, doc["value"]) == (0, {"excluded": list(range(1, 65537)), "shift": -65536})
+
+    def test_walks_at_the_budget_run(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BUDGET", 8)
+        assert invoke(["boundary", "--j", "4"])[1]["count"] == 8
+        assert invoke(["boundary", "--j", "5"])[1]["error"]["type"] == "OverBudget"
+        assert invoke(["upset", "grp(0)", "--j", "3", "--bound", "3"])[1]["count"] == 9
+        assert invoke(["upset", "grp(0)", "--j", "3", "--bound", "4"])[1]["error"]["type"] == "OverBudget"
+        # the walked points of a map are its excluded points up to bound
+        assert invoke(["upset", "iso([1,3,5,7],0)", "--j", "6", "--bound", "6"])[1]["count"] == 8
+        code, doc = invoke(["upset", "iso([1,3,5,7],0)", "--j", "6", "--bound", "7"])
+        assert doc["error"]["message"] == "upset walks 2^4 subsets, above the budget of 8"
+
+    @pytest.mark.parametrize(
+        "x,bound,points",
+        [
+            ("grp(3)", -2, 0),
+            ("grp(3)", 5, 5),
+            ("I", 9, 0),
+            ("iso([1,2,4,7],0)", 0, 0),
+            ("iso([1,2,4,7],0)", 1, 1),
+            ("iso([1,2,4,7],0)", 5, 3),
+            ("iso([1,2,4,7],0)", 6, 3),
+            ("iso([1,2,4,7],0)", 10**9, 4),
+            ("iso([3,4],2)", 3, 1),
+            ("b^1000000000", 3, 3),
+        ],
+    )
+    def test_walked_points_match_the_excluded_set(self, x, bound, points):
+        value = cli._value(x)
+        assert cli._walked_points(value, bound) == points
+        if not isinstance(value, Group) and value.dom_min < 100:
+            assert points == len([e for e in value.excluded if e <= bound])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("boundary", "--j", "40"),
+            ("upset", "grp(0)", "--j", "2", "--bound", "40"),
+            ("eval", "b^1000000000"),
+        ],
+        ids=["boundary", "upset", "eval"],
+    )
+    def test_refusal_returns_promptly(self, argv):
+        proc = run_cli(*argv, timeout=30)
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"]["type"] == "OverBudget"
+
+    def test_far_map_walks_only_up_to_bound(self):
+        proc = run_cli("upset", "b^1000000000", "--j", "2", "--bound", "3", timeout=30)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout) == {"schema": 1, "elements": [], "count": 0, "complete": False}
 
 
 class TestVerify:
