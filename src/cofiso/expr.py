@@ -13,7 +13,9 @@ an integer is a run of decimal digits of any script, as ``int`` reads
 them, so superscript digits are not digits here; one longer than ``int``
 reads (4300 digits by default) is an error at its first digit.
 Parentheses nest at most MAX_NESTING deep; a deeper one is an error at
-its own column.  Chains of products and powers may be of any length.
+its own column.  A puncture index or literal point is at most MAX_POINT;
+a larger one is an error at its column.  Chains of products and powers
+may be of any length.
 
 Parse errors carry the offending column; a character that starts no token
 is reported ahead of any grammar error.  Evaluation returns a map or an
@@ -91,6 +93,10 @@ _POINTS = re.compile(r"[\d,]*")
 # Deepest parenthesis nesting parse accepts: each level costs three parser
 # frames, so this keeps parsing far from the interpreter's recursion limit.
 MAX_NESTING = 100
+# Largest puncture index or literal point.  A product's noise is at most
+# its factors' largest, so this caps every value's noise and gap mask at
+# 2^20 bits; exponents and shifts stay unbounded.
+MAX_POINT = 1 << 20
 
 
 class _Parser:
@@ -140,8 +146,17 @@ class _Parser:
         except ValueError:  # more digits than int() reads (4300 by default)
             limit = sys.get_int_max_str_digits()
             bad = next(n for n, part in enumerate(parts) if len(part) > limit)
-            column += sum(map(len, parts[:bad])) + bad
+            column = _part_column(parts, bad, column)
             raise ParseError(f"integer of {len(parts[bad])} digits is too long", column) from None
+
+    def points(self, run: str, column: int) -> list[int]:
+        """The integers of ``ints``, each a point at most MAX_POINT."""
+        values = self.ints(run, column)
+        if max(values) > MAX_POINT:
+            bad = next(n for n, v in enumerate(values) if v > MAX_POINT)
+            column = _part_column(run.split(","), bad, column)
+            raise ParseError(f"point must be <= {MAX_POINT}", column)
+        return values
 
     def int_token(self, tok) -> int:
         return self.ints(tok[1], tok[2])[0]
@@ -183,7 +198,7 @@ class _Parser:
         if kind == "name":  # "e", needs a bracketed index
             self.expect("[")
             num = self.expect("int")
-            index = self.int_token(num)
+            index = self.points(num[1], num[2])[0]
             if index < 1:
                 raise ParseError("puncture index must be >= 1", num[2])
             self.expect("]")
@@ -195,12 +210,13 @@ class _Parser:
             if self.at("int"):
                 start = self.tok[2] - 1
                 run = _POINTS.match(self.text, start)[0].split(",,", 1)[0].rstrip(",")
-                entries = self.ints(run, start + 1)
+                entries = self.points(run, start + 1)
                 self.scan(start + len(run))
                 # a comma the run left (",]", ",,", " ,", ", ") goes token by token
                 while self.at(","):
                     self.next()
-                    entries.append(self.int_token(self.expect("int")))
+                    num = self.expect("int")
+                    entries += self.points(num[1], num[2])
             self.expect("]")
             self.expect(",")
             shift = self.signed_int()
@@ -220,6 +236,11 @@ class _Parser:
             self.depth -= 1
             return node
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+
+
+def _part_column(parts: list[str], n: int, column: int) -> int:
+    """The column of parts[n] in the comma-joined run that starts at column."""
+    return column + sum(map(len, parts[:n])) + n
 
 
 def parse(text: str) -> Node:
@@ -280,10 +301,8 @@ def _eval_operand(node: Node) -> ExtElem:
 def evaluate(node: Node, params: Optional[NoiseParams] = None) -> ExtElem:
     value = _eval(node)
     if params is not None and isinstance(value, PartialIso) and value.noise > params.j:
-        raise EvalError(
-            f"{unparse(node)} evaluates to {value!r} with noise {value.noise}, "
-            f"above the bound {params.j}"
-        )
+        # the text names the value: its excluded points may be far too many to list
+        raise EvalError(f"{unparse(node)} has noise {value.noise}, above the bound {params.j}")
     return value
 
 

@@ -12,7 +12,7 @@ grp(2)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
     ALPHA,
@@ -43,19 +43,16 @@ class Group:
 ExtElem = Union[PartialIso, Group]
 
 
-def _check_member(x: ExtElem, params: Optional[NoiseParams]) -> None:
-    if params is not None and isinstance(x, PartialIso) and not noise_bounded(x, params.j):
-        raise ValueError(f"{x!r} has noise {x.noise}, above the bound {params.j}")
-
-
 def ext_pi(x: ExtElem) -> int:
     return x.k if isinstance(x, Group) else x.pi
 
 
-def ext_mul(x: ExtElem, y: ExtElem, params: Optional[NoiseParams] = None) -> ExtElem:
-    """Product in the extended semigroup; any Group factor absorbs."""
-    _check_member(x, params)
-    _check_member(y, params)
+def ext_mul(x: ExtElem, y: ExtElem) -> ExtElem:
+    """Product in the extended semigroup; any Group factor absorbs.
+
+    The operands are not checked against a noise bound: a product of maps
+    of noise at most j has noise at most j.
+    """
     if isinstance(x, PartialIso) and isinstance(y, PartialIso):
         return x * y
     return Group(ext_pi(x) + ext_pi(y))
@@ -95,8 +92,13 @@ def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
     """
     if isinstance(x, Group):
         shift, points, complete, members = x.k, range(1, bound + 1), False, [x]
+    elif not noise_bounded(x, params.j):
+        # named by its anatomy: the excluded points may be far too many to list
+        raise ValueError(
+            f"the map with tail start {x.tail_start} and shift {x.shift} "
+            f"has noise {x.noise}, above the bound {params.j}"
+        )
     else:
-        _check_member(x, params)
         # the excluded points up to bound, read off the anatomy, so a far
         # dom_min costs nothing past bound
         u, head = x.dom_min, _bits(x.gaps)[: max(bound + 1 - x.dom_min, 0)]
@@ -108,10 +110,9 @@ def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
     return UpSet(tuple(members), complete)
 
 
-def _require_above_zero(x: ExtElem, k: int, params: Optional[NoiseParams]) -> None:
+def _require_above_zero(x: ExtElem, k: int) -> None:
     if k < 1:
         raise ValueError("step count must be >= 1")
-    _check_member(x, params)
     if isinstance(x, Group):
         if x.k != 0:
             raise NotInUpSet(f"{x!r} is not above grp(0)")
@@ -119,19 +120,19 @@ def _require_above_zero(x: ExtElem, k: int, params: Optional[NoiseParams]) -> No
         raise NotInUpSet(f"{x!r} has shift {x.shift}, not above grp(0)")
 
 
-def translate_right(x: ExtElem, k: int, params: Optional[NoiseParams] = None) -> ExtElem:
+def translate_right(x: ExtElem, k: int) -> ExtElem:
     """Right-multiply by the k-step forward shift: up-set of 0 -> up-set of k.
 
     Inverted by right-multiplying with BETA^k.
     """
-    _require_above_zero(x, k, params)
-    return ext_mul(x, ALPHA ** k, params)
+    _require_above_zero(x, k)
+    return ext_mul(x, ALPHA ** k)
 
 
-def translate_left(x: ExtElem, k: int, params: Optional[NoiseParams] = None) -> ExtElem:
+def translate_left(x: ExtElem, k: int) -> ExtElem:
     """Left-multiply by the k-step backward shift: up-set of 0 -> up-set of -k.
 
     Inverted by left-multiplying with ALPHA^k.
     """
-    _require_above_zero(x, k, params)
-    return ext_mul(BETA ** k, x, params)
+    _require_above_zero(x, k)
+    return ext_mul(BETA ** k, x)

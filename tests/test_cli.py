@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,13 @@ from cofiso.extension import Group
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, timeout=None):
+def cap_memory():
+    # 400 MB of address space: ample for any answer, far too little for a
+    # map's 10^9 excluded points
+    resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+
+def run_cli(*args, timeout=None, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -23,6 +30,7 @@ def run_cli(*args, timeout=None):
         env=env,
         cwd=ROOT,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -352,6 +360,37 @@ class TestBudget:
         proc = run_cli(*argv, timeout=30)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "OverBudget"
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            (
+                ["eval", "b^1000000000*e[2]", "--j", "1"],
+                {"type": "EvalError", "message": "b^1000000000*e[2] has noise 2, above the bound 1"},
+            ),
+            (
+                ["upset", "b^1000000000*e[2]", "--j", "1", "--bound", "3"],
+                {
+                    "type": "ValueError",
+                    "message": "the map with tail start 1000000003 and shift -1000000000 "
+                    "has noise 2, above the bound 1",
+                },
+            ),
+            (
+                ["eval", "e[1000000000]"],
+                {"type": "ParseError", "message": "column 3: point must be <= 1048576", "column": 3},
+            ),
+            (
+                ["eval", "iso([1000000000],0)"],
+                {"type": "ParseError", "message": "column 6: point must be <= 1048576", "column": 6},
+            ),
+        ],
+        ids=["eval gate", "upset gate", "far puncture", "far literal"],
+    )
+    def test_far_values_are_refused_without_listing_them(self, argv, error):
+        proc = run_cli(*argv, timeout=30, preexec_fn=cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout) == {"schema": 1, "error": error}
 
     def test_far_map_walks_only_up_to_bound(self):
         proc = run_cli("upset", "b^1000000000", "--j", "2", "--bound", "3", timeout=30)

@@ -105,6 +105,10 @@ ERRORS = [
     ("e[" + "1" * 5000 + "]", "column 3: integer of 5000 digits is too long", 3),
     ("iso([1," + "1" * 5000 + "],0)", "column 8: integer of 5000 digits is too long", 8),
     ("grp(-" + "1" * 5000 + ")", "column 6: integer of 5000 digits is too long", 6),
+    # points above MAX_POINT
+    ("e[1048577]", "column 3: point must be <= 1048576", 3),
+    ("iso([1,1048577],0)", "column 8: point must be <= 1048576", 8),
+    ("iso([1, 1048577],0)", "column 9: point must be <= 1048576", 9),
     # parentheses nested past MAX_NESTING, reported at the first one too many
     ("(" * 101 + "a" + ")" * 101, "column 101: parentheses nested deeper than 100", 101),
     ("a*(" * 1000 + "a" + ")" * 1000, "column 303: parentheses nested deeper than 100", 303),
@@ -203,6 +207,10 @@ class TestEvaluate:
 
     def test_group_literals_ignore_the_gate(self):
         assert evaluate(parse("grp(7)"), NoiseParams(0)) == Group(7)
+
+    def test_points_up_to_the_limit_evaluate(self):
+        assert evaluate(parse("e[1048576]")) == make([1048576], 0)
+        assert evaluate(parse("iso([1,1048576],0)")) == make([1, 1048576], 0)
 
     def test_long_chains(self):
         # longer than the interpreter's recursion limit

@@ -1,6 +1,7 @@
 import pytest
 
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
+from cofiso.oracle import EnumBounds, enumerate_elements
 from cofiso.extension import (
     Group,
     NotInUpSet,
@@ -27,10 +28,14 @@ class TestMul:
     def test_iso_product_stays_iso(self):
         assert ext_mul(ALPHA, BETA) == IDENTITY
 
-    def test_noise_gate_applies_when_params_given(self):
-        p = NoiseParams(2)
-        with pytest.raises(ValueError):
-            ext_mul(make([3], 0), IDENTITY, p)
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_products_stay_within_the_noise_bound(self, j):
+        # the closure that lets ext_mul skip checking its operands
+        maps = list(enumerate_elements(EnumBounds(4, 2, j)))
+        assert len(maps) == {2: 34, 3: 48}[j]
+        for x in maps:
+            for y in maps:
+                assert ext_mul(x, y).noise <= j, (x, y)
 
     def test_pi_totals(self):
         assert ext_pi(Group(4)) == 4
@@ -89,28 +94,25 @@ class TestUpSet:
 
 class TestTranslations:
     def test_identity_moves_to_a_power(self):
-        p = NoiseParams(2)
-        assert translate_right(IDENTITY, 2, p) == ALPHA * ALPHA
-        assert ext_leq(Group(2), translate_right(IDENTITY, 2, p))
+        assert translate_right(IDENTITY, 2) == ALPHA * ALPHA
+        assert ext_leq(Group(2), translate_right(IDENTITY, 2))
 
     def test_level_zero_moves_to_level_k(self):
-        p = NoiseParams(2)
-        assert translate_right(Group(0), 2, p) == Group(2)
-        assert translate_left(Group(0), 2, p) == Group(-2)
+        assert translate_right(Group(0), 2) == Group(2)
+        assert translate_left(Group(0), 2) == Group(-2)
 
     def test_round_trips_over_a_truncated_up_set(self):
-        p = NoiseParams(2)
-        for x in up_set_truncated(Group(0), p, 3).elements:
-            assert ext_mul(translate_right(x, 2, p), BETA ** 2, p) == x
-            assert ext_mul(ALPHA ** 2, translate_left(x, 2, p), p) == x
+        for x in up_set_truncated(Group(0), NoiseParams(2), 3).elements:
+            assert ext_mul(translate_right(x, 2), BETA ** 2) == x
+            assert ext_mul(ALPHA ** 2, translate_left(x, 2)) == x
 
     def test_only_level_zero_sources(self):
         with pytest.raises(NotInUpSet):
-            translate_right(ALPHA, 1, NoiseParams(2))
+            translate_right(ALPHA, 1)
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
-            translate_right(IDENTITY, 0, NoiseParams(2))
+            translate_right(IDENTITY, 0)
 
 
 class TestGroupRepr:
