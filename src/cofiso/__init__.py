@@ -70,11 +70,8 @@ _EXPORTS = {
     ),
     "oracle": (
         "EnumBounds",
-        "WindowTooSmall",
         "compose_via_window",
-        "default_window",
         "enumerate_elements",
-        "min_window",
         "window_compose",
     ),
     "properties": ("Report", "UnknownProperty", "known_properties", "verify"),

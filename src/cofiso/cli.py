@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("expr")
     p.add_argument("--j", type=int, default=None)
-    p.add_argument("--M", default=None)
 
     p = sub.add_parser("classify", help="report the numeric profile of a map")
     p.add_argument("expr")
@@ -151,6 +150,9 @@ def _offsets(text: Optional[str], j: int, name: str) -> frozenset:
     if text is None or text.strip() in ("", "none", "-"):
         return frozenset()
     if text.strip() == "all":
+        if j - 1 > _BUDGET:
+            message = f"all lists {j - 1} offsets, above the budget of {_BUDGET}"
+            raise OverBudget(f"argument {name}: {message}")
         return frozenset(range(2, j + 1))
     offsets = set()
     for part in text.split(","):
@@ -165,8 +167,8 @@ def _offsets(text: Optional[str], j: int, name: str) -> frozenset:
     return frozenset(offsets)
 
 
-def _params(args) -> Optional[NoiseParams]:
-    return None if args.j is None else NoiseParams(args.j, _offsets(args.M, args.j, "--M"))
+def _params(args) -> NoiseParams:
+    return NoiseParams(args.j, _offsets(args.M, args.j, "--M"))
 
 
 def _value(text: str, label: Optional[str] = None, params: Optional[NoiseParams] = None):
@@ -183,7 +185,8 @@ def _dispatch(args) -> tuple:
     cmd = args.cmd
 
     if cmd == "eval":
-        value = _value(args.expr, params=_params(args))
+        params = NoiseParams(args.j) if args.j is not None else None
+        value = _value(args.expr, params=params)
         return 0, {"value": _elem_doc(value), "repr": repr(value)}
 
     if cmd == "classify":
@@ -306,8 +309,16 @@ def _dispatch(args) -> tuple:
         from .oracle import EnumBounds
         from .properties import verify
 
-        params = NoiseParams(args.j) if args.j is not None else None
-        report = verify(args.property, EnumBounds(args.N, args.S), params)
+        bounds = EnumBounds(args.N, args.S)
+        # (2S+1)*2^N elements, decided without building 2^N
+        if args.N >= _BUDGET.bit_length() or (2 * args.S + 1) << args.N > _BUDGET:
+            count = f"{2 * args.S + 1}*2^{args.N}"
+            raise OverBudget(f"verify enumerates {count} elements, above the budget of {_BUDGET}")
+        params = None
+        if args.j is not None:
+            _check_walk(args.j - 1, "verify lists", "offset sets")
+            params = NoiseParams(args.j)
+        report = verify(args.property, bounds, params)
         doc = {
             "property": report.property_id,
             "description": report.description,
@@ -321,27 +332,31 @@ def _dispatch(args) -> tuple:
     raise _UsageError(f"unknown command {cmd!r}")
 
 
-def invoke(argv) -> tuple:
-    parser = build_parser()
+def _run(argv) -> tuple:
+    """(exit code, document, parsed arguments or None) of one call."""
+    args = None
     try:
-        code, doc = _dispatch(parser.parse_args(argv))
+        args = build_parser().parse_args(argv)
+        code, doc = _dispatch(args)
     except SystemExit as exc:  # --help prints and exits itself
-        return (exc.code or 0), None
+        return (exc.code or 0), None, args
     except _UsageError as exc:
-        return 2, {"schema": _SCHEMA, "error": {"type": "usage", "message": str(exc)}}
+        code, doc = 2, {"error": {"type": "usage", "message": str(exc)}}
     except ValueError as exc:
         err = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ParseError):
             err["column"] = exc.column
-        return 2, {"schema": _SCHEMA, "error": err}
-    return code, {"schema": _SCHEMA, **doc}
+        code, doc = 2, {"error": err}
+    return code, {"schema": _SCHEMA, **doc}, args
+
+
+def invoke(argv) -> tuple:
+    return _run(argv)[:2]
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    code, doc = invoke(list(argv))
+    code, doc, args = _run(sys.argv[1:] if argv is None else list(argv))
     if doc is not None:
-        indent = 2 if "--pretty" in argv else None
+        indent = 2 if args is not None and args.pretty else None
         print(json.dumps(doc, indent=indent))
     return code

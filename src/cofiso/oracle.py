@@ -15,10 +15,6 @@ from typing import Iterator, Optional
 from .core import PartialIso, elements
 
 
-class WindowTooSmall(ValueError):
-    """The requested window cannot hold both maps' irregular parts."""
-
-
 @dataclass(frozen=True)
 class EnumBounds:
     """Budget for exhaustive enumeration: excluded points drawn from
@@ -45,22 +41,15 @@ def _reach(g: PartialIso) -> int:
     return (max(g.excluded) if g.excluded else 0) + abs(g.shift)
 
 
-def min_window(a: PartialIso, b: PartialIso) -> int:
-    return max(_reach(a), _reach(b)) + 1
-
-
-def default_window(a: PartialIso, b: PartialIso) -> int:
+def _window(a: PartialIso, b: PartialIso) -> int:
     # one spare column past every irregularity, after a's shift is applied
     return max(_reach(a), _reach(b)) + abs(a.shift) + 2
 
 
-def window_compose(a: PartialIso, b: PartialIso, window: Optional[int] = None) -> dict:
-    """Pointwise table of (a then b) on 1..window: x -> b(a(x)), with
-    undefined points omitted."""
-    if window is None:
-        window = default_window(a, b)
-    if window < min_window(a, b):
-        raise WindowTooSmall(f"need window >= {min_window(a, b)}, got {window}")
+def window_compose(a: PartialIso, b: PartialIso) -> dict:
+    """Pointwise table of (a then b) on 1.._window(a, b): x -> b(a(x)),
+    with undefined points omitted."""
+    window = _window(a, b)
     # membership is read off the excluded sets, not off the maps' own
     # arithmetic, so the table stays an independent route
     holes_a, holes_b = set(a.excluded), set(b.excluded)
@@ -75,11 +64,10 @@ def window_compose(a: PartialIso, b: PartialIso, window: Optional[int] = None) -
     return table
 
 
-def compose_via_window(a: PartialIso, b: PartialIso, window: Optional[int] = None) -> PartialIso:
+def compose_via_window(a: PartialIso, b: PartialIso) -> PartialIso:
     """Rebuild the composite element from its window table alone."""
-    if window is None:
-        window = default_window(a, b)
-    table = window_compose(a, b, window)
+    window = _window(a, b)
+    table = window_compose(a, b)
     shifts = {z - x for x, z in table.items()}
     assert len(shifts) == 1, "window table is not a single translation off its holes"
     shift = shifts.pop()

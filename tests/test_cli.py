@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,11 @@ class TestEval:
         code, doc = invoke(["eval", "e[3]", "--j", "2"])
         assert code == 2
         assert doc["error"]["type"] == "EvalError"
+
+    def test_offset_set_option_is_refused(self):
+        # eval checks only the noise bound, so it takes no --M
+        error = {"type": "usage", "message": "unrecognized arguments: --M 2"}
+        assert invoke(["eval", "a", "--j", "3", "--M", "2"]) == (2, {"schema": 1, "error": error})
 
     def test_parse_error_carries_column(self):
         code, doc = invoke(["eval", "e[0]"])
@@ -108,8 +114,8 @@ class TestOffsetLists:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (["eval", "a", "--j", "3", "--M", "x"], "argument --M: offset 'x' is not an integer"),
-            (["eval", "a", "--j", "3", "--M", "2,,3"], "argument --M: offset '' is not an integer"),
+            (["classify", "a", "--j", "3", "--M", "x"], "argument --M: offset 'x' is not an integer"),
+            (["classify", "a", "--j", "3", "--M", "2,,3"], "argument --M: offset '' is not an integer"),
             (["classify", "a", "--j", "3", "--M", "2, 3,"], "argument --M: offset '' is not an integer"),
             (
                 ["converge", "--offsets", "2,x3", "--k", "0", "--j", "3"],
@@ -118,7 +124,7 @@ class TestOffsetLists:
             (["distinguish", "2", "3,y", "--j", "3"], "argument m2: offset 'y' is not an integer"),
             (["distinguish", "2.5", "3", "--j", "3"], "argument m1: offset '2.5' is not an integer"),
             (
-                ["eval", "a", "--j", "3", "--M", "2," + "1" * 5000],
+                ["classify", "a", "--j", "3", "--M", "2," + "1" * 5000],
                 "argument --M: offset of 5000 digits is too long",
             ),
         ],
@@ -305,8 +311,20 @@ class TestBudget:
             (["eval", "b^1000000000"], "the value excludes 1000000000 points, above the budget of 65536"),
             (["eval", "b^65537"], "the value excludes 65537 points, above the budget of 65536"),
             (["arrow", "b^65537*e[3]"], "the value excludes 65540 points, above the budget of 65536"),
+            (
+                ["distinguish", "2", "all", "--j", "65538"],
+                "argument m2: all lists 65537 offsets, above the budget of 65536",
+            ),
         ],
-        ids=["boundary", "upset group", "upset map", "eval far", "eval budget+1", "arrow"],
+        ids=[
+            "boundary",
+            "upset group",
+            "upset map",
+            "eval far",
+            "eval budget+1",
+            "arrow",
+            "all budget+1",
+        ],
     )
     def test_over_budget_is_refused(self, argv, message):
         assert invoke(argv) == (2, {"schema": 1, "error": {"type": "OverBudget", "message": message}})
@@ -325,6 +343,29 @@ class TestBudget:
         assert invoke(["upset", "iso([1,3,5,7],0)", "--j", "6", "--bound", "6"])[1]["count"] == 8
         code, doc = invoke(["upset", "iso([1,3,5,7],0)", "--j", "6", "--bound", "7"])
         assert doc["error"]["message"] == "upset walks 2^4 subsets, above the budget of 8"
+
+    def test_verify_and_all_at_the_budget_run(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BUDGET", 8)
+        # (2S+1)*2^N elements: 6 and 8 run; 10, 12 and 16 do not
+        assert invoke(["verify", "assoc", "--N", "1", "--S", "1"])[0] == 0
+        assert invoke(["verify", "assoc", "--N", "3", "--S", "0"])[0] == 0
+        for n, s in ((1, 2), (2, 1), (4, 0)):
+            code, doc = invoke(["verify", "assoc", "--N", str(n), "--S", str(s)])
+            assert (code, doc["error"]["type"]) == (2, "OverBudget")
+        # 2^(j-1) offset sets
+        assert invoke(["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "4"])[0] == 0
+        code, doc = invoke(["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "5"])
+        assert doc["error"]["message"] == "verify lists 2^4 offset sets, above the budget of 8"
+        # all lists j-1 offsets
+        assert invoke(["classify", "a", "--j", "9", "--M", "all"])[0] == 0
+        code, doc = invoke(["classify", "a", "--j", "10", "--M", "all"])
+        assert doc["error"]["message"] == "argument --M: all lists 9 offsets, above the budget of 8"
+
+    def test_explicit_offsets_at_a_large_level_run(self):
+        code, doc = invoke(["classify", "iso([2],0)", "--j", "100000000", "--M", "2,99999999"])
+        assert (code, doc["in_M"]) == (0, True)
+        code, doc = invoke(["converge", "--offsets", "2", "--k", "0", "--j", "100000000"])
+        assert (code, doc["converges"], doc["agree"]) == (1, False, True)
 
     @pytest.mark.parametrize(
         "x,bound,points",
@@ -392,6 +433,60 @@ class TestBudget:
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stdout) == {"schema": 1, "error": error}
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["verify", "assoc", "--N", "40", "--S", "2"],
+                "verify enumerates 5*2^40 elements, above the budget of 65536",
+            ),
+            (
+                ["verify", "assoc", "--N", "14", "--S", "2"],
+                "verify enumerates 5*2^14 elements, above the budget of 65536",
+            ),
+            (
+                ["verify", "assoc", "--N", "10000000000", "--S", "0"],
+                "verify enumerates 1*2^10000000000 elements, above the budget of 65536",
+            ),
+            (
+                ["verify", "offset_classes", "--N", "2", "--S", "0", "--j", "40"],
+                "verify lists 2^39 offset sets, above the budget of 65536",
+            ),
+            (
+                ["verify", "upset_char", "--N", "40", "--S", "2", "--j", "2"],
+                "verify enumerates 5*2^40 elements, above the budget of 65536",
+            ),
+            (
+                ["classify", "a", "--j", "100000000", "--M", "all"],
+                "argument --M: all lists 99999999 offsets, above the budget of 65536",
+            ),
+            (
+                ["nbhd", "a", "--k", "1", "--i", "1", "--j", "100000000", "--M", "all"],
+                "argument --M: all lists 99999999 offsets, above the budget of 65536",
+            ),
+            (
+                ["converge", "--k", "0", "--j", "100000000", "--offsets", "all"],
+                "argument --offsets: all lists 99999999 offsets, above the budget of 65536",
+            ),
+        ],
+        ids=[
+            "verify assoc",
+            "verify budget+",
+            "verify far N",
+            "verify offset sets",
+            "verify upset_char",
+            "classify",
+            "nbhd",
+            "converge",
+        ],
+    )
+    def test_large_bounds_are_refused_up_front(self, argv, message):
+        proc = run_cli(*argv, timeout=30, preexec_fn=cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout.count("\n") == 1
+        error = {"type": "OverBudget", "message": message}
+        assert json.loads(proc.stdout) == {"schema": 1, "error": error}
+
     def test_far_map_walks_only_up_to_bound(self):
         proc = run_cli("upset", "b^1000000000", "--j", "2", "--bound", "3", timeout=30)
         assert proc.returncode == 0
@@ -452,6 +547,12 @@ class TestSubprocess:
 
     def test_pretty_flag_indents(self):
         proc = run_cli("--pretty", "classify", "iso([2],0)", "--j", "2")
+        assert proc.returncode == 0
+        assert "\n  " in proc.stdout
+        assert json.loads(proc.stdout)["noise"] == 2
+
+    def test_abbreviated_pretty_flag_indents(self):
+        proc = run_cli("--pre", "classify", "iso([2],0)", "--j", "2")
         assert proc.returncode == 0
         assert "\n  " in proc.stdout
         assert json.loads(proc.stdout)["noise"] == 2
@@ -525,3 +626,34 @@ class TestGolden:
     def test_stdout_is_byte_identical(self, argv, stdout, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == stdout
+
+
+def _readme_examples() -> list:
+    """(argv, exit code, document) of each ``$ cofiso ...`` line in the
+    README's Examples block; the code is 0 unless an ``exit=`` line says
+    otherwise."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("### Examples", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ cofiso ")[1:]:
+        command, _, output = chunk.partition("\n")
+        lines = output.strip().splitlines()
+        code = int(lines.pop()[len("exit="):]) if lines[-1].startswith("exit=") else 0
+        examples.append((shlex.split(command.split(";")[0]), code, json.loads("\n".join(lines))))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadme:
+    def test_every_example_is_read(self):
+        assert len(README_EXAMPLES) == 9
+
+    @pytest.mark.parametrize(
+        "argv,code,doc",
+        README_EXAMPLES,
+        ids=[argv[argv[0] == "--pretty"] + str(i) for i, (argv, _, _) in enumerate(README_EXAMPLES)],
+    )
+    def test_example_output_matches(self, argv, code, doc):
+        assert invoke(argv) == (code, doc)

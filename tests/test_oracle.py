@@ -1,15 +1,7 @@
 import pytest
 
 from cofiso.core import ALPHA, BETA, IDENTITY, make
-from cofiso.oracle import (
-    EnumBounds,
-    WindowTooSmall,
-    compose_via_window,
-    default_window,
-    enumerate_elements,
-    min_window,
-    window_compose,
-)
+from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements, window_compose
 
 
 class TestEnumerate:
@@ -58,22 +50,14 @@ class TestEnumerate:
 
 class TestWindow:
     def test_alpha_beta_window_is_the_identity_table(self):
-        assert window_compose(ALPHA, BETA, 10) == {x: x for x in range(1, 11)}
+        assert window_compose(ALPHA, BETA) == {x: x for x in range(1, 6)}
 
     def test_beta_alpha_window_misses_one(self):
-        assert window_compose(BETA, ALPHA, 10) == {x: x for x in range(2, 11)}
+        assert window_compose(BETA, ALPHA) == {x: x for x in range(2, 6)}
 
     def test_pulled_back_exclusions(self):
-        table = window_compose(make([2], 0), make([3], 1), 10)
-        assert table == {x: x + 1 for x in range(1, 11) if x not in (2, 3)}
-
-    def test_window_must_cover_both_reaches(self):
-        with pytest.raises(WindowTooSmall):
-            window_compose(make([5], 0), IDENTITY, 5)
-
-    def test_window_rules(self):
-        assert min_window(make([5], 0), IDENTITY) == 6
-        assert default_window(ALPHA, BETA) >= min_window(ALPHA, BETA)
+        table = window_compose(make([2], 0), make([3], 1))
+        assert table == {x: x + 1 for x in range(1, 7) if x not in (2, 3)}
 
     def test_reconstruction_matches_composition(self):
         pool = list(enumerate_elements(EnumBounds(3, 2)))
