@@ -89,6 +89,7 @@ _EXPORTS = {
         "nbhd_member",
         "nbhd_upset_agreement",
         "seq_elem",
+        "upset_pool",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -35,6 +35,8 @@ _SCHEMA = 1
 
 # the most elements, subsets or excluded points one call may list
 _BUDGET = 1 << 16
+# the most element pairs or triples one verify call may walk
+_TUPLES = _BUDGET << 8
 
 
 class _UsageError(Exception):
@@ -58,6 +60,24 @@ def _walked_points(x, bound: int) -> int:
         return max(bound, 0)
     width = min(max(bound + 1 - x.dom_min, 0), x.noise)
     return min(x.dom_min - 1, max(bound, 0)) + (x.gaps & ((1 << width) - 1)).bit_count()
+
+
+def _check_suite(property_id: str, bounds) -> None:
+    """Refuse a suite whose pool, as properties.suite_size counts it, is
+    over the budget, or whose loops nested arity deep would walk more
+    element tuples than _TUPLES."""
+    from .properties import suite_size
+
+    shifts, extra, arity = suite_size(property_id, bounds)
+    # shifts*2^n + extra elements, decided without building 2^n
+    if shifts and (bounds.n >= _BUDGET.bit_length() or (shifts << bounds.n) + extra > _BUDGET):
+        count = f"{shifts}*2^{bounds.n}" + (f"+{extra}" if extra else "")
+        raise OverBudget(f"verify enumerates {count} elements, above the budget of {_BUDGET}")
+    pool = (shifts << bounds.n) + extra
+    if pool ** arity > _TUPLES:
+        raise OverBudget(
+            f"verify {property_id} walks {pool}^{arity} element tuples, above the budget of {_TUPLES}"
+        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -310,10 +330,7 @@ def _dispatch(args) -> tuple:
         from .properties import verify
 
         bounds = EnumBounds(args.N, args.S)
-        # (2S+1)*2^N elements, decided without building 2^N
-        if args.N >= _BUDGET.bit_length() or (2 * args.S + 1) << args.N > _BUDGET:
-            count = f"{2 * args.S + 1}*2^{args.N}"
-            raise OverBudget(f"verify enumerates {count} elements, above the budget of {_BUDGET}")
+        _check_suite(args.property, bounds)
         params = None
         if args.j is not None:
             _check_walk(args.j - 1, "verify lists", "offset sets")

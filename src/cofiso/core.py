@@ -284,6 +284,20 @@ class NoiseParams:
         """Widest offset set {2, ..., j}."""
         return cls(j, frozenset(range(2, j + 1)))
 
+    def offset_mask(self, width: int) -> int:
+        """Bit o - 1 for each allowed offset o, at least up to o = width.
+
+        Built once and widened only when a wider head asks, so the mask
+        grows with the heads checked, not with the largest offset: an
+        explicit offset near a huge j would not fit in memory as one bit.
+        """
+        built, mask = self.__dict__.get("_offset_mask", (-1, 0))
+        if built < width:
+            built, mask = width, sum(1 << (o - 1) for o in self.offsets if o <= width)
+            # the instance is frozen; the memo sits beside its fields
+            self.__dict__["_offset_mask"] = built, mask
+        return mask
+
 
 # -- natural order and the group congruence -------------------------------
 
@@ -368,10 +382,22 @@ def head_offsets(g: PartialIso) -> tuple[int, ...]:
 
 
 def in_offset_class(g: PartialIso, params: NoiseParams) -> bool:
-    """Every domain point below tail_start sits at an allowed offset."""
-    return noise_bounded(g, params.j) and all(
-        o == 0 or o in params.offsets for o in head_offsets(g)
-    )
+    """Every domain point below tail_start sits at an allowed offset.
+
+    The head's domain points are the clear bits of the gap mask, bit i at
+    offset noise - i; reversed, offset o sits at bit o - 1, so the test
+    is one containment in the allowed offsets' mask.
+    """
+    gaps = g.gaps
+    n = gaps.bit_length()  # the noise
+    if n > params.j:
+        return False
+    if not n:
+        return True
+    # flipping bits 0..n clears the gaps and sets bit n, so bin() keeps the
+    # head's width; read backwards, offset o lands on bit o - 1
+    head = int(bin(gaps ^ ((2 << n) - 1))[:2:-1], 2)
+    return head & params.offset_mask(n) == head
 
 
 def in_offset_class_range(g: PartialIso, params: NoiseParams) -> bool:

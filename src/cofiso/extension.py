@@ -117,7 +117,10 @@ def _require_above_zero(x: ExtElem, k: int) -> None:
         if x.k != 0:
             raise NotInUpSet(f"{x!r} is not above grp(0)")
     elif x.shift != 0:
-        raise NotInUpSet(f"{x!r} has shift {x.shift}, not above grp(0)")
+        # named by its anatomy: the excluded points may be far too many to list
+        raise NotInUpSet(
+            f"the map with tail start {x.tail_start} and shift {x.shift} is not above grp(0)"
+        )
 
 
 def translate_right(x: ExtElem, k: int) -> ExtElem:

@@ -58,6 +58,7 @@ from .topology import (
     empirical_converges,
     nbhd_member,
     nbhd_upset_agreement,
+    upset_pool,
 )
 
 
@@ -96,11 +97,21 @@ class _Tally:
 
 
 _REGISTRY: dict[str, tuple[str, Callable]] = {}
+# property id -> (arity, pool): see suite_size
+_SIZES: dict[str, tuple[int, Callable]] = {}
 
 
-def register(property_id: str, description: str):
+def _enumerated(bounds: EnumBounds) -> tuple[int, int]:
+    """enumerate_elements(bounds) tries 2s+1 shifts on each subset of {1..n}."""
+    return 2 * bounds.s + 1, 0
+
+
+def register(property_id: str, description: str, arity: int, pool: Callable = _enumerated):
+    """Register a suite that nests ``arity`` loops over the elements
+    ``pool(bounds)`` counts, as in suite_size."""
     def deco(fn):
         _REGISTRY[property_id] = (description, fn)
+        _SIZES[property_id] = (arity, pool)
         return fn
     return deco
 
@@ -109,11 +120,25 @@ def known_properties() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
+def suite_size(property_id: str, bounds: EnumBounds) -> tuple[int, int, int]:
+    """(shifts, extra, arity): the suite walks at most shifts * 2^n + extra
+    elements, in loops nested arity deep, so it costs about the arity-th
+    power of that count.  Read off the bounds without enumerating; a
+    suite put in the registry by hand counts as one enumeration pass."""
+    _require_known(property_id)
+    arity, pool = _SIZES.get(property_id, (1, _enumerated))
+    return (*pool(bounds), arity)
+
+
+def _require_known(property_id: str) -> None:
     if property_id not in _REGISTRY:
         raise UnknownProperty(
             f"{property_id!r} is not registered; known: {', '.join(known_properties())}"
         )
+
+
+def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
+    _require_known(property_id)
     description, fn = _REGISTRY[property_id]
     tally = _Tally()
     fn(tally, bounds, params)
@@ -139,7 +164,7 @@ def _all_params(j: int) -> list[NoiseParams]:
 # -- element algebra ------------------------------------------------------
 
 
-@register("assoc", "composition is associative on every enumerated triple")
+@register("assoc", "composition is associative on every enumerated triple", arity=3)
 def _assoc(t, bounds, params):
     elems = list(enumerate_elements(bounds))
     for a in elems:
@@ -149,7 +174,7 @@ def _assoc(t, bounds, params):
                 t.check(ab * c == a * (b * c), a, b, c)
 
 
-@register("inverse_axioms", "x*x~*x == x, x~*x*x~ == x~, and partial identities commute")
+@register("inverse_axioms", "x*x~*x == x, x~*x*x~ == x~, and partial identities commute", arity=2)
 def _inverse_axioms(t, bounds, params):
     elems = list(enumerate_elements(bounds))
     for g in elems:
@@ -163,7 +188,7 @@ def _inverse_axioms(t, bounds, params):
             t.check(e * f == f * e, e, f)
 
 
-@register("oracle_equiv", "algebraic composition matches the pointwise window oracle on all pairs")
+@register("oracle_equiv", "algebraic composition matches the pointwise window oracle on all pairs", arity=2)
 def _oracle_equiv(t, bounds, params):
     elems = list(enumerate_elements(bounds))
     for a in elems:
@@ -171,7 +196,7 @@ def _oracle_equiv(t, bounds, params):
             t.check(compose_via_window(a, b) == a * b, a, b)
 
 
-@register("idempotent_iff", "idempotency, being square-fixed, and having shift 0 coincide")
+@register("idempotent_iff", "idempotency, being square-fixed, and having shift 0 coincide", arity=1)
 def _idempotent_iff(t, bounds, params):
     for g in enumerate_elements(bounds):
         square_fixed = g * g == g
@@ -181,7 +206,7 @@ def _idempotent_iff(t, bounds, params):
             t.check(g.inverse() == g, g)
 
 
-@register("green_relations", "the five Green predicates match their idempotent and witness forms")
+@register("green_relations", "the five Green predicates match their idempotent and witness forms", arity=2)
 def _green_relations(t, bounds, params):
     elems = list(enumerate_elements(bounds))
     span = bounds.n + bounds.s + 1
@@ -225,7 +250,11 @@ def _green_relations(t, bounds, params):
             t.check(x * a * y == b, a, b, x, y)
 
 
-@register("natural_order", "the four formulations of the natural order coincide and order the monoid")
+@register(
+    "natural_order",
+    "the four formulations of the natural order coincide and order the monoid",
+    arity=3,
+)
 def _natural_order(t, bounds, params):
     elems = list(enumerate_elements(bounds))
     for a in elems:
@@ -247,7 +276,7 @@ def _natural_order(t, bounds, params):
                     t.check(leq(a * c, b * c) and leq(c * a, c * b), a, b, c)
 
 
-@register("congruence", "shift equality is the least group congruence, with explicit witnesses")
+@register("congruence", "shift equality is the least group congruence, with explicit witnesses", arity=2)
 def _congruence(t, bounds, params):
     elems = list(enumerate_elements(bounds))
     for a in elems:
@@ -267,7 +296,7 @@ def _congruence(t, bounds, params):
             t.check(group_congruent(e, f), e, f)
 
 
-@register("retraction", "tail restriction is an idempotent homomorphism onto the noise-free part")
+@register("retraction", "tail restriction is an idempotent homomorphism onto the noise-free part", arity=2)
 def _retraction(t, bounds, params):
     elems = list(enumerate_elements(bounds))
     for g in elems:
@@ -290,7 +319,7 @@ def _retraction(t, bounds, params):
 # -- noise and offset classes ---------------------------------------------
 
 
-@register("offset_classes", "domain- and range-side offset conditions agree; extremes collapse")
+@register("offset_classes", "domain- and range-side offset conditions agree; extremes collapse", arity=1)
 def _offset_classes(t, bounds, params):
     j = _params_j(params, 3)
     elems = list(enumerate_elements(bounds))
@@ -314,7 +343,7 @@ def _offset_classes(t, bounds, params):
                 t.check(in_offset_class(w, p2) and not in_offset_class(w, p1), w, m1, m2)
 
 
-@register("class_closure", "every offset class is closed under products and inverses")
+@register("class_closure", "every offset class is closed under products and inverses", arity=2)
 def _class_closure(t, bounds, params):
     j = _params_j(params, 3)
     elems = list(enumerate_elements(bounds))
@@ -328,7 +357,7 @@ def _class_closure(t, bounds, params):
                 t.check(in_offset_class(a * b, p), a, b, p.offsets)
 
 
-@register("noise_one_absent", "no element has noise exactly 1")
+@register("noise_one_absent", "no element has noise exactly 1", arity=1)
 def _noise_one_absent(t, bounds, params):
     seen = set()
     for g in enumerate_elements(bounds):
@@ -339,7 +368,7 @@ def _noise_one_absent(t, bounds, params):
         t.check(2 in seen, sorted(seen))
 
 
-@register("series_strict", "the noise filtration is strict at every level from 2 up")
+@register("series_strict", "the noise filtration is strict at every level from 2 up", arity=1)
 def _series_strict(t, bounds, params):
     for j in range(2, 6):
         w = make(range(2, j + 1), 0)
@@ -353,7 +382,7 @@ def _series_strict(t, bounds, params):
 # -- absorption, collapsing chains, the boundary --------------------------
 
 
-@register("absorption", "the basepoint identity is absorbed exactly off the point 1, on both sides")
+@register("absorption", "the basepoint identity is absorbed exactly off the point 1, on both sides", arity=1)
 def _absorption(t, bounds, params):
     ba = BETA * ALPHA
     t.check(ba == PartialIso((1,), 0), ba)
@@ -362,7 +391,7 @@ def _absorption(t, bounds, params):
         t.check((g * ba == g) == (not g.hits(1)), g)
 
 
-@register("tail_chain", "the collapsing chain turns any partial identity into a plain tail identity")
+@register("tail_chain", "the collapsing chain turns any partial identity into a plain tail identity", arity=1)
 def _tail_chain(t, bounds, params):
     # the chain at depth d flattens the idempotents of the noise-d monoid;
     # above that noise the head can outrun the d-step sweep
@@ -380,7 +409,7 @@ def _tail_chain(t, bounds, params):
             t.check(True, shifted[0])
 
 
-@register("conjugation", "shift conjugation moves a partial identity's head up and keeps its noise")
+@register("conjugation", "shift conjugation moves a partial identity's head up and keeps its noise", arity=1)
 def _conjugation(t, bounds, params):
     for e in enumerate_elements(bounds):
         if not e.is_idempotent:
@@ -395,7 +424,7 @@ def _conjugation(t, bounds, params):
             t.check(c.noise == e.noise, e, k)
 
 
-@register("boundary", "the two-sided non-absorbed set matches its brute-force computation")
+@register("boundary", "the two-sided non-absorbed set matches its brute-force computation", arity=1)
 def _boundary(t, bounds, params):
     j = _params_j(params, 3)
     t.check(bounds.n >= j, bounds.n, j)  # the sweep must reach every candidate point
@@ -421,17 +450,39 @@ def _ext_universe(bounds, params):
     return isos + [Group(k) for k in range(-reach, reach + 1)]
 
 
-@register("ext_assoc", "the extended product is associative across maps and adjoined integers")
+def _ext_pool(bounds):
+    # the enumeration plus the 2s+3 integers of _ext_universe
+    return 2 * bounds.s + 1, 2 * bounds.s + 3
+
+
+def _zero_upset(bounds):
+    # up_set_truncated(Group(0), ...) lists it and each shift-0 map over {1..n}
+    return 1, 1
+
+
+@register(
+    "ext_assoc",
+    "the extended product is associative across maps and adjoined integers",
+    arity=3,
+    pool=_ext_pool,
+)
 def _ext_assoc(t, bounds, params):
     univ = _ext_universe(bounds, params)
+    # y*z depends on no x: one table per universe
+    table = [[ext_mul(y, z) for z in univ] for y in univ]
     for x in univ:
-        for y in univ:
+        for y, row in zip(univ, table):
             xy = ext_mul(x, y)
-            for z in univ:
-                t.check(ext_mul(xy, z) == ext_mul(x, ext_mul(y, z)), x, y, z)
+            for z, yz in zip(univ, row):
+                t.check(ext_mul(xy, z) == ext_mul(x, yz), x, y, z)
 
 
-@register("ext_ideal", "adjoined integers absorb every product and the shift total is additive")
+@register(
+    "ext_ideal",
+    "adjoined integers absorb every product and the shift total is additive",
+    arity=2,
+    pool=_ext_pool,
+)
 def _ext_ideal(t, bounds, params):
     univ = _ext_universe(bounds, params)
     for x in univ:
@@ -442,7 +493,12 @@ def _ext_ideal(t, bounds, params):
             t.check(ext_pi(prod) == ext_pi(x) + ext_pi(y), x, y)
 
 
-@register("ext_order", "the extended order is a partial order obeying the level rules")
+@register(
+    "ext_order",
+    "the extended order is a partial order obeying the level rules",
+    arity=3,
+    pool=_ext_pool,
+)
 def _ext_order(t, bounds, params):
     univ = _ext_universe(bounds, params)
     for x in univ:
@@ -464,7 +520,7 @@ def _ext_order(t, bounds, params):
                         t.check(ext_leq(x, z), x, y, z)
 
 
-@register("ext_commute", "adjoined integers commute with every element")
+@register("ext_commute", "adjoined integers commute with every element", arity=1, pool=_ext_pool)
 def _ext_commute(t, bounds, params):
     univ = _ext_universe(bounds, params)
     for x in univ:
@@ -472,7 +528,12 @@ def _ext_commute(t, bounds, params):
             t.check(ext_mul(Group(k), x) == ext_mul(x, Group(k)), x, k)
 
 
-@register("ext_surjective", "pushing all maps down to the zero level fills the reachable levels")
+@register(
+    "ext_surjective",
+    "pushing all maps down to the zero level fills the reachable levels",
+    arity=1,
+    pool=_ext_pool,
+)
 def _ext_surjective(t, bounds, params):
     univ = _ext_universe(bounds, params)
     isos = [g for g in univ if isinstance(g, PartialIso)]
@@ -481,7 +542,12 @@ def _ext_surjective(t, bounds, params):
     t.check(image == expected, sorted(image), sorted(expected))
 
 
-@register("ext_translation", "level translations are injective, level-true, and undone by the opposite shift")
+@register(
+    "ext_translation",
+    "level translations are injective, level-true, and undone by the opposite shift",
+    arity=1,
+    pool=_zero_upset,
+)
 def _ext_translation(t, bounds, params):
     j = _params_j(params, 2)
     p = NoiseParams(j)
@@ -515,7 +581,22 @@ def _topo_pool(bounds, params):
     return j, isos + [Group(k) for k in range(-3, 4)]
 
 
-@register("nbhd_nesting", "neighborhoods shrink as the base index grows")
+def _nbhd_pool(bounds):
+    # _topo_pool: shifts up to max(s, 3) either way, plus seven integers
+    return 2 * max(bounds.s, 3) + 1, 7
+
+
+def _level_pool(bounds):
+    # upset_pool(k, n): shifts k - 1, k and k + 1
+    return 3, 0
+
+
+def _no_pool(bounds):
+    # a fixed input: the bounds enumerate nothing
+    return 0, 0
+
+
+@register("nbhd_nesting", "neighborhoods shrink as the base index grows", arity=1, pool=_nbhd_pool)
 def _nbhd_nesting(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     for p in _all_params(j):
@@ -527,7 +608,12 @@ def _nbhd_nesting(t, bounds, params):
                     t.check(not nbhd_member(x, inner) or nbhd_member(x, outer), x, k, i, p.offsets)
 
 
-@register("nbhd_inversion", "members invert into the mirrored neighborhood at the shifted index")
+@register(
+    "nbhd_inversion",
+    "members invert into the mirrored neighborhood at the shifted index",
+    arity=1,
+    pool=_nbhd_pool,
+)
 def _nbhd_inversion(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     for p in _all_params(j):
@@ -552,7 +638,12 @@ def _members_by_level(pool, i, p):
     return by_k
 
 
-@register("nbhd_translation", "translation carries neighborhoods into the predicted ones, once past the head")
+@register(
+    "nbhd_translation",
+    "translation carries neighborhoods into the predicted ones, once past the head",
+    arity=1,
+    pool=_nbhd_pool,
+)
 def _nbhd_translation(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     movers = list(enumerate_elements(EnumBounds(2, 2)))
@@ -578,7 +669,12 @@ def _nbhd_translation(t, bounds, params):
                             )
 
 
-@register("nbhd_product", "products of same-index members land in the summed-level neighborhood")
+@register(
+    "nbhd_product",
+    "products of same-index members land in the summed-level neighborhood",
+    arity=2,
+    pool=_nbhd_pool,
+)
 def _nbhd_product(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     for p in _all_params(j):
@@ -592,7 +688,7 @@ def _nbhd_product(t, bounds, params):
                             t.check(nbhd_member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
 
 
-@register("nbhd_hausdorff", "neighborhoods of different levels never meet")
+@register("nbhd_hausdorff", "neighborhoods of different levels never meet", arity=1, pool=_nbhd_pool)
 def _nbhd_hausdorff(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     for p in _all_params(j):
@@ -604,7 +700,7 @@ def _nbhd_hausdorff(t, bounds, params):
                         t.check(not (nbhd_member(x, s1) and nbhd_member(x, s2)), x, k1, k2, i)
 
 
-@register("nbhd_monotone", "a larger offset set only enlarges each neighborhood")
+@register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", arity=1, pool=_nbhd_pool)
 def _nbhd_monotone(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     all_p = _all_params(j)
@@ -621,16 +717,28 @@ def _nbhd_monotone(t, bounds, params):
                         t.check(not nbhd_member(x, small) or nbhd_member(x, large), x, m1, m2, k, i)
 
 
-@register("upset_char", "the index cutoff equals exclusion from the cutoff witness's up-set")
+@register(
+    "upset_char",
+    "the index cutoff equals exclusion from the cutoff witness's up-set",
+    arity=1,
+    pool=_level_pool,
+)
 def _upset_char(t, bounds, params):
     j = _params_j(params, 2)
+    # one shift pool per level, shared by every (i, offset set)
+    pools = {k: upset_pool(k, bounds.n) for k in range(-2, 3)}
     for p in _all_params(j):
-        for k in range(-2, 3):
+        for k, pool in pools.items():
             for i in range(2, 9):
-                t.check(nbhd_upset_agreement(k, i, p, n_max=bounds.n), k, i, p.offsets)
+                t.check(nbhd_upset_agreement(k, i, p, pool=pool), k, i, p.offsets)
 
 
-@register("convergence_probe", "closed-form convergence verdicts match the direct neighborhood probe")
+@register(
+    "convergence_probe",
+    "closed-form convergence verdicts match the direct neighborhood probe",
+    arity=1,
+    pool=_no_pool,
+)
 def _convergence_probe(t, bounds, params):
     j = _params_j(params, 3)
     all_p = _all_params(j)
@@ -648,7 +756,7 @@ def _convergence_probe(t, bounds, params):
 # -- bicyclic normal forms ------------------------------------------------
 
 
-@register("bicyclic_hom", "normal-form products match map composition through the embedding")
+@register("bicyclic_hom", "normal-form products match map composition through the embedding", arity=1)
 def _bicyclic_hom(t, bounds, params):
     nfs = [BicyclicNF(k, l) for k in range(7) for l in range(7)]
     for u in nfs:
@@ -662,7 +770,12 @@ def _bicyclic_hom(t, bounds, params):
             t.check(embed(nf) == g, g, nf)
 
 
-@register("word_soundness", "random words normalize to the same element along every reduction route")
+@register(
+    "word_soundness",
+    "random words normalize to the same element along every reduction route",
+    arity=1,
+    pool=_no_pool,
+)
 def _word_soundness(t, bounds, params):
     rng = random.Random(90125)
     t.check(normalize_word(parse_word("ab")) == BicyclicNF(0, 0), "ab")

@@ -10,6 +10,7 @@ converge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from .core import (
     InvalidShift,
@@ -163,16 +164,33 @@ def cutoff_witness(k: int, i: int):
         return None
 
 
-def nbhd_upset_agreement(k: int, i: int, params: NoiseParams, n_max: int = 8) -> bool:
+def upset_pool(k: int, n_max: int = 8) -> tuple[PartialIso, ...]:
+    """The maps nbhd_upset_agreement checks at level k: every excluded
+    subset of {1..n_max} with shift k - 1, k or k + 1."""
+    return tuple(elements(range(1, n_max + 1), (k - 1, k, k + 1)))
+
+
+def nbhd_upset_agreement(
+    k: int,
+    i: int,
+    params: NoiseParams,
+    n_max: int = 8,
+    pool: Optional[Iterable[PartialIso]] = None,
+) -> bool:
     """Check, over a truncated enumeration, that the neighborhood equals
     {Group(k)} plus the shift-k offset-class members NOT above the cutoff
-    witness (no cut when the witness does not exist)."""
+    witness (no cut when the witness does not exist).
+
+    ``pool`` is the enumeration to check, ``upset_pool(k, n_max)`` when
+    omitted; a caller checking many (i, params) at one level builds it
+    once and hands it over.
+    """
     w = cutoff_witness(k, i)  # refuses i < 2
     spec = NbhdSpec(k, i, params)
     # the level's own base point is a member, the next level's is not
     if not nbhd_member(Group(k), spec) or nbhd_member(Group(k + 1), spec):
         return False
-    for x in elements(range(1, n_max + 1), (k - 1, k, k + 1)):
+    for x in upset_pool(k, n_max) if pool is None else pool:
         alt = x.shift == k and in_offset_class(x, params) and (w is None or not leq(w, x))
         if nbhd_member(x, spec) != alt:
             return False

@@ -11,6 +11,7 @@ import pytest
 from cofiso import cli, properties
 from cofiso.cli import invoke, main
 from cofiso.extension import Group
+from cofiso.oracle import EnumBounds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -361,6 +362,60 @@ class TestBudget:
         code, doc = invoke(["classify", "a", "--j", "10", "--M", "all"])
         assert doc["error"]["message"] == "argument --M: all lists 9 offsets, above the budget of 8"
 
+    def test_verify_tuples_at_the_budget_run(self, monkeypatch):
+        monkeypatch.setattr(cli, "_TUPLES", 40**3)
+        # assoc walks triples: a pool of 40 runs, 48 does not
+        assert invoke(["verify", "assoc", "--N", "3", "--S", "2"])[1]["instances"] == 27000
+        code, doc = invoke(["verify", "assoc", "--N", "4", "--S", "1"])
+        assert doc["error"]["message"] == "verify assoc walks 48^3 element tuples, above the budget of 64000"
+        # a single pass over the same pool stays far inside
+        assert invoke(["verify", "absorption", "--N", "4", "--S", "1"])[0] == 0
+
+    @pytest.mark.parametrize(
+        "pid,n,s",
+        [
+            *((pid, 4, 2) for pid in ("oracle_equiv", "inverse_axioms", "idempotent_iff")),
+            ("assoc", 3, 2),
+            *((pid, 4, 2) for pid in ("green_relations", "natural_order", "congruence", "retraction")),
+            ("offset_classes", 5, 2),
+            ("class_closure", 5, 2),
+            *((pid, 4, 2) for pid in ("absorption", "tail_chain", "conjugation")),
+            ("noise_one_absent", 6, 3),
+            ("series_strict", 6, 3),
+            ("boundary", 6, 2),
+            *(
+                (pid, 4, 2)
+                for pid in (
+                    "ext_assoc",
+                    "ext_ideal",
+                    "ext_order",
+                    "ext_commute",
+                    "ext_surjective",
+                    "ext_translation",
+                )
+            ),
+            *(
+                (pid, 8, 2)
+                for pid in (
+                    "nbhd_product",
+                    "nbhd_translation",
+                    "nbhd_inversion",
+                    "upset_char",
+                    "nbhd_nesting",
+                    "nbhd_hausdorff",
+                    "nbhd_monotone",
+                )
+            ),
+            ("convergence_probe", 3, 2),
+            ("bicyclic_hom", 4, 2),
+            ("word_soundness", 3, 2),
+        ],
+    )
+    def test_acceptance_bounds_are_inside_the_budget(self, pid, n, s):
+        # the bounds of tests/test_acceptance.py; the largest walk is
+        # nbhd_product's 1799^2 pairs
+        cli._check_suite(pid, EnumBounds(n, s))
+
     def test_explicit_offsets_at_a_large_level_run(self):
         code, doc = invoke(["classify", "iso([2],0)", "--j", "100000000", "--M", "2,99999999"])
         assert (code, doc["in_M"]) == (0, True)
@@ -453,8 +508,22 @@ class TestBudget:
                 "verify lists 2^39 offset sets, above the budget of 65536",
             ),
             (
+                # the suite's own pool: shifts k - 1, k and k + 1
                 ["verify", "upset_char", "--N", "40", "--S", "2", "--j", "2"],
-                "verify enumerates 5*2^40 elements, above the budget of 65536",
+                "verify enumerates 3*2^40 elements, above the budget of 65536",
+            ),
+            (
+                # the neighborhood suites draw shifts up to 3 whatever S is
+                ["verify", "nbhd_inversion", "--N", "16", "--S", "0", "--j", "2"],
+                "verify enumerates 7*2^16+7 elements, above the budget of 65536",
+            ),
+            (
+                ["verify", "assoc", "--N", "13", "--S", "2"],
+                "verify assoc walks 40960^3 element tuples, above the budget of 16777216",
+            ),
+            (
+                ["verify", "ext_assoc", "--N", "10", "--S", "2", "--j", "2"],
+                "verify ext_assoc walks 5127^3 element tuples, above the budget of 16777216",
             ),
             (
                 ["classify", "a", "--j", "100000000", "--M", "all"],
@@ -475,6 +544,9 @@ class TestBudget:
             "verify far N",
             "verify offset sets",
             "verify upset_char",
+            "verify nbhd pool",
+            "verify cubic",
+            "verify ext cubic",
             "classify",
             "nbhd",
             "converge",

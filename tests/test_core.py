@@ -220,6 +220,54 @@ class TestOffsetClasses:
         assert head_offsets(make([2], 0)) == (2, 0)
         assert head_offsets(IDENTITY) == (0,)
 
+
+def _offset_class_by_offsets(g, params):
+    """The membership test as it read before the mask form: every head
+    offset, listed one by one, is 0 or allowed."""
+    return noise_bounded(g, params.j) and all(
+        o == 0 or o in params.offsets for o in head_offsets(g)
+    )
+
+
+class TestOffsetMask:
+    """The mask form of in_offset_class against the head-offset listing
+    and the range-side walk."""
+
+    def test_every_small_element_and_offset_set(self):
+        elems = list(enumerate_elements(EnumBounds(7, 3)))
+        for j in range(6):
+            for c in range(1 << max(j - 1, 0)):
+                p = NoiseParams(j, {m for m in range(2, j + 1) if c >> (m - 2) & 1})
+                for g in elems:
+                    verdict = in_offset_class(g, p)
+                    assert verdict == _offset_class_by_offsets(g, p), (g, p)
+                    assert verdict == in_offset_class_range(g, p), (g, p)
+
+    def test_noise_above_the_bound(self):
+        g = make([2, 3, 5], 1)  # head offsets 5, 4, 2 over noise 5
+        for p in (NoiseParams(4, {2, 3, 4}), NoiseParams(5, {2, 4, 5})):
+            assert in_offset_class(g, p) == (p.j == 5)
+            assert in_offset_class(g, p) == _offset_class_by_offsets(g, p)
+            assert in_offset_class(g, p) == in_offset_class_range(g, p)
+
+    def test_a_far_explicit_offset_builds_no_wide_mask(self):
+        far = 10**30  # one bit per offset up to here would not fit in memory
+        p = NoiseParams(far, {2, 4, far})
+        for g in (make([2], 0), make([3], 0), make([1, 3], 0), make([2, 3], 7), IDENTITY):
+            assert in_offset_class(g, p) == _offset_class_by_offsets(g, p)
+            assert in_offset_class(g, p) == in_offset_class_range(g, p)
+        # a head wider than a machine word: the one head point 1 sits at offset 99
+        g = make(range(2, 100), 0)
+        assert in_offset_class(g, NoiseParams(far, {2, 99, far}))
+        assert not in_offset_class(g, NoiseParams(far, {2, 98, far}))
+
+    def test_the_mask_widens_with_the_heads(self):
+        p = NoiseParams(9, {2, 5, 9})
+        assert p.offset_mask(4) & 0b1111 == 0b0010
+        assert p.offset_mask(9) == 0b100010010
+        assert p.offset_mask(3) == 0b100010010  # a built mask is kept
+        assert p == NoiseParams(9, {2, 5, 9})  # the memo is no field
+
     def test_noise_bound_gate(self):
         assert noise_bounded(make([2, 3], 0), 3)
         assert not noise_bounded(make([2, 3], 0), 2)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
@@ -13,6 +18,8 @@ from cofiso.extension import (
     translate_right,
     up_set_truncated,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestMul:
@@ -109,6 +116,31 @@ class TestTranslations:
     def test_only_level_zero_sources(self):
         with pytest.raises(NotInUpSet):
             translate_right(ALPHA, 1)
+
+    def test_refusal_names_the_anatomy(self):
+        with pytest.raises(NotInUpSet) as info:
+            translate_left(Group(2), 1)
+        assert str(info.value) == "grp(2) is not above grp(0)"
+        with pytest.raises(NotInUpSet) as info:
+            translate_right(make([1, 3], 2), 1)
+        assert str(info.value) == "the map with tail start 4 and shift 2 is not above grp(0)"
+
+    def test_refusing_a_far_map_lists_nothing(self):
+        # 400 MB of address space: far too little for 10^8 excluded points
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+            "from cofiso import BETA, NotInUpSet, translate_right\n"
+            "try:\n"
+            "    translate_right(BETA ** 10**8, 1)\n"
+            "except NotInUpSet as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "the map with tail start 100000001 and shift -100000000 is not above grp(0)\n"
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -6,14 +6,19 @@ from hypothesis import strategies as st
 
 from cofiso.bicyclic import embed, normalize_word, word_iso
 from cofiso.core import NoiseParams, PartialIso
-from cofiso.oracle import EnumBounds, compose_via_window
+from cofiso.extension import Group, up_set_truncated
+from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
     Report,
     UnknownProperty,
     _REGISTRY,
+    _ext_universe,
+    _topo_pool,
     known_properties,
+    suite_size,
     verify,
 )
+from cofiso.topology import upset_pool
 
 SMOKE_BOUNDS = {
     "assoc": EnumBounds(2, 2),
@@ -112,3 +117,41 @@ def test_report_counts_every_failure(monkeypatch):
     report = verify("many_failures", EnumBounds(1, 0))
     assert report.failures == 10
     assert len(report.counterexamples) == 5
+
+
+@pytest.mark.parametrize("j,instances", [(2, 68921), (3, 166375)])
+def test_ext_assoc_checks_every_triple(j, instances):
+    # one y*z table per universe; still one check per (x, y, z)
+    report = verify("ext_assoc", EnumBounds(4, 2), NoiseParams(j))
+    assert report.passed and report.instances == instances
+    assert instances == len(_ext_universe(EnumBounds(4, 2), NoiseParams(j))) ** 3
+
+
+@pytest.mark.parametrize("n,s", [(0, 0), (2, 0), (3, 1), (4, 2), (5, 4)])
+def test_suite_size_counts_at_least_the_walked_pool(n, s):
+    bounds = EnumBounds(n, s)
+    p = NoiseParams(3)
+    pools = {
+        "assoc": list(enumerate_elements(bounds)),
+        "ext_assoc": _ext_universe(bounds, p),
+        "ext_translation": up_set_truncated(Group(0), p, n).elements,
+        "nbhd_inversion": _topo_pool(bounds, p)[1],
+        "upset_char": max((upset_pool(k, n) for k in range(-2, 3)), key=len),
+        "word_soundness": [],
+    }
+    for pid, pool in pools.items():
+        shifts, extra, arity = suite_size(pid, bounds)
+        assert len(pool) <= (shifts << n) + extra, (pid, n, s)
+    # the counts are exact where every candidate shift is admissible: none
+    # sends the least domain point below 1 once s is 0 and no noise cap applies
+    assert suite_size("assoc", EnumBounds(n, 0))[:2] == (1, 0)
+    assert len(list(enumerate_elements(EnumBounds(n, 0)))) == 1 << n
+
+
+def test_every_suite_has_a_size():
+    arities = {pid: suite_size(pid, EnumBounds(2, 1))[2] for pid in known_properties()}
+    assert set(arities.values()) <= {1, 2, 3}
+    assert arities["assoc"] == arities["ext_assoc"] == arities["natural_order"] == 3
+    assert arities["nbhd_product"] == arities["oracle_equiv"] == 2
+    with pytest.raises(UnknownProperty):
+        suite_size("not_a_property", EnumBounds(1, 0))

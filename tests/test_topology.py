@@ -1,6 +1,6 @@
 import pytest
 
-from cofiso.core import ALPHA, IDENTITY, NoiseParams, leq, make, subsets
+from cofiso.core import ALPHA, IDENTITY, NoiseParams, elements, leq, make, subsets
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.topology import (
     NbhdSpec,
@@ -16,6 +16,7 @@ from cofiso.topology import (
     nbhd_member,
     nbhd_upset_agreement,
     seq_elem,
+    upset_pool,
 )
 
 
@@ -172,6 +173,19 @@ class TestUpsetCharacterization:
         assert nbhd_upset_agreement(0, 5, NoiseParams(2, {2}))
         assert nbhd_upset_agreement(2, 4, NoiseParams(3, {2, 3}))
         assert nbhd_upset_agreement(-1, 4, NoiseParams(2))
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_a_shared_pool_gives_the_same_verdicts(self, j):
+        # every (k, i, offset set) the upset_char suite checks at N = 8
+        pools = {k: upset_pool(k, 8) for k in range(-2, 3)}
+        for k, pool in pools.items():
+            assert pool == tuple(elements(range(1, 9), (k - 1, k, k + 1)))
+        for offsets in subsets(range(2, j + 1)):
+            p = NoiseParams(j, offsets)
+            for k, pool in pools.items():
+                for i in range(2, 9):
+                    shared = nbhd_upset_agreement(k, i, p, pool=pool)
+                    assert shared == nbhd_upset_agreement(k, i, p), (k, i, offsets)
 
     def test_cutoff_witness_shape(self):
         assert cutoff_witness(0, 4) == make([1, 2], 0)
