@@ -62,21 +62,33 @@ def _walked_points(x, bound: int) -> int:
     return min(x.dom_min - 1, max(bound, 0)) + (x.gaps & ((1 << width) - 1)).bit_count()
 
 
-def _check_suite(property_id: str, bounds) -> None:
+def _check_suite(property_id: str, bounds, j: Optional[int]) -> None:
     """Refuse a suite whose pool, as properties.suite_size counts it, is
-    over the budget, or whose loops nested arity deep would walk more
-    element tuples than _TUPLES."""
+    over the budget, or whose loops nested arity deep, once for each
+    offset-set tuple it walks at level j, would walk more element tuples
+    than _TUPLES."""
     from .properties import suite_size
 
-    shifts, extra, arity = suite_size(property_id, bounds)
+    shifts, extra, arity, set_bits = suite_size(property_id, bounds, j)
+    if shifts > _BUDGET:
+        # named by its size: 2S+1 may have more digits than str() writes
+        raise OverBudget(
+            f"verify tries at least 2^{shifts.bit_length() - 1} shifts, above the budget of {_BUDGET}"
+        )
     # shifts*2^n + extra elements, decided without building 2^n
     if shifts and (bounds.n >= _BUDGET.bit_length() or (shifts << bounds.n) + extra > _BUDGET):
         count = f"{shifts}*2^{bounds.n}" + (f"+{extra}" if extra else "")
         raise OverBudget(f"verify enumerates {count} elements, above the budget of {_BUDGET}")
     pool = (shifts << bounds.n) + extra
-    if pool ** arity > _TUPLES:
+    # a fixed input (pool 0) is still walked once per offset-set tuple;
+    # 2^set_bits tuples are decided without building 2^set_bits
+    walked = max(pool, 1) ** arity
+    if set_bits >= _TUPLES.bit_length() or walked << set_bits > _TUPLES:
+        walks = [f"{pool}^{arity} element tuples"] if pool else []
+        if set_bits:
+            walks.append(f"2^{set_bits} offset-set tuples")
         raise OverBudget(
-            f"verify {property_id} walks {pool}^{arity} element tuples, above the budget of {_TUPLES}"
+            f"verify {property_id} walks {' for each of '.join(walks)}, above the budget of {_TUPLES}"
         )
 
 
@@ -330,11 +342,11 @@ def _dispatch(args) -> tuple:
         from .properties import verify
 
         bounds = EnumBounds(args.N, args.S)
-        _check_suite(args.property, bounds)
         params = None
         if args.j is not None:
             _check_walk(args.j - 1, "verify lists", "offset sets")
             params = NoiseParams(args.j)
+        _check_suite(args.property, bounds, args.j)
         report = verify(args.property, bounds, params)
         doc = {
             "property": report.property_id,

@@ -8,6 +8,7 @@ carries the noise bound for the suites that need one.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -97,8 +98,8 @@ class _Tally:
 
 
 _REGISTRY: dict[str, tuple[str, Callable]] = {}
-# property id -> (arity, pool): see suite_size
-_SIZES: dict[str, tuple[int, Callable]] = {}
+# property id -> (arity, pool, sets, default j): see suite_size
+_SIZES: dict[str, tuple[int, Callable, int, Optional[int]]] = {}
 
 
 def _enumerated(bounds: EnumBounds) -> tuple[int, int]:
@@ -106,12 +107,21 @@ def _enumerated(bounds: EnumBounds) -> tuple[int, int]:
     return 2 * bounds.s + 1, 0
 
 
-def register(property_id: str, description: str, arity: int, pool: Callable = _enumerated):
+def register(
+    property_id: str,
+    description: str,
+    arity: int,
+    pool: Callable = _enumerated,
+    sets: int = 0,
+    j: Optional[int] = None,
+):
     """Register a suite that nests ``arity`` loops over the elements
-    ``pool(bounds)`` counts, as in suite_size."""
+    ``pool(bounds)`` counts and ``sets`` loops over the offset sets of
+    its level, as in suite_size.  A suite that reads a level gets
+    NoiseParams(j) when verify() is given no params."""
     def deco(fn):
         _REGISTRY[property_id] = (description, fn)
-        _SIZES[property_id] = (arity, pool)
+        _SIZES[property_id] = (arity, pool, sets, j)
         return fn
     return deco
 
@@ -120,14 +130,24 @@ def known_properties() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def suite_size(property_id: str, bounds: EnumBounds) -> tuple[int, int, int]:
-    """(shifts, extra, arity): the suite walks at most shifts * 2^n + extra
-    elements, in loops nested arity deep, so it costs about the arity-th
-    power of that count.  Read off the bounds without enumerating; a
-    suite put in the registry by hand counts as one enumeration pass."""
+def _shape(property_id: str) -> tuple[int, Callable, int, Optional[int]]:
+    # a suite put in the registry by hand counts as one enumeration pass
+    return _SIZES.get(property_id, (1, _enumerated, 0, None))
+
+
+def suite_size(property_id: str, bounds: EnumBounds, j: Optional[int] = None) -> tuple[int, int, int, int]:
+    """(shifts, extra, arity, set_bits): the suite walks at most
+    shifts * 2^n + extra elements, in loops nested arity deep, once for
+    each of 2^set_bits tuples of offset sets at level j (the suite's own
+    level when j is None), so it costs about 2^set_bits times the
+    arity-th power of that count.  Read off the bounds without
+    enumerating."""
     _require_known(property_id)
-    arity, pool = _SIZES.get(property_id, (1, _enumerated))
-    return (*pool(bounds), arity)
+    arity, pool, sets, default_j = _shape(property_id)
+    level = default_j if j is None else j
+    # level j has the 2^(j-1) offset sets inside {2..j}
+    set_bits = sets * max(level - 1, 0) if sets else 0
+    return (*pool(bounds), arity, set_bits)
 
 
 def _require_known(property_id: str) -> None:
@@ -140,6 +160,9 @@ def _require_known(property_id: str) -> None:
 def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
     _require_known(property_id)
     description, fn = _REGISTRY[property_id]
+    default_j = _shape(property_id)[3]
+    if params is None and default_j is not None:
+        params = NoiseParams(default_j)
     tally = _Tally()
     fn(tally, bounds, params)
     return Report(
@@ -152,10 +175,6 @@ def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] =
     )
 
 
-def _params_j(params: Optional[NoiseParams], default: int) -> int:
-    return params.j if params is not None else default
-
-
 def _all_params(j: int) -> list[NoiseParams]:
     """Noise bound j with each offset set inside {2..j}."""
     return [NoiseParams(j, c) for c in subsets(range(2, j + 1))]
@@ -164,14 +183,28 @@ def _all_params(j: int) -> list[NoiseParams]:
 # -- element algebra ------------------------------------------------------
 
 
+def _check_assoc(t, univ, mul):
+    """One check of (x*y)*z == x*(y*z) for each triple of univ.
+
+    Each value is numbered the first time it appears, so a triple
+    compares two numbers read from tables: the pair products, then every
+    distinct pair product times each z and each x times it.
+    """
+    ids: dict = {}
+    prod = [[ids.setdefault(mul(x, y), len(ids)) for y in univ] for x in univ]
+    values = list(ids)  # the distinct pair products, in number order
+    right = [[ids.setdefault(mul(v, z), len(ids)) for z in univ] for v in values]
+    left = [[ids.setdefault(mul(x, v), len(ids)) for v in values] for x in univ]
+    for x, x_prod, x_left in zip(univ, prod, left):
+        for y, xy, y_prod in zip(univ, x_prod, prod):
+            xy_right = right[xy]
+            for z, xy_z, yz in zip(univ, xy_right, y_prod):
+                t.check(xy_z == x_left[yz], x, y, z)
+
+
 @register("assoc", "composition is associative on every enumerated triple", arity=3)
 def _assoc(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
-    for a in elems:
-        for b in elems:
-            ab = a * b
-            for c in elems:
-                t.check(ab * c == a * (b * c), a, b, c)
+    _check_assoc(t, list(enumerate_elements(bounds)), operator.mul)
 
 
 @register("inverse_axioms", "x*x~*x == x, x~*x*x~ == x~, and partial identities commute", arity=2)
@@ -213,6 +246,13 @@ def _green_relations(t, bounds, params):
     for a in elems:
         dom_id_a = a * a.inverse()
         ran_id_a = a.inverse() * a
+        # the elements that share a's domain, one per admissible shift
+        sharing = []
+        for shift in range(-span, span + 1):
+            try:
+                sharing.append(PartialIso(a.excluded, shift))
+            except InvalidShift:
+                pass
         for b in elems:
             is_l = green_l(a, b)
             is_r = green_r(a, b)
@@ -223,15 +263,7 @@ def _green_relations(t, bounds, params):
             # some element shares a's domain and b's range iff the
             # domains are translates of one another
             linked = green_d(a, b)
-            exists = False
-            for shift in range(-span, span + 1):
-                try:
-                    c = PartialIso(a.excluded, shift)
-                except InvalidShift:
-                    continue
-                if green_r(c, b):
-                    exists = True
-                    break
+            exists = any(green_r(c, b) for c in sharing)
             t.check(linked == exists, a, b)
             if linked:
                 w = d_witness(a, b)
@@ -319,9 +351,15 @@ def _retraction(t, bounds, params):
 # -- noise and offset classes ---------------------------------------------
 
 
-@register("offset_classes", "domain- and range-side offset conditions agree; extremes collapse", arity=1)
+@register(
+    "offset_classes",
+    "domain- and range-side offset conditions agree; extremes collapse",
+    arity=1,
+    sets=2,
+    j=3,
+)
 def _offset_classes(t, bounds, params):
-    j = _params_j(params, 3)
+    j = params.j
     elems = list(enumerate_elements(bounds))
     all_p = _all_params(j)
     for p in all_p:
@@ -343,9 +381,9 @@ def _offset_classes(t, bounds, params):
                 t.check(in_offset_class(w, p2) and not in_offset_class(w, p1), w, m1, m2)
 
 
-@register("class_closure", "every offset class is closed under products and inverses", arity=2)
+@register("class_closure", "every offset class is closed under products and inverses", arity=2, sets=1, j=3)
 def _class_closure(t, bounds, params):
-    j = _params_j(params, 3)
+    j = params.j
     elems = list(enumerate_elements(bounds))
     for p in _all_params(j):
         t.check(in_offset_class(IDENTITY, p), p.offsets)
@@ -424,9 +462,9 @@ def _conjugation(t, bounds, params):
             t.check(c.noise == e.noise, e, k)
 
 
-@register("boundary", "the two-sided non-absorbed set matches its brute-force computation", arity=1)
+@register("boundary", "the two-sided non-absorbed set matches its brute-force computation", arity=1, j=3)
 def _boundary(t, bounds, params):
-    j = _params_j(params, 3)
+    j = params.j
     t.check(bounds.n >= j, bounds.n, j)  # the sweep must reach every candidate point
     ba = BETA * ALPHA
     listed = boundary_set(j)
@@ -444,8 +482,7 @@ def _boundary(t, bounds, params):
 
 
 def _ext_universe(bounds, params):
-    j = _params_j(params, 2)
-    isos = list(enumerate_elements(EnumBounds(bounds.n, bounds.s, j)))
+    isos = list(enumerate_elements(EnumBounds(bounds.n, bounds.s, params.j)))
     reach = bounds.s + 1
     return isos + [Group(k) for k in range(-reach, reach + 1)]
 
@@ -465,16 +502,10 @@ def _zero_upset(bounds):
     "the extended product is associative across maps and adjoined integers",
     arity=3,
     pool=_ext_pool,
+    j=2,
 )
 def _ext_assoc(t, bounds, params):
-    univ = _ext_universe(bounds, params)
-    # y*z depends on no x: one table per universe
-    table = [[ext_mul(y, z) for z in univ] for y in univ]
-    for x in univ:
-        for y, row in zip(univ, table):
-            xy = ext_mul(x, y)
-            for z, yz in zip(univ, row):
-                t.check(ext_mul(xy, z) == ext_mul(x, yz), x, y, z)
+    _check_assoc(t, _ext_universe(bounds, params), ext_mul)
 
 
 @register(
@@ -482,6 +513,7 @@ def _ext_assoc(t, bounds, params):
     "adjoined integers absorb every product and the shift total is additive",
     arity=2,
     pool=_ext_pool,
+    j=2,
 )
 def _ext_ideal(t, bounds, params):
     univ = _ext_universe(bounds, params)
@@ -498,6 +530,7 @@ def _ext_ideal(t, bounds, params):
     "the extended order is a partial order obeying the level rules",
     arity=3,
     pool=_ext_pool,
+    j=2,
 )
 def _ext_order(t, bounds, params):
     univ = _ext_universe(bounds, params)
@@ -520,7 +553,7 @@ def _ext_order(t, bounds, params):
                         t.check(ext_leq(x, z), x, y, z)
 
 
-@register("ext_commute", "adjoined integers commute with every element", arity=1, pool=_ext_pool)
+@register("ext_commute", "adjoined integers commute with every element", arity=1, pool=_ext_pool, j=2)
 def _ext_commute(t, bounds, params):
     univ = _ext_universe(bounds, params)
     for x in univ:
@@ -533,6 +566,7 @@ def _ext_commute(t, bounds, params):
     "pushing all maps down to the zero level fills the reachable levels",
     arity=1,
     pool=_ext_pool,
+    j=2,
 )
 def _ext_surjective(t, bounds, params):
     univ = _ext_universe(bounds, params)
@@ -547,10 +581,10 @@ def _ext_surjective(t, bounds, params):
     "level translations are injective, level-true, and undone by the opposite shift",
     arity=1,
     pool=_zero_upset,
+    j=2,
 )
 def _ext_translation(t, bounds, params):
-    j = _params_j(params, 2)
-    p = NoiseParams(j)
+    p = NoiseParams(params.j)
     base = up_set_truncated(Group(0), p, bounds.n)
     for k in range(1, 4):
         seen_right, seen_left = set(), set()
@@ -576,9 +610,8 @@ def _ext_translation(t, bounds, params):
 
 
 def _topo_pool(bounds, params):
-    j = _params_j(params, 2)
     isos = list(enumerate_elements(EnumBounds(bounds.n, max(bounds.s, 3))))
-    return j, isos + [Group(k) for k in range(-3, 4)]
+    return params.j, isos + [Group(k) for k in range(-3, 4)]
 
 
 def _nbhd_pool(bounds):
@@ -596,7 +629,14 @@ def _no_pool(bounds):
     return 0, 0
 
 
-@register("nbhd_nesting", "neighborhoods shrink as the base index grows", arity=1, pool=_nbhd_pool)
+@register(
+    "nbhd_nesting",
+    "neighborhoods shrink as the base index grows",
+    arity=1,
+    pool=_nbhd_pool,
+    sets=1,
+    j=2,
+)
 def _nbhd_nesting(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     for p in _all_params(j):
@@ -613,17 +653,20 @@ def _nbhd_nesting(t, bounds, params):
     "members invert into the mirrored neighborhood at the shifted index",
     arity=1,
     pool=_nbhd_pool,
+    sets=1,
+    j=2,
 )
 def _nbhd_inversion(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
+    pairs = [(x, ext_inv(x)) for x in pool]
     for p in _all_params(j):
         for k in range(-2, 3):
             for i in range(1, 7):
                 spec = NbhdSpec(k, i, p)
                 mirror = NbhdSpec(-k, max(1, i + k), p)
-                for x in pool:
+                for x, x_inv in pairs:
                     t.check(
-                        nbhd_member(x, spec) == nbhd_member(ext_inv(x), mirror),
+                        nbhd_member(x, spec) == nbhd_member(x_inv, mirror),
                         x, k, i, p.offsets,
                     )
 
@@ -643,16 +686,22 @@ def _members_by_level(pool, i, p):
     "translation carries neighborhoods into the predicted ones, once past the head",
     arity=1,
     pool=_nbhd_pool,
+    sets=1,
+    j=2,
 )
 def _nbhd_translation(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     movers = list(enumerate_elements(EnumBounds(2, 2)))
     for p in _all_params(j):
+        # movers with the same reach share a base index: split once per i
+        levels: dict = {}
         for gam in movers:
             head = gam.tail_start - 1
             reach = max(head, head + gam.shift)
             for i in range(reach + j + 1, reach + j + 3):
-                by_k = _members_by_level(pool, i, p)
+                if i not in levels:
+                    levels[i] = _members_by_level(pool, i, p)
+                by_k = levels[i]
                 for k in range(-2, 3):
                     left_target = NbhdSpec(gam.pi + k, max(1, i - gam.pi), p)
                     right_target = NbhdSpec(k + gam.pi, i, p)
@@ -674,6 +723,8 @@ def _nbhd_translation(t, bounds, params):
     "products of same-index members land in the summed-level neighborhood",
     arity=2,
     pool=_nbhd_pool,
+    sets=1,
+    j=2,
 )
 def _nbhd_product(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
@@ -688,7 +739,14 @@ def _nbhd_product(t, bounds, params):
                             t.check(nbhd_member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
 
 
-@register("nbhd_hausdorff", "neighborhoods of different levels never meet", arity=1, pool=_nbhd_pool)
+@register(
+    "nbhd_hausdorff",
+    "neighborhoods of different levels never meet",
+    arity=1,
+    pool=_nbhd_pool,
+    sets=1,
+    j=2,
+)
 def _nbhd_hausdorff(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     for p in _all_params(j):
@@ -700,7 +758,14 @@ def _nbhd_hausdorff(t, bounds, params):
                         t.check(not (nbhd_member(x, s1) and nbhd_member(x, s2)), x, k1, k2, i)
 
 
-@register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", arity=1, pool=_nbhd_pool)
+@register(
+    "nbhd_monotone",
+    "a larger offset set only enlarges each neighborhood",
+    arity=1,
+    pool=_nbhd_pool,
+    sets=2,
+    j=2,
+)
 def _nbhd_monotone(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     all_p = _all_params(j)
@@ -722,9 +787,11 @@ def _nbhd_monotone(t, bounds, params):
     "the index cutoff equals exclusion from the cutoff witness's up-set",
     arity=1,
     pool=_level_pool,
+    sets=1,
+    j=2,
 )
 def _upset_char(t, bounds, params):
-    j = _params_j(params, 2)
+    j = params.j
     # one shift pool per level, shared by every (i, offset set)
     pools = {k: upset_pool(k, bounds.n) for k in range(-2, 3)}
     for p in _all_params(j):
@@ -738,10 +805,11 @@ def _upset_char(t, bounds, params):
     "closed-form convergence verdicts match the direct neighborhood probe",
     arity=1,
     pool=_no_pool,
+    sets=2,
+    j=3,
 )
 def _convergence_probe(t, bounds, params):
-    j = _params_j(params, 3)
-    all_p = _all_params(j)
+    all_p = _all_params(params.j)
     for kept in all_p:
         for shift in range(-2, 3):
             spec = TailSeqSpec(kept.offsets, shift)

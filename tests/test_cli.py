@@ -371,20 +371,50 @@ class TestBudget:
         # a single pass over the same pool stays far inside
         assert invoke(["verify", "absorption", "--N", "4", "--S", "1"])[0] == 0
 
+    def test_verify_offset_set_tuples_at_the_budget_run(self, monkeypatch):
+        # offset_classes walks its pool of 2 once per pair of the 2^(j-1)
+        # offset sets: 2*2^6 tuples at j = 4, 2*2^8 at j = 5
+        monkeypatch.setattr(cli, "_TUPLES", 2 << 6)
+        assert invoke(["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "4"])[0] == 0
+        code, doc = invoke(["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "5"])
+        message = "verify offset_classes walks 2^1 element tuples for each of 2^8 offset-set tuples"
+        assert doc["error"]["message"] == f"{message}, above the budget of 128"
+        # without --j the suite's own level, 3, counts: 2*2^4 tuples
+        monkeypatch.setattr(cli, "_TUPLES", 2 << 4)
+        assert invoke(["verify", "offset_classes", "--N", "1", "--S", "0"])[0] == 0
+        monkeypatch.setattr(cli, "_TUPLES", (2 << 4) - 1)
+        code, doc = invoke(["verify", "offset_classes", "--N", "1", "--S", "0"])
+        assert (code, doc["error"]["type"]) == (2, "OverBudget")
+        # a fixed input still walks each offset-set tuple once
+        code, doc = invoke(["verify", "convergence_probe", "--N", "1", "--S", "0", "--j", "4"])
+        message = "verify convergence_probe walks 2^6 offset-set tuples, above the budget of 31"
+        assert doc["error"]["message"] == message
+
+    def test_shift_count_at_the_budget(self):
+        # 2S+1 shifts: 65535 pass to the pool count, 65537 are refused by size
+        code, doc = invoke(["verify", "assoc", "--N", "0", "--S", "32767"])
+        message = "verify assoc walks 65535^3 element tuples, above the budget of 16777216"
+        assert doc["error"]["message"] == message
+        code, doc = invoke(["verify", "assoc", "--N", "0", "--S", "32768"])
+        assert doc["error"]["message"] == "verify tries at least 2^16 shifts, above the budget of 65536"
+
     @pytest.mark.parametrize(
-        "pid,n,s",
+        "pid,n,s,j",
         [
-            *((pid, 4, 2) for pid in ("oracle_equiv", "inverse_axioms", "idempotent_iff")),
-            ("assoc", 3, 2),
-            *((pid, 4, 2) for pid in ("green_relations", "natural_order", "congruence", "retraction")),
-            ("offset_classes", 5, 2),
-            ("class_closure", 5, 2),
-            *((pid, 4, 2) for pid in ("absorption", "tail_chain", "conjugation")),
-            ("noise_one_absent", 6, 3),
-            ("series_strict", 6, 3),
-            ("boundary", 6, 2),
+            *((pid, 4, 2, None) for pid in ("oracle_equiv", "inverse_axioms", "idempotent_iff")),
+            ("assoc", 3, 2, None),
             *(
-                (pid, 4, 2)
+                (pid, 4, 2, None)
+                for pid in ("green_relations", "natural_order", "congruence", "retraction")
+            ),
+            ("offset_classes", 5, 2, 4),
+            ("class_closure", 5, 2, 4),
+            *((pid, 4, 2, None) for pid in ("absorption", "tail_chain", "conjugation")),
+            ("noise_one_absent", 6, 3, None),
+            ("series_strict", 6, 3, None),
+            ("boundary", 6, 2, 6),
+            *(
+                (pid, 4, 2, 3)
                 for pid in (
                     "ext_assoc",
                     "ext_ideal",
@@ -395,7 +425,7 @@ class TestBudget:
                 )
             ),
             *(
-                (pid, 8, 2)
+                (pid, 8, 2, 3)
                 for pid in (
                     "nbhd_product",
                     "nbhd_translation",
@@ -406,15 +436,16 @@ class TestBudget:
                     "nbhd_monotone",
                 )
             ),
-            ("convergence_probe", 3, 2),
-            ("bicyclic_hom", 4, 2),
-            ("word_soundness", 3, 2),
+            ("convergence_probe", 3, 2, 4),
+            ("bicyclic_hom", 4, 2, None),
+            ("word_soundness", 3, 2, None),
         ],
     )
-    def test_acceptance_bounds_are_inside_the_budget(self, pid, n, s):
-        # the bounds of tests/test_acceptance.py; the largest walk is
-        # nbhd_product's 1799^2 pairs
-        cli._check_suite(pid, EnumBounds(n, s))
+    def test_acceptance_bounds_are_inside_the_budget(self, pid, n, s, j):
+        # the bounds of tests/test_acceptance.py at their largest level;
+        # the largest walk is nbhd_product's 1799^2 pairs for each of the
+        # 4 offset sets at j = 3
+        cli._check_suite(pid, EnumBounds(n, s), j)
 
     def test_explicit_offsets_at_a_large_level_run(self):
         code, doc = invoke(["classify", "iso([2],0)", "--j", "100000000", "--M", "2,99999999"])
@@ -526,6 +557,20 @@ class TestBudget:
                 "verify ext_assoc walks 5127^3 element tuples, above the budget of 16777216",
             ),
             (
+                ["verify", "nbhd_monotone", "--N", "1", "--S", "0", "--j", "17"],
+                "verify nbhd_monotone walks 21^1 element tuples for each of 2^32 offset-set tuples, "
+                "above the budget of 16777216",
+            ),
+            (
+                ["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "17"],
+                "verify offset_classes walks 2^1 element tuples for each of 2^32 offset-set tuples, "
+                "above the budget of 16777216",
+            ),
+            (
+                ["verify", "assoc", "--N", "1", "--S", "9" * 4300],
+                "verify tries at least 2^14285 shifts, above the budget of 65536",
+            ),
+            (
                 ["classify", "a", "--j", "100000000", "--M", "all"],
                 "argument --M: all lists 99999999 offsets, above the budget of 65536",
             ),
@@ -547,6 +592,9 @@ class TestBudget:
             "verify nbhd pool",
             "verify cubic",
             "verify ext cubic",
+            "verify offset pairs",
+            "verify offset pairs, one element",
+            "verify S of 4300 digits",
             "classify",
             "nbhd",
             "converge",
