@@ -12,27 +12,32 @@ iso([1,2],1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from functools import reduce, total_ordering
 from typing import Optional
 
-from .core import ALPHA, BETA, IDENTITY, PartialIso, from_anatomy
+from .core import ALPHA, BETA, IDENTITY, PartialIso, _Value, from_anatomy
 
 
 class WordError(ValueError):
     """Word contains a letter outside the two-generator alphabet."""
 
 
-@dataclass(frozen=True, order=True)
-class BicyclicNF:
+@total_ordering
+class BicyclicNF(_Value):
     """Normal form q^k p^l: k backward steps then l forward steps."""
 
-    k: int
-    l: int
+    __slots__ = ("k", "l")
 
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.l < 0:
+    def __init__(self, k: int, l: int) -> None:
+        if k < 0 or l < 0:
             raise ValueError("exponents must be non-negative")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+
+    def __lt__(self, other: "BicyclicNF") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.l) < (other.k, other.l)
 
     def __mul__(self, other: "BicyclicNF") -> "BicyclicNF":
         # q^k p^l * q^m p^n = q^(k+m-d) p^(l+n-d) with d = min(l, m)

@@ -339,12 +339,14 @@ def _dispatch(args) -> tuple:
 
     if cmd == "verify":
         from .oracle import EnumBounds
-        from .properties import verify
+        from .properties import suite_level, verify
 
         bounds = EnumBounds(args.N, args.S)
         params = None
         if args.j is not None:
-            _check_walk(args.j - 1, "verify lists", "offset sets")
+            # a suite that reads no params lists nothing at level j
+            if suite_level(args.property) is not None:
+                _check_walk(args.j - 1, "verify lists", "offset sets")
             params = NoiseParams(args.j)
         _check_suite(args.property, bounds, args.j)
         report = verify(args.property, bounds, params)

@@ -25,7 +25,6 @@ iso([1],0)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Optional
 
@@ -82,6 +81,51 @@ def elements(
                 yield from_anatomy(g.dom_min, g.gaps, s)
 
 
+class _Value:
+    """Base of the small immutable value classes: the fields are the names
+    in ``__slots__``, written once by ``__init__`` in that order.  A class
+    built on a hot path writes them itself with object.__setattr__, which
+    takes half the time.  Values are equal, and hash equal, when their
+    class and fields are, and print as ``Name(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def _fields(self) -> tuple[str, ...]:
+        return self.__slots__
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__name__} takes the fields {self._fields}, got {len(values)} values")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 def _bits(gaps: int) -> str:
     """Binary digits of a gap mask, least significant first."""
     return bin(gaps)[:1:-1] if gaps else ""
@@ -99,7 +143,6 @@ def _fill(g: "PartialIso", dom_min: int, gaps: int, shift: int) -> "PartialIso":
 
 
 @total_ordering
-@dataclass(frozen=True, init=False)
 class PartialIso:
     """A cofinite partial shift: x -> x + shift off the ``excluded`` set.
 
@@ -226,6 +269,19 @@ class PartialIso:
         """
         return from_anatomy(self.tail_start, 0, self.shift)
 
+    # -- value semantics: frozen, equal by anatomy ----------------------------
+
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dom_min == other.dom_min and self.gaps == other.gaps and self.shift == other.shift
+
+    def __hash__(self) -> int:
+        return hash((self.dom_min, self.gaps, self.shift))
+
     def __lt__(self, other: "PartialIso") -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -260,24 +316,27 @@ def punctured_identity(i: int) -> PartialIso:
     return PartialIso((i,), 0)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(_Value):
     """Ambient noise bound j plus the offset set selecting a subsemigroup.
 
     ``offsets`` must sit inside {2, ..., j}.  The empty set selects the
     bicyclic submonoid, the full set {2..j} the whole noise-j monoid.
     """
 
-    j: int
-    offsets: frozenset[int] = frozenset()
+    _fields = ("j", "offsets")
+    # the offset_mask memo sits beside the fields: (width built, mask)
+    __slots__ = (*_fields, "_offset_mask")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "offsets", frozenset(self.offsets))
-        if self.j < 0:
+    def __init__(self, j: int, offsets: Iterable[int] = frozenset()) -> None:
+        offsets = frozenset(offsets)
+        if j < 0:
             raise ValueError("noise bound must be >= 0")
-        for m in sorted(self.offsets):
-            if not 2 <= m <= self.j:
-                raise ValueError(f"offset {m} outside 2..{self.j}")
+        for m in sorted(offsets):
+            if not 2 <= m <= j:
+                raise ValueError(f"offset {m} outside 2..{j}")
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_offset_mask", (-1, 0))
 
     @classmethod
     def full(cls, j: int) -> "NoiseParams":
@@ -291,11 +350,10 @@ class NoiseParams:
         grows with the heads checked, not with the largest offset: an
         explicit offset near a huge j would not fit in memory as one bit.
         """
-        built, mask = self.__dict__.get("_offset_mask", (-1, 0))
+        built, mask = self._offset_mask
         if built < width:
             built, mask = width, sum(1 << (o - 1) for o in self.offsets if o <= width)
-            # the instance is frozen; the memo sits beside its fields
-            self.__dict__["_offset_mask"] = built, mask
+            object.__setattr__(self, "_offset_mask", (built, mask))
         return mask
 
 

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import ALPHA, BETA, IDENTITY, NoiseParams, PartialIso, punctured_identity
+from .core import ALPHA, BETA, IDENTITY, NoiseParams, PartialIso, _Value, punctured_identity
 from .extension import ExtElem, Group, ext_mul
 
 
@@ -44,37 +43,49 @@ class EvalError(ValueError):
     """The expression parsed but does not denote a value under the given params."""
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
+class Gen(_Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Puncture:
-    index: int
+class Puncture(_Value):
+    __slots__ = ("index",)
+
+    def __init__(self, index: int) -> None:
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class IsoLit:
-    excluded: tuple
-    shift: int
+class IsoLit(_Value):
+    __slots__ = ("excluded", "shift")
+
+    def __init__(self, excluded: tuple, shift: int) -> None:
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "shift", shift)
 
 
-@dataclass(frozen=True)
-class GrpLit:
-    k: int
+class GrpLit(_Value):
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        object.__setattr__(self, "k", k)
 
 
-@dataclass(frozen=True)
-class Prod:
-    left: "Node"
-    right: "Node"
+class Prod(_Value):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Node", right: "Node") -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
+class Pow(_Value):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Node", exponent: int) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
 Node = Union[Gen, Puncture, IsoLit, GrpLit, Prod, Pow]

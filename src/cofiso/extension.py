@@ -11,7 +11,7 @@ grp(2)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
 from typing import Union
 
 from .core import (
@@ -20,6 +20,7 @@ from .core import (
     NoiseParams,
     PartialIso,
     _bits,
+    _Value,
     elements,
     leq,
     noise_bounded,
@@ -30,11 +31,28 @@ class NotInUpSet(ValueError):
     """Argument must sit above the adjoined zero (shift 0 or Group(0))."""
 
 
-@dataclass(frozen=True, order=True)
-class Group:
+@total_ordering
+class Group(_Value):
     """Element k of the adjoined integer group."""
 
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int) -> None:
+        object.__setattr__(self, "k", k)
+
+    # hashed and compared in the product tables, so written out
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
+
+    def __lt__(self, other: "Group") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k < other.k
 
     def __repr__(self) -> str:
         return f"grp({self.k})"
@@ -74,12 +92,10 @@ def ext_leq(x: ExtElem, y: ExtElem) -> bool:
     return isinstance(y, PartialIso) and leq(x, y)
 
 
-@dataclass(frozen=True)
-class UpSet:
+class UpSet(_Value):
     """Truncated up-set plus a flag saying whether the truncation is everything."""
 
-    elements: tuple[ExtElem, ...]
-    complete: bool
+    __slots__ = ("elements", "complete")
 
 
 def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:

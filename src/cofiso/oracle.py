@@ -9,26 +9,23 @@ equivalence property verifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import PartialIso, elements
+from .core import PartialIso, _Value, elements
 
 
-@dataclass(frozen=True)
-class EnumBounds:
+class EnumBounds(_Value):
     """Budget for exhaustive enumeration: excluded points drawn from
     {1..n}, shifts from -s..s, optional noise cap j."""
 
-    n: int
-    s: int
-    j: Optional[int] = None
+    __slots__ = ("n", "s", "j")
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.s < 0:
+    def __init__(self, n: int, s: int, j: Optional[int] = None) -> None:
+        if n < 0 or s < 0:
             raise ValueError("bounds must be non-negative")
-        if self.j is not None and self.j < 0:
+        if j is not None and j < 0:
             raise ValueError("noise cap must be non-negative")
+        super().__init__(n, s, j)
 
 
 def enumerate_elements(bounds: EnumBounds) -> Iterator[PartialIso]:

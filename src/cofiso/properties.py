@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bicyclic import BicyclicNF, embed, normalize_word, parse_word, recognize, reduce_word, word_iso
@@ -23,6 +22,7 @@ from .core import (
     NoiseParams,
     NotIdempotent,
     PartialIso,
+    _Value,
     boundary_set,
     d_witness,
     green_d,
@@ -35,7 +35,6 @@ from .core import (
     in_offset_class,
     in_offset_class_range,
     leq,
-    make,
     noise_bounded,
     subsets,
     tail_chain,
@@ -67,14 +66,19 @@ class UnknownProperty(ValueError):
     """No suite registered under the requested identifier."""
 
 
-@dataclass(frozen=True)
-class Report:
-    property_id: str
-    description: str
-    passed: bool
-    instances: int
-    counterexamples: tuple = ()
-    failures: int = 0  # every failed check; counterexamples keeps the first few
+class Report(_Value):
+    __slots__ = ("property_id", "description", "passed", "instances", "counterexamples", "failures")
+
+    def __init__(
+        self,
+        property_id: str,
+        description: str,
+        passed: bool,
+        instances: int,
+        counterexamples: tuple = (),
+        failures: int = 0,  # every failed check; counterexamples keeps the first few
+    ) -> None:
+        super().__init__(property_id, description, passed, instances, counterexamples, failures)
 
 
 _CAP = 5
@@ -133,6 +137,12 @@ def known_properties() -> tuple[str, ...]:
 def _shape(property_id: str) -> tuple[int, Callable, int, Optional[int]]:
     # a suite put in the registry by hand counts as one enumeration pass
     return _SIZES.get(property_id, (1, _enumerated, 0, None))
+
+
+def suite_level(property_id: str) -> Optional[int]:
+    """The level a suite runs at when given no params; None for a suite
+    that reads no params."""
+    return _shape(property_id)[3]
 
 
 def suite_size(property_id: str, bounds: EnumBounds, j: Optional[int] = None) -> tuple[int, int, int, int]:
@@ -278,7 +288,7 @@ def _green_relations(t, bounds, params):
             t.check(green_j(a, b), a, b)
             lift = a.tail_start - b.dom_min
             x = PartialIso(b.excluded, lift)
-            y = make(range(1, a.ran_tail_start), b.shift - lift - a.shift)
+            y = PartialIso(range(1, a.ran_tail_start), b.shift - lift - a.shift)
             t.check(x * a * y == b, a, b, x, y)
 
 
@@ -319,7 +329,7 @@ def _congruence(t, bounds, params):
             if related:
                 t.check(w is not None and w.is_idempotent and w * a == w * b, a, b, w)
             else:
-                probe = make(range(1, max(a.tail_start, b.tail_start)), 0)
+                probe = PartialIso(range(1, max(a.tail_start, b.tail_start)), 0)
                 t.check(w is None and probe * a != probe * b, a, b)
             t.check((a * b).pi == a.pi + b.pi, a, b)
     idems = [g for g in elems if g.is_idempotent]
@@ -334,7 +344,7 @@ def _retraction(t, bounds, params):
     for g in elems:
         r = g.tail()
         t.check(r.noise == 0, g)
-        t.check(r == make(range(1, g.tail_start), g.shift), g)
+        t.check(r == PartialIso(range(1, g.tail_start), g.shift), g)
         t.check(r.tail() == r, g)
         if g.noise == 0:
             t.check(r == g, g)
@@ -377,7 +387,7 @@ def _offset_classes(t, bounds, params):
                 for g in elems:
                     t.check(not in_offset_class(g, p1) or in_offset_class(g, p2), g, m1, m2)
                 m = min(m2 - m1)
-                w = make(range(2, m + 1), 0)
+                w = PartialIso(range(2, m + 1), 0)
                 t.check(in_offset_class(w, p2) and not in_offset_class(w, p1), w, m1, m2)
 
 
@@ -409,7 +419,7 @@ def _noise_one_absent(t, bounds, params):
 @register("series_strict", "the noise filtration is strict at every level from 2 up", arity=1)
 def _series_strict(t, bounds, params):
     for j in range(2, 6):
-        w = make(range(2, j + 1), 0)
+        w = PartialIso(range(2, j + 1), 0)
         t.check(w.noise == j, w, j)
         t.check(noise_bounded(w, j) and not noise_bounded(w, j - 1), w, j)
     for g in enumerate_elements(bounds):
@@ -437,7 +447,7 @@ def _tail_chain(t, bounds, params):
         for e in enumerate_elements(EnumBounds(bounds.n, bounds.s, depth)):
             if not e.is_idempotent:
                 continue
-            t.check(tail_chain(e, depth) == make(range(1, e.tail_start + depth), 0), e, depth)
+            t.check(tail_chain(e, depth) == PartialIso(range(1, e.tail_start + depth), 0), e, depth)
     shifted = [g for g in enumerate_elements(bounds) if g.shift != 0]
     if shifted:
         try:
@@ -454,7 +464,7 @@ def _conjugation(t, bounds, params):
             continue
         for k in range(1, 5):
             c = BETA ** k * e * ALPHA ** k
-            expected = make(tuple(range(1, k + 1)) + tuple(x + k for x in e.excluded), 0)
+            expected = PartialIso(tuple(range(1, k + 1)) + tuple(x + k for x in e.excluded), 0)
             t.check(c == expected, e, k)
             t.check(c * c == c, e, k)
             t.check(c.tail_start == e.tail_start + k, e, k)

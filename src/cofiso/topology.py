@@ -9,13 +9,13 @@ converge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
     InvalidShift,
     NoiseParams,
     PartialIso,
+    _Value,
     elements,
     from_anatomy,
     in_offset_class,
@@ -36,18 +36,16 @@ class NotDistinct(ValueError):
     """The two offset sets coincide, so no separating sequence exists."""
 
 
-@dataclass(frozen=True)
-class NbhdSpec:
+class NbhdSpec(_Value):
     """Basic neighborhood of Group(k): the base point plus every
     offset-class member with shift k and tail_start >= i."""
 
-    k: int
-    i: int
-    params: NoiseParams
+    __slots__ = ("k", "i", "params")
 
-    def __post_init__(self) -> None:
-        if self.i < 1:
+    def __init__(self, k: int, i: int, params: NoiseParams) -> None:
+        if i < 1:
             raise ValueError("neighborhood index must be >= 1")
+        super().__init__(k, i, params)
 
 
 def nbhd_member(x: ExtElem, spec: NbhdSpec) -> bool:
@@ -56,19 +54,18 @@ def nbhd_member(x: ExtElem, spec: NbhdSpec) -> bool:
     return x.shift == spec.k and x.tail_start >= spec.i and in_offset_class(x, spec.params)
 
 
-@dataclass(frozen=True)
-class TailSeqSpec:
+class TailSeqSpec(_Value):
     """Closed-form element sequence: at index n the domain is
     {n - m : m in kept_offsets} plus the tail [n, oo), moved by shift."""
 
-    kept_offsets: frozenset[int] = frozenset()
-    shift: int = 0
+    __slots__ = ("kept_offsets", "shift")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kept_offsets", frozenset(self.kept_offsets))
-        for m in sorted(self.kept_offsets):
+    def __init__(self, kept_offsets: Iterable[int] = frozenset(), shift: int = 0) -> None:
+        kept_offsets = frozenset(kept_offsets)
+        for m in sorted(kept_offsets):
             if m < 2:
                 raise ValueError(f"kept offset {m} must be >= 2")
+        super().__init__(kept_offsets, shift)
 
     @property
     def max_offset(self) -> int:

@@ -362,6 +362,16 @@ class TestBudget:
         code, doc = invoke(["classify", "a", "--j", "10", "--M", "all"])
         assert doc["error"]["message"] == "argument --M: all lists 9 offsets, above the budget of 8"
 
+    def test_verify_checks_the_level_of_suites_that_read_one(self):
+        # assoc reads no params: its --j lists nothing
+        code, doc = invoke(["verify", "assoc", "--N", "1", "--S", "0", "--j", "18"])
+        assert (code, doc["passed"], doc["instances"]) == (0, True, 8)
+        # boundary lists 2^(j-1) elements, nbhd_nesting 2^(j-1) offset sets
+        message = "verify lists 2^17 offset sets, above the budget of 65536"
+        for suite in ("boundary", "nbhd_nesting"):
+            doc = invoke(["verify", suite, "--N", "1", "--S", "0", "--j", "18"])
+            assert doc == (2, {"schema": 1, "error": {"type": "OverBudget", "message": message}})
+
     def test_verify_tuples_at_the_budget_run(self, monkeypatch):
         monkeypatch.setattr(cli, "_TUPLES", 40**3)
         # assoc walks triples: a pool of 40 runs, 48 does not
@@ -480,8 +490,10 @@ class TestBudget:
             ("boundary", "--j", "40"),
             ("upset", "grp(0)", "--j", "2", "--bound", "40"),
             ("eval", "b^1000000000"),
+            ("verify", "boundary", "--N", "1", "--S", "0", "--j", "18"),
+            ("verify", "nbhd_nesting", "--N", "1", "--S", "0", "--j", "18"),
         ],
-        ids=["boundary", "upset", "eval"],
+        ids=["boundary", "upset", "eval", "verify boundary", "verify nbhd_nesting"],
     )
     def test_refusal_returns_promptly(self, argv):
         proc = run_cli(*argv, timeout=30)

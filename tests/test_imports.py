@@ -34,6 +34,13 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['cofiso']"
 
+    def test_no_module_imports_dataclasses_or_inspect(self):
+        proc = run_python(
+            "-c", "import sys, cofiso.cli, cofiso.properties; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_public_names_are_their_home_module_objects(self):
         for name in cofiso.__all__:
             home = importlib.import_module(f"cofiso.{cofiso._HOME[name]}")
@@ -79,10 +86,12 @@ COMMANDS = [
 
 
 # Runs the package as ``python -m cofiso`` does, through runpy, and at
-# exit lists the package modules in sys.modules on stderr.
+# exit lists on stderr the package modules in sys.modules, and dataclasses
+# and inspect if either was imported.
 _RUN_AS_MAIN = (
     "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print(*(m for m in sys.modules if m.split('.')[0] == 'cofiso'), file=sys.stderr))\n"
+    "_WATCHED = ('cofiso', 'dataclasses', 'inspect')\n"
+    "atexit.register(lambda: print(*(m for m in sys.modules if m.split('.')[0] in _WATCHED), file=sys.stderr))\n"
     "runpy.run_module('cofiso', run_name='__main__', alter_sys=True)\n"
 )
 
@@ -100,4 +109,6 @@ class TestCliLoading:
         assert proc.returncode in (0, 1), proc.stdout
         assert json.loads(proc.stdout)["schema"] == 1
         assert proc.stdout.count("\n") == 1
-        assert set(proc.stderr.split()) == modules
+        loaded = set(proc.stderr.split())
+        assert not loaded & {"dataclasses", "inspect"}
+        assert loaded == modules

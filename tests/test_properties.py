@@ -18,6 +18,7 @@ from cofiso.properties import (
     _ext_universe,
     _topo_pool,
     known_properties,
+    suite_level,
     suite_size,
     verify,
 )
@@ -192,6 +193,13 @@ def test_a_suite_given_no_params_runs_at_its_own_level(pid, j):
     bounds = SMOKE_BOUNDS.get(pid, EnumBounds(3, 2))
     assert verify(pid, bounds) == verify(pid, bounds, NoiseParams(j))
     assert suite_size(pid, bounds) == suite_size(pid, bounds, j)
+
+
+@pytest.mark.parametrize("pid", [pid for pid in known_properties() if suite_level(pid) is None])
+def test_a_suite_with_no_level_reads_no_params(pid):
+    # so verify --j lists nothing for it
+    bounds = SMOKE_BOUNDS.get(pid, EnumBounds(3, 2))
+    assert verify(pid, bounds, NoiseParams(18)) == verify(pid, bounds)
 
 
 def _naive_assoc(univ, mul):
