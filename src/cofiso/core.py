@@ -134,11 +134,11 @@ def _bits(gaps: int) -> str:
 def _fill(g: "PartialIso", dom_min: int, gaps: int, shift: int) -> "PartialIso":
     if shift < 1 - dom_min:
         raise InvalidShift(f"shift {shift} sends the domain minimum {dom_min} below 1")
-    # the instance is frozen; its fields are written once, here
-    d = g.__dict__
-    d["dom_min"] = dom_min
-    d["gaps"] = gaps
-    d["shift"] = shift
+    # the instance is frozen; its fields are written once, here, through
+    # the slot setters bound below the class
+    _set_dom_min(g, dom_min)
+    _set_gaps(g, gaps)
+    _set_shift(g, shift)
     return g
 
 
@@ -148,13 +148,12 @@ class PartialIso:
 
     Built from the strictly ascending ``excluded`` tuple; construction
     enforces shift >= 1 - dom_min so the range stays inside the positive
-    integers.  Stored as (dom_min, gaps, shift), see the module docstring;
-    ordering follows (excluded, shift).
+    integers.  Stored as (dom_min, gaps, shift) in slots, see the module
+    docstring; the instance dict holds only the lazily cached
+    ``excluded``.  Ordering follows (excluded, shift).
     """
 
-    dom_min: int
-    gaps: int
-    shift: int
+    __slots__ = ("dom_min", "gaps", "shift", "__dict__")
 
     def __init__(self, excluded: Iterable[int] = (), shift: int = 0) -> None:
         u, gaps, prev = 1, 0, 0
@@ -282,6 +281,9 @@ class PartialIso:
     def __hash__(self) -> int:
         return hash((self.dom_min, self.gaps, self.shift))
 
+    def __reduce__(self):
+        return from_anatomy, (self.dom_min, self.gaps, self.shift)
+
     def __lt__(self, other: "PartialIso") -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -289,6 +291,11 @@ class PartialIso:
 
     def __repr__(self) -> str:
         return f"iso([{','.join(map(str, self.excluded))}],{self.shift})"
+
+
+_set_dom_min = PartialIso.dom_min.__set__
+_set_gaps = PartialIso.gaps.__set__
+_set_shift = PartialIso.shift.__set__
 
 
 def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:

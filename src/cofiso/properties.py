@@ -92,13 +92,25 @@ class _Tally:
         self.failures = 0
         self.bad: list = []
 
-    def check(self, ok, *info) -> bool:
+    def check(self, ok, *info) -> None:
         self.instances += 1
         if not ok:
             self.failures += 1
             if len(self.bad) < _CAP:
                 self.bad.append(tuple(repr(x) for x in info))
-        return bool(ok)
+
+    def check_all(self, oks: list, info: Callable) -> None:
+        """One check per entry of oks, as a row of check calls would make;
+        info(n) gives the n-th entry's counterexample and is called only
+        when that entry failed."""
+        self.instances += len(oks)
+        if all(oks):
+            return
+        for n, ok in enumerate(oks):
+            if not ok:
+                self.failures += 1
+                if len(self.bad) < _CAP:
+                    self.bad.append(tuple(repr(x) for x in info(n)))
 
 
 _REGISTRY: dict[str, tuple[str, Callable]] = {}
@@ -207,9 +219,11 @@ def _check_assoc(t, univ, mul):
     left = [[ids.setdefault(mul(x, v), len(ids)) for v in values] for x in univ]
     for x, x_prod, x_left in zip(univ, prod, left):
         for y, xy, y_prod in zip(univ, x_prod, prod):
-            xy_right = right[xy]
-            for z, xy_z, yz in zip(univ, xy_right, y_prod):
-                t.check(xy_z == x_left[yz], x, y, z)
+            # one row: (x*y)*z against x*(y*z) for every z
+            t.check_all(
+                list(map(operator.eq, right[xy], map(x_left.__getitem__, y_prod))),
+                lambda n: (x, y, univ[n]),
+            )
 
 
 @register("assoc", "composition is associative on every enumerated triple", arity=3)
@@ -484,8 +498,12 @@ def _boundary(t, bounds, params):
         for g in enumerate_elements(EnumBounds(bounds.n, bounds.s, j))
         if ba * g != g and g * ba != g
     ]
-    t.check(len(brute) == len(set(brute)), j)
-    t.check(set(brute) == set(listed), j, sorted(set(brute) ^ set(listed)))
+    found, wanted = set(brute), set(listed)
+    t.check(len(brute) == len(found), j)
+    # a failure names the sizes and the first few maps of the difference,
+    # which can hold all 2^(j-1) listed maps
+    diff = sorted(found ^ wanted)
+    t.check(not diff, j, len(found), len(wanted), diff[:_CAP])
 
 
 # -- the adjoined integer ideal -------------------------------------------
@@ -654,8 +672,10 @@ def _nbhd_nesting(t, bounds, params):
             for i in range(1, 7):
                 inner = NbhdSpec(k, i + 1, p)
                 outer = NbhdSpec(k, i, p)
-                for x in pool:
-                    t.check(not nbhd_member(x, inner) or nbhd_member(x, outer), x, k, i, p.offsets)
+                t.check_all(
+                    [not nbhd_member(x, inner) or nbhd_member(x, outer) for x in pool],
+                    lambda n: (pool[n], k, i, p.offsets),
+                )
 
 
 @register(
@@ -674,11 +694,10 @@ def _nbhd_inversion(t, bounds, params):
             for i in range(1, 7):
                 spec = NbhdSpec(k, i, p)
                 mirror = NbhdSpec(-k, max(1, i + k), p)
-                for x, x_inv in pairs:
-                    t.check(
-                        nbhd_member(x, spec) == nbhd_member(x_inv, mirror),
-                        x, k, i, p.offsets,
-                    )
+                t.check_all(
+                    [nbhd_member(x, spec) == nbhd_member(x_inv, mirror) for x, x_inv in pairs],
+                    lambda n: (pool[n], k, i, p.offsets),
+                )
 
 
 def _members_by_level(pool, i, p):
@@ -764,8 +783,10 @@ def _nbhd_hausdorff(t, bounds, params):
             for k2 in range(k1 + 1, 3):
                 for i in (1, 3, 5):
                     s1, s2 = NbhdSpec(k1, i, p), NbhdSpec(k2, i, p)
-                    for x in pool:
-                        t.check(not (nbhd_member(x, s1) and nbhd_member(x, s2)), x, k1, k2, i)
+                    t.check_all(
+                        [not (nbhd_member(x, s1) and nbhd_member(x, s2)) for x in pool],
+                        lambda n: (pool[n], k1, k2, i),
+                    )
 
 
 @register(
@@ -788,8 +809,10 @@ def _nbhd_monotone(t, bounds, params):
                 for i in (1, 4):
                     small = NbhdSpec(k, i, p1)
                     large = NbhdSpec(k, i, p2)
-                    for x in pool:
-                        t.check(not nbhd_member(x, small) or nbhd_member(x, large), x, m1, m2, k, i)
+                    t.check_all(
+                        [not nbhd_member(x, small) or nbhd_member(x, large) for x in pool],
+                        lambda n: (pool[n], m1, m2, k, i),
+                    )
 
 
 @register(

@@ -58,7 +58,10 @@ class TailSeqSpec(_Value):
     """Closed-form element sequence: at index n the domain is
     {n - m : m in kept_offsets} plus the tail [n, oo), moved by shift."""
 
-    __slots__ = ("kept_offsets", "shift")
+    _fields = ("kept_offsets", "shift")
+    # the head every element shares sits beside the fields: its width
+    # max_offset and the memo of head_gaps, None until first built
+    __slots__ = (*_fields, "max_offset", "_head_gaps")
 
     def __init__(self, kept_offsets: Iterable[int] = frozenset(), shift: int = 0) -> None:
         kept_offsets = frozenset(kept_offsets)
@@ -66,10 +69,25 @@ class TailSeqSpec(_Value):
             if m < 2:
                 raise ValueError(f"kept offset {m} must be >= 2")
         super().__init__(kept_offsets, shift)
+        object.__setattr__(self, "max_offset", max(kept_offsets, default=0))
+        object.__setattr__(self, "_head_gaps", None)
 
-    @property
-    def max_offset(self) -> int:
-        return max(self.kept_offsets, default=0)
+    def head_gaps(self) -> int:
+        """Gap mask of the head: bit i for the point i above the domain
+        minimum, set for every point up to the tail but the kept ones.
+
+        Built on first use, not in __init__: a kept offset near a huge
+        level would not fit in memory as one bit, and a spec that is
+        only checked against its level never needs the mask.
+        """
+        gaps = self._head_gaps
+        if gaps is None:
+            width = self.max_offset
+            gaps = (1 << width) - 1
+            for m in self.kept_offsets:
+                gaps &= ~(1 << (width - m))
+            object.__setattr__(self, "_head_gaps", gaps)
+        return gaps
 
 
 def min_index(spec: TailSeqSpec) -> int:
@@ -84,11 +102,7 @@ def seq_elem(spec: TailSeqSpec, n: int) -> PartialIso:
         raise OffsetOutOfRange(f"need n >= {min_index(spec)}, got {n}")
     # the domain minimum is n - max_offset; every point from there up to
     # n is a gap except the kept ones
-    width = spec.max_offset
-    gaps = (1 << width) - 1
-    for m in spec.kept_offsets:
-        gaps &= ~(1 << (width - m))
-    return from_anatomy(n - width, gaps, spec.shift)
+    return from_anatomy(n - spec.max_offset, spec.head_gaps(), spec.shift)
 
 
 def _require_inside(spec: TailSeqSpec, params: NoiseParams) -> None:

@@ -624,6 +624,15 @@ class TestBudget:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"schema": 1, "elements": [], "count": 0, "complete": False}
 
+    def test_far_kept_offset_builds_no_head_mask(self):
+        # the probe's first index lies past the horizon, so no element and
+        # no 10^12-bit head mask is built
+        far = "1000000000000"
+        proc = run_cli("converge", "--offsets", f"2,{far}", "--k", "0", "--j", far, timeout=30, preexec_fn=cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        error = {"type": "ValueError", "message": f"horizon 60 is below the first index {int(far) + 1}"}
+        assert json.loads(proc.stdout) == {"schema": 1, "error": error}
+
 
 class TestVerify:
     def test_passing_suite(self):
@@ -649,6 +658,18 @@ class TestVerify:
         assert code == 3
         assert doc["passed"] is False
         assert doc["counterexamples"] == [["'broken'"]]
+
+    def test_boundary_mismatch_prints_a_short_line(self):
+        # N below j misses all but one of the 2^16 listed maps: the report
+        # names the sizes and the first few maps, not all of them
+        proc = run_cli("verify", "boundary", "--N", "1", "--S", "0", "--j", "17", timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout.count("\n") == 1 and len(proc.stdout) < 4096
+        doc = json.loads(proc.stdout)
+        assert doc["failures"] == 2
+        j, found, listed, first = doc["counterexamples"][1]
+        assert (j, found, listed) == ("17", "1", "65536")
+        assert first.startswith("[iso([2],0), ") and first.count("iso(") == properties._CAP
 
 
 class TestFraming:

@@ -22,7 +22,7 @@ from cofiso.properties import (
     suite_size,
     verify,
 )
-from cofiso.topology import upset_pool
+from cofiso.topology import NbhdSpec, upset_pool
 
 SMOKE_BOUNDS = {
     "assoc": EnumBounds(2, 2),
@@ -272,3 +272,96 @@ def test_hoisted_suites_still_catch_a_planted_fault(monkeypatch, pid, name, wron
     report = verify(pid, bounds, params)
     assert report.failures > 0
     assert report.instances == clean.instances
+
+
+def _noisy_shift_two_flips(real):
+    # a fault only some pool elements meet: shift-2 maps with noise 3
+    def member(x, spec):
+        flip = isinstance(x, PartialIso) and x.shift == 2 and x.noise == 3
+        return real(x, spec) != flip
+
+    return member
+
+
+def _each_nesting(t, pool, all_p, member):
+    for p in all_p:
+        for k in range(-2, 3):
+            for i in range(1, 7):
+                inner, outer = NbhdSpec(k, i + 1, p), NbhdSpec(k, i, p)
+                for x in pool:
+                    t.check(not member(x, inner) or member(x, outer), x, k, i, p.offsets)
+
+
+def _each_inversion(t, pool, all_p, member):
+    for p in all_p:
+        for k in range(-2, 3):
+            for i in range(1, 7):
+                spec, mirror = NbhdSpec(k, i, p), NbhdSpec(-k, max(1, i + k), p)
+                for x in pool:
+                    t.check(member(x, spec) == member(ext_inv(x), mirror), x, k, i, p.offsets)
+
+
+def _each_hausdorff(t, pool, all_p, member):
+    for p in all_p:
+        for k1 in range(-2, 3):
+            for k2 in range(k1 + 1, 3):
+                for i in (1, 3, 5):
+                    s1, s2 = NbhdSpec(k1, i, p), NbhdSpec(k2, i, p)
+                    for x in pool:
+                        t.check(not (member(x, s1) and member(x, s2)), x, k1, k2, i)
+
+
+def _each_monotone(t, pool, all_p, member):
+    for p1 in all_p:
+        for p2 in all_p:
+            m1, m2 = p1.offsets, p2.offsets
+            if not m1 < m2:
+                continue
+            for k in (-1, 0, 2):
+                for i in (1, 4):
+                    small, large = NbhdSpec(k, i, p1), NbhdSpec(k, i, p2)
+                    for x in pool:
+                        t.check(not member(x, small) or member(x, large), x, m1, m2, k, i)
+
+
+@pytest.mark.parametrize(
+    "pid,each",
+    [
+        ("nbhd_nesting", _each_nesting),
+        ("nbhd_inversion", _each_inversion),
+        ("nbhd_hausdorff", _each_hausdorff),
+        ("nbhd_monotone", _each_monotone),
+    ],
+)
+def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
+    # at level 3 the noise-3 maps are members of some neighborhoods
+    bounds, params = EnumBounds(4, 2), NoiseParams(3)
+    monkeypatch.setattr(properties, "nbhd_member", _noisy_shift_two_flips(properties.nbhd_member))
+    report = verify(pid, bounds, params)
+    ref = _Tally()
+    _, pool = _topo_pool(bounds, params)
+    each(ref, pool, properties._all_params(3), properties.nbhd_member)
+    assert (report.instances, report.failures, report.counterexamples) == (
+        ref.instances,
+        ref.failures,
+        tuple(ref.bad),
+    )
+    # the fault shows in some rows and not in others, more often than kept
+    assert properties._CAP < report.failures < report.instances
+
+
+def test_check_all_counts_like_check():
+    def never(n):
+        raise AssertionError("info is read only for a failed entry")
+
+    t = _Tally()
+    t.check_all([], never)
+    t.check_all([True, 1, True], never)
+    assert (t.instances, t.failures, t.bad) == (3, 0, [])
+    oks = [i % 3 != 1 for i in range(20)]
+    each = _Tally()
+    for i, ok in enumerate(oks):
+        each.check(ok, i, "row")
+    t.check_all(oks, lambda n: (n, "row"))
+    assert (t.instances - 3, t.failures, t.bad) == (each.instances, each.failures, each.bad)
+    assert len(t.bad) == properties._CAP

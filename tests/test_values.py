@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from cofiso.bicyclic import BicyclicNF
-from cofiso.core import NoiseParams, PartialIso, in_offset_class
+from cofiso.core import NoiseParams, PartialIso, from_anatomy, in_offset_class
 from cofiso.expr import Gen, GrpLit, IsoLit, Pow, Prod, Puncture
 from cofiso.extension import Group, UpSet
 from cofiso.oracle import EnumBounds
@@ -106,10 +106,17 @@ def test_constructors_keep_their_defaults_and_checks():
         Gen()
 
 
-def test_a_map_keeps_its_fields_in_its_dict():
+def test_a_map_keeps_its_fields_in_slots():
     g = PartialIso((2, 4), 1)
-    assert vars(g) == {"dom_min": 1, "gaps": 0b1010, "shift": 1}
-    assert g.excluded == (2, 4) and vars(g)["excluded"] == (2, 4)
+    assert {"dom_min", "gaps", "shift"} <= set(PartialIso.__slots__)
+    assert (g.dom_min, g.gaps, g.shift) == (1, 0b1010, 1)
+    # the dict holds only the excluded tuple, once it has been read
+    assert vars(g) == {}
+    assert g.excluded == (2, 4) and vars(g) == {"excluded": (2, 4)}
+    h = from_anatomy(3, 0b10, -1)
+    for twin in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
+        assert twin == h and twin is not h and vars(twin) == {}
+        assert repr(twin) == "iso([1,2,4],-1)"
 
 
 def test_offset_mask_memo_leaves_equality_alone():
