@@ -8,6 +8,7 @@ carries the noise bound for the suites that need one.
 
 from __future__ import annotations
 
+import heapq
 import operator
 import random
 from collections import defaultdict
@@ -205,15 +206,25 @@ def _all_params(j: int) -> list[NoiseParams]:
 # -- element algebra ------------------------------------------------------
 
 
+def _numbered_products(univ, mul):
+    """(ids, table): ids numbers each distinct product the first time it
+    appears, and table[a][b] is the number of mul(univ[a], univ[b]).
+
+    The table holds numbers, not products, so a suite that reads a pair
+    many times computes and keeps each distinct product once.
+    """
+    ids: dict = {}
+    table = [[ids.setdefault(mul(x, y), len(ids)) for y in univ] for x in univ]
+    return ids, table
+
+
 def _check_assoc(t, univ, mul):
     """One check of (x*y)*z == x*(y*z) for each triple of univ.
 
-    Each value is numbered the first time it appears, so a triple
-    compares two numbers read from tables: the pair products, then every
-    distinct pair product times each z and each x times it.
+    A triple compares two numbers read from tables: the pair products,
+    then every distinct pair product times each z and each x times it.
     """
-    ids: dict = {}
-    prod = [[ids.setdefault(mul(x, y), len(ids)) for y in univ] for x in univ]
+    ids, prod = _numbered_products(univ, mul)
     values = list(ids)  # the distinct pair products, in number order
     right = [[ids.setdefault(mul(v, z), len(ids)) for z in univ] for v in values]
     left = [[ids.setdefault(mul(x, v), len(ids)) for v in values] for x in univ]
@@ -266,10 +277,12 @@ def _idempotent_iff(t, bounds, params):
 @register("green_relations", "the five Green predicates match their idempotent and witness forms", arity=2)
 def _green_relations(t, bounds, params):
     elems = list(enumerate_elements(bounds))
+    inverses = [g.inverse() for g in elems]
+    # each element's domain and range identities
+    dom_ids = [g * gi for g, gi in zip(elems, inverses)]
+    ran_ids = [gi * g for g, gi in zip(elems, inverses)]
     span = bounds.n + bounds.s + 1
-    for a in elems:
-        dom_id_a = a * a.inverse()
-        ran_id_a = a.inverse() * a
+    for a, dom_id_a, ran_id_a in zip(elems, dom_ids, ran_ids):
         # the elements that share a's domain, one per admissible shift
         sharing = []
         for shift in range(-span, span + 1):
@@ -277,11 +290,11 @@ def _green_relations(t, bounds, params):
                 sharing.append(PartialIso(a.excluded, shift))
             except InvalidShift:
                 pass
-        for b in elems:
+        for b, dom_id_b, ran_id_b in zip(elems, dom_ids, ran_ids):
             is_l = green_l(a, b)
             is_r = green_r(a, b)
-            t.check(is_l == (dom_id_a == b * b.inverse()), a, b)
-            t.check(is_r == (ran_id_a == b.inverse() * b), a, b)
+            t.check(is_l == (dom_id_a == dom_id_b), a, b)
+            t.check(is_r == (ran_id_a == ran_id_b), a, b)
             t.check(green_h(a, b) == (is_l and is_r), a, b)
             t.check(green_h(a, b) == (a == b), a, b)
             # some element shares a's domain and b's range iff the
@@ -313,10 +326,12 @@ def _green_relations(t, bounds, params):
 )
 def _natural_order(t, bounds, params):
     elems = list(enumerate_elements(bounds))
-    for a in elems:
+    ids, table = _numbered_products(elems, operator.mul)
+    values = list(ids)
+    for ai, (a, a_row) in enumerate(zip(elems, table)):
         t.check(leq(a, a), a)
         ran_id_a = a.inverse() * a
-        for b in elems:
+        for bi, (b, b_row) in enumerate(zip(elems, table)):
             by_def = leq(a, b)
             dom_incl = a.shift == b.shift and set(b.excluded) <= set(a.excluded)
             ran_incl = a.shift == b.shift and set(b.inverse().excluded) <= set(a.inverse().excluded)
@@ -328,8 +343,14 @@ def _natural_order(t, bounds, params):
                 t.check(a == b, a, b)
             if by_def:
                 t.check(leq(a.inverse(), b.inverse()), a, b)
-                for c in elems:
-                    t.check(leq(a * c, b * c) and leq(c * a, c * b), a, b, c)
+                # a*c and b*c from rows a and b, c*a and c*b from row c
+                t.check_all(
+                    [
+                        leq(values[ac], values[bc]) and leq(values[c_row[ai]], values[c_row[bi]])
+                        for ac, bc, c_row in zip(a_row, b_row, table)
+                    ],
+                    lambda n: (a, b, elems[n]),
+                )
 
 
 @register("congruence", "shift equality is the least group congruence, with explicit witnesses", arity=2)
@@ -409,14 +430,24 @@ def _offset_classes(t, bounds, params):
 def _class_closure(t, bounds, params):
     j = params.j
     elems = list(enumerate_elements(bounds))
-    for p in _all_params(j):
+    all_p = _all_params(j)
+    classes = [[g for g in elems if in_offset_class(g, p)] for p in all_p]
+    # one table over every class's members, read by their numbers
+    univ = list(dict.fromkeys(g for members in classes for g in members))
+    number = {g: n for n, g in enumerate(univ)}
+    ids, table = _numbered_products(univ, operator.mul)
+    values = list(ids)
+    for p, members in zip(all_p, classes):
         t.check(in_offset_class(IDENTITY, p), p.offsets)
-        members = [g for g in elems if in_offset_class(g, p)]
         for g in members:
             t.check(in_offset_class(g.inverse(), p), g, p.offsets)
+        cols = [number[b] for b in members]
         for a in members:
-            for b in members:
-                t.check(in_offset_class(a * b, p), a, b, p.offsets)
+            row = table[number[a]]
+            t.check_all(
+                [in_offset_class(values[row[c]], p) for c in cols],
+                lambda n: (a, members[n], p.offsets),
+            )
 
 
 @register("noise_one_absent", "no element has noise exactly 1", arity=1)
@@ -502,8 +533,8 @@ def _boundary(t, bounds, params):
     t.check(len(brute) == len(found), j)
     # a failure names the sizes and the first few maps of the difference,
     # which can hold all 2^(j-1) listed maps
-    diff = sorted(found ^ wanted)
-    t.check(not diff, j, len(found), len(wanted), diff[:_CAP])
+    first = heapq.nsmallest(_CAP, found ^ wanted)
+    t.check(not first, j, len(found), len(wanted), first)
 
 
 # -- the adjoined integer ideal -------------------------------------------
@@ -757,15 +788,29 @@ def _nbhd_translation(t, bounds, params):
 )
 def _nbhd_product(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
-    for p in _all_params(j):
-        for i in range(j + 1, j + 3):
-            by_k = _members_by_level(pool, i, p)
-            for k1 in range(-2, 3):
-                for k2 in range(-2, 3):
-                    target = NbhdSpec(k1 + k2, i, p)
-                    for x in by_k.get(k1, []):
-                        for y in by_k.get(k2, []):
-                            t.check(nbhd_member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
+    levels = range(-2, 3)
+    splits = [
+        (p, i, _members_by_level(pool, i, p)) for p in _all_params(j) for i in range(j + 1, j + 3)
+    ]
+    # every pair of members at the checked levels is checked in some split
+    univ = list(
+        dict.fromkeys(x for _, _, by_k in splits for k in levels for x in by_k.get(k, []))
+    )
+    number = {x: n for n, x in enumerate(univ)}
+    ids, table = _numbered_products(univ, ext_mul)
+    values = list(ids)
+    for p, i, by_k in splits:
+        for k1 in levels:
+            for k2 in levels:
+                target = NbhdSpec(k1 + k2, i, p)
+                ys = by_k.get(k2, [])
+                cols = [number[y] for y in ys]
+                for x in by_k.get(k1, []):
+                    row = table[number[x]]
+                    t.check_all(
+                        [nbhd_member(values[row[c]], target) for c in cols],
+                        lambda n: (x, ys[n], k1, k2, i, p.offsets),
+                    )
 
 
 @register(

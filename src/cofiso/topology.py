@@ -49,7 +49,7 @@ class NbhdSpec(_Value):
 
 
 def nbhd_member(x: ExtElem, spec: NbhdSpec) -> bool:
-    if isinstance(x, Group):
+    if x.__class__ is Group:  # Group has no subclasses
         return x.k == spec.k
     return x.shift == spec.k and x.tail_start >= spec.i and in_offset_class(x, spec.params)
 

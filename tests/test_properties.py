@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import count
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from cofiso import properties
 from cofiso.bicyclic import embed, normalize_word, word_iso
-from cofiso.core import NoiseParams, PartialIso
+from cofiso.core import IDENTITY, NoiseParams, PartialIso
 from cofiso.extension import Group, ext_inv, ext_mul, up_set_truncated
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
@@ -16,6 +17,7 @@ from cofiso.properties import (
     _Tally,
     _check_assoc,
     _ext_universe,
+    _numbered_products,
     _topo_pool,
     known_properties,
     suite_level,
@@ -235,6 +237,26 @@ def test_check_assoc_equals_the_naive_triple_loop(univ, mul):
     assert (naive.failures > 0) == (mul is _twisted)
 
 
+@pytest.mark.parametrize(
+    "univ,mul",
+    [
+        (_ext_universe(EnumBounds(3, 1), NoiseParams(2)), ext_mul),
+        (list(enumerate_elements(EnumBounds(3, 1))), _twisted),
+    ],
+    ids=["ext universe", "planted"],
+)
+def test_numbered_products_number_each_distinct_product_once(univ, mul):
+    ids, table = _numbered_products(univ, mul)
+    values = list(ids)
+    products = [[mul(x, y) for y in univ] for x in univ]
+    assert [[values[n] for n in row] for row in table] == products
+    assert all(ids[v] == n for n, v in enumerate(values))
+    assert len(ids) == len({v for row in products for v in row})
+    # dense and numbered in the order the pairs are read, row by row
+    first_seen = list(dict.fromkeys(n for row in table for n in row))
+    assert first_seen == list(range(len(ids)))
+
+
 def _wrong_inverse(real):
     return lambda x: Group(1) if x == Group(0) else real(x)
 
@@ -244,6 +266,11 @@ def _wrong_green_r(real):
     # element sharing a's domain builds this map
     far = PartialIso((), 6)
     return lambda a, b: (not real(a, b)) if a == far else real(a, b)
+
+
+def _wrong_product(real):
+    # one pair of the nbhd_product pool multiplies wrongly
+    return lambda x, y: Group(1) if (x, y) == (Group(0), Group(0)) else real(x, y)
 
 
 def _wrong_split(real):
@@ -261,6 +288,7 @@ def _wrong_split(real):
         ("nbhd_inversion", "ext_inv", _wrong_inverse),
         ("green_relations", "green_r", _wrong_green_r),
         ("nbhd_translation", "_members_by_level", _wrong_split),
+        ("nbhd_product", "ext_mul", _wrong_product),
     ],
 )
 def test_hoisted_suites_still_catch_a_planted_fault(monkeypatch, pid, name, wrong):
@@ -274,13 +302,18 @@ def test_hoisted_suites_still_catch_a_planted_fault(monkeypatch, pid, name, wron
     assert report.instances == clean.instances
 
 
-def _noisy_shift_two_flips(real):
-    # a fault only some pool elements meet: shift-2 maps with noise 3
-    def member(x, spec):
-        flip = isinstance(x, PartialIso) and x.shift == 2 and x.noise == 3
-        return real(x, spec) != flip
+def _flips_on(shift, noise):
+    # a fault only some elements meet: the predicate flips on the maps of
+    # one shift and noise, given as its first argument
+    def wrong(real):
+        def flipped(x, *rest):
+            flip = isinstance(x, PartialIso) and x.shift == shift and x.noise == noise
+            return real(x, *rest) != flip
 
-    return member
+        return flipped
+
+    return wrong
+
 
 
 def _each_nesting(t, pool, all_p, member):
@@ -336,7 +369,7 @@ def _each_monotone(t, pool, all_p, member):
 def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
     # at level 3 the noise-3 maps are members of some neighborhoods
     bounds, params = EnumBounds(4, 2), NoiseParams(3)
-    monkeypatch.setattr(properties, "nbhd_member", _noisy_shift_two_flips(properties.nbhd_member))
+    monkeypatch.setattr(properties, "nbhd_member", _flips_on(2, 3)(properties.nbhd_member))
     report = verify(pid, bounds, params)
     ref = _Tally()
     _, pool = _topo_pool(bounds, params)
@@ -348,6 +381,96 @@ def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
     )
     # the fault shows in some rows and not in others, more often than kept
     assert properties._CAP < report.failures < report.instances
+
+
+def _each_natural_order(t, bounds, params, leq):
+    elems = list(enumerate_elements(bounds))
+    for a in elems:
+        t.check(leq(a, a), a)
+        ran_id_a = a.inverse() * a
+        for b in elems:
+            by_def = leq(a, b)
+            dom_incl = a.shift == b.shift and set(b.excluded) <= set(a.excluded)
+            ran_incl = a.shift == b.shift and set(b.inverse().excluded) <= set(a.inverse().excluded)
+            t.check(by_def == dom_incl, a, b)
+            t.check(by_def == ran_incl, a, b)
+            t.check(by_def == (a == b * ran_id_a), a, b)
+            if by_def and leq(b, a):
+                t.check(a == b, a, b)
+            if by_def:
+                t.check(leq(a.inverse(), b.inverse()), a, b)
+                for c in elems:
+                    t.check(leq(a * c, b * c) and leq(c * a, c * b), a, b, c)
+
+
+def _each_class_closure(t, bounds, params, member):
+    elems = list(enumerate_elements(bounds))
+    for p in properties._all_params(params.j):
+        t.check(member(IDENTITY, p), p.offsets)
+        members = [g for g in elems if member(g, p)]
+        for g in members:
+            t.check(member(g.inverse(), p), g, p.offsets)
+        for a in members:
+            for b in members:
+                t.check(member(a * b, p), a, b, p.offsets)
+
+
+def _each_product(t, bounds, params, member):
+    j, pool = _topo_pool(bounds, params)
+    for p in properties._all_params(j):
+        for i in range(j + 1, j + 3):
+            by_k = properties._members_by_level(pool, i, p)
+            for k1 in range(-2, 3):
+                for k2 in range(-2, 3):
+                    target = NbhdSpec(k1 + k2, i, p)
+                    for x in by_k.get(k1, []):
+                        for y in by_k.get(k2, []):
+                            t.check(member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
+
+
+@pytest.mark.parametrize(
+    "pid,name,wrong,each,bounds",
+    [
+        ("natural_order", "leq", _flips_on(1, 3), _each_natural_order, EnumBounds(3, 2)),
+        ("class_closure", "in_offset_class", _flips_on(2, 3), _each_class_closure, EnumBounds(4, 2)),
+        ("nbhd_product", "nbhd_member", _flips_on(2, 3), _each_product, EnumBounds(4, 2)),
+    ],
+)
+def test_tabled_suites_match_a_check_per_instance(monkeypatch, pid, name, wrong, each, bounds):
+    # the suites read pair products from numbered tables; a check per
+    # instance on products computed afresh must give the same report
+    params = NoiseParams(3)
+    monkeypatch.setattr(properties, name, wrong(getattr(properties, name)))
+    report = verify(pid, bounds, params)
+    ref = _Tally()
+    each(ref, bounds, params, getattr(properties, name))
+    assert (report.instances, report.failures, report.counterexamples) == (
+        ref.instances,
+        ref.failures,
+        tuple(ref.bad),
+    )
+    assert properties._CAP < report.failures < report.instances
+
+
+@pytest.mark.parametrize(
+    "pid,bounds,params",
+    [
+        ("nbhd_product", EnumBounds(8, 2), NoiseParams(3)),
+        ("class_closure", EnumBounds(5, 2), NoiseParams(4)),
+        ("natural_order", EnumBounds(4, 2), None),
+    ],
+)
+def test_product_tables_hold_numbers_not_products(pid, bounds, params):
+    # a table keeps each distinct product once and a number per pair; a
+    # memo of one product per pair peaks at 2-3 MiB on the first two calls
+    verify(pid, bounds, params)
+    tracemalloc.start()
+    try:
+        verify(pid, bounds, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_check_all_counts_like_check():
