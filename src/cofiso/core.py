@@ -134,11 +134,12 @@ def _bits(gaps: int) -> str:
 def _fill(g: "PartialIso", dom_min: int, gaps: int, shift: int) -> "PartialIso":
     if shift < 1 - dom_min:
         raise InvalidShift(f"shift {shift} sends the domain minimum {dom_min} below 1")
-    # the instance is frozen; its fields are written once, here, through
-    # the slot setters bound below the class
+    # the instance is frozen; its slots are written once, here or in
+    # from_anatomy, through the slot setters bound below the class
     _set_dom_min(g, dom_min)
     _set_gaps(g, gaps)
     _set_shift(g, shift)
+    _set_tail_start(g, dom_min + gaps.bit_length())
     return g
 
 
@@ -149,11 +150,13 @@ class PartialIso:
     Built from the strictly ascending ``excluded`` tuple; construction
     enforces shift >= 1 - dom_min so the range stays inside the positive
     integers.  Stored as (dom_min, gaps, shift) in slots, see the module
-    docstring; the instance dict holds only the lazily cached
-    ``excluded``.  Ordering follows (excluded, shift).
+    docstring, with the derived ``tail_start`` in a fourth slot beside
+    them; the instance dict holds only the lazily cached ``excluded``.
+    Equality, hashing and pickling use the three fields; ordering
+    follows (excluded, shift).
     """
 
-    __slots__ = ("dom_min", "gaps", "shift", "__dict__")
+    __slots__ = ("dom_min", "gaps", "shift", "tail_start", "__dict__")
 
     def __init__(self, excluded: Iterable[int] = (), shift: int = 0) -> None:
         u, gaps, prev = 1, 0, 0
@@ -178,11 +181,6 @@ class PartialIso:
         """The finite set off which the map is defined, ascending."""
         u = self.dom_min
         return (*range(1, u), *(u + i for i, b in enumerate(_bits(self.gaps)) if b == "1"))
-
-    @property
-    def tail_start(self) -> int:
-        """Least n with the whole ray [n, oo) inside the domain."""
-        return self.dom_min + self.gaps.bit_length()
 
     @property
     def ran_min(self) -> int:
@@ -296,6 +294,8 @@ class PartialIso:
 _set_dom_min = PartialIso.dom_min.__set__
 _set_gaps = PartialIso.gaps.__set__
 _set_shift = PartialIso.shift.__set__
+# the least n with the whole ray [n, oo) inside the domain: dom_min + noise
+_set_tail_start = PartialIso.tail_start.__set__
 
 
 def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:
@@ -303,7 +303,16 @@ def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:
     marks dom_min + i as excluded, bit 0 clear) and the given shift."""
     if dom_min < 1 or gaps < 0 or gaps & 1:
         raise ValueError(f"no element has dom_min {dom_min} and gap mask {gaps}")
-    return _fill(object.__new__(PartialIso), dom_min, gaps, shift)
+    # _fill written out: every product, inverse and tail comes through
+    # here, and the extra call layer cost a few percent of the sweep
+    if shift < 1 - dom_min:
+        raise InvalidShift(f"shift {shift} sends the domain minimum {dom_min} below 1")
+    g = object.__new__(PartialIso)
+    _set_dom_min(g, dom_min)
+    _set_gaps(g, gaps)
+    _set_shift(g, shift)
+    _set_tail_start(g, dom_min + gaps.bit_length())
+    return g
 
 
 IDENTITY = PartialIso()
@@ -343,25 +352,27 @@ class NoiseParams(_Value):
                 raise ValueError(f"offset {m} outside 2..{j}")
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "_offset_mask", (-1, 0))
+        object.__setattr__(self, "_offset_mask", (0, 0))
 
     @classmethod
     def full(cls, j: int) -> "NoiseParams":
         """Widest offset set {2, ..., j}."""
         return cls(j, frozenset(range(2, j + 1)))
 
-    def offset_mask(self, width: int) -> int:
-        """Bit o - 1 for each allowed offset o, at least up to o = width.
+    def offset_mask(self, width: int) -> tuple[int, int]:
+        """(w, mask) with w >= width and bit w - o of mask set for each
+        allowed offset o up to w: the offsets reversed against w, as the
+        head of a noise-w gap mask holds them.
 
         Built once and widened only when a wider head asks, so the mask
         grows with the heads checked, not with the largest offset: an
         explicit offset near a huge j would not fit in memory as one bit.
         """
-        built, mask = self._offset_mask
-        if built < width:
-            built, mask = width, sum(1 << (o - 1) for o in self.offsets if o <= width)
-            object.__setattr__(self, "_offset_mask", (built, mask))
-        return mask
+        w, mask = self._offset_mask
+        if w < width:
+            w, mask = width, sum(1 << (width - o) for o in self.offsets if o <= width)
+            object.__setattr__(self, "_offset_mask", (w, mask))
+        return w, mask
 
 
 # -- natural order and the group congruence -------------------------------
@@ -449,20 +460,18 @@ def head_offsets(g: PartialIso) -> tuple[int, ...]:
 def in_offset_class(g: PartialIso, params: NoiseParams) -> bool:
     """Every domain point below tail_start sits at an allowed offset.
 
-    The head's domain points are the clear bits of the gap mask, bit i at
-    offset noise - i; reversed, offset o sits at bit o - 1, so the test
-    is one containment in the allowed offsets' mask.
+    Bit i of the gap mask is the point at offset n - i, n the noise; the
+    offset mask shifted down to width n sets bit n - o for each allowed
+    offset o, so the test is that the two together fill bits 0..n-1.
     """
     gaps = g.gaps
     n = gaps.bit_length()  # the noise
     if n > params.j:
         return False
-    if not n:
-        return True
-    # flipping bits 0..n clears the gaps and sets bit n, so bin() keeps the
-    # head's width; read backwards, offset o lands on bit o - 1
-    head = int(bin(gaps ^ ((2 << n) - 1))[:2:-1], 2)
-    return head & params.offset_mask(n) == head
+    w, mask = params._offset_mask
+    if n > w:
+        w, mask = params.offset_mask(n)
+    return gaps | mask >> (w - n) == (1 << n) - 1
 
 
 def in_offset_class_range(g: PartialIso, params: NoiseParams) -> bool:

@@ -295,8 +295,9 @@ def _green_relations(t, bounds, params):
             is_r = green_r(a, b)
             t.check(is_l == (dom_id_a == dom_id_b), a, b)
             t.check(is_r == (ran_id_a == ran_id_b), a, b)
-            t.check(green_h(a, b) == (is_l and is_r), a, b)
-            t.check(green_h(a, b) == (a == b), a, b)
+            is_h = green_h(a, b)
+            t.check(is_h == (is_l and is_r), a, b)
+            t.check(is_h == (a == b), a, b)
             # some element shares a's domain and b's range iff the
             # domains are translates of one another
             linked = green_d(a, b)

@@ -60,8 +60,9 @@ class TailSeqSpec(_Value):
 
     _fields = ("kept_offsets", "shift")
     # the head every element shares sits beside the fields: its width
-    # max_offset and the memo of head_gaps, None until first built
-    __slots__ = (*_fields, "max_offset", "_head_gaps")
+    # max_offset, the first index at which an element exists and the
+    # memo of head_gaps, None until first built
+    __slots__ = (*_fields, "max_offset", "first_index", "_head_gaps")
 
     def __init__(self, kept_offsets: Iterable[int] = frozenset(), shift: int = 0) -> None:
         kept_offsets = frozenset(kept_offsets)
@@ -69,7 +70,11 @@ class TailSeqSpec(_Value):
             if m < 2:
                 raise ValueError(f"kept offset {m} must be >= 2")
         super().__init__(kept_offsets, shift)
-        object.__setattr__(self, "max_offset", max(kept_offsets, default=0))
+        top = max(kept_offsets, default=0)
+        object.__setattr__(self, "max_offset", top)
+        # the domain minimum n - top and the range minimum n - top + shift
+        # must both be at least 1
+        object.__setattr__(self, "first_index", max(1, top + 1, top + 1 - shift))
         object.__setattr__(self, "_head_gaps", None)
 
     def head_gaps(self) -> int:
@@ -92,14 +97,14 @@ class TailSeqSpec(_Value):
 
 def min_index(spec: TailSeqSpec) -> int:
     """Smallest n at which the sequence element exists."""
-    return max(1, spec.max_offset + 1, spec.max_offset + 1 - spec.shift)
+    return spec.first_index
 
 
 def seq_elem(spec: TailSeqSpec, n: int) -> PartialIso:
     """The n-th element; tail_start is n and the head offsets are exactly
     the kept ones."""
-    if n < min_index(spec):
-        raise OffsetOutOfRange(f"need n >= {min_index(spec)}, got {n}")
+    if n < spec.first_index:
+        raise OffsetOutOfRange(f"need n >= {spec.first_index}, got {n}")
     # the domain minimum is n - max_offset; every point from there up to
     # n is a gap except the kept ones
     return from_anatomy(n - spec.max_offset, spec.head_gaps(), spec.shift)

@@ -262,10 +262,11 @@ class TestOffsetMask:
         assert not in_offset_class(g, NoiseParams(far, {2, 98, far}))
 
     def test_the_mask_widens_with_the_heads(self):
+        # bit w - o for each allowed offset o up to the width w built
         p = NoiseParams(9, {2, 5, 9})
-        assert p.offset_mask(4) & 0b1111 == 0b0010
-        assert p.offset_mask(9) == 0b100010010
-        assert p.offset_mask(3) == 0b100010010  # a built mask is kept
+        assert p.offset_mask(4) == (4, 0b100)
+        assert p.offset_mask(9) == (9, 0b10010001)
+        assert p.offset_mask(3) == (9, 0b10010001)  # a built mask is kept
         assert p == NoiseParams(9, {2, 5, 9})  # the memo is no field
 
     def test_noise_bound_gate(self):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from cofiso.core import ALPHA, IDENTITY, NoiseParams, elements, leq, make, subsets
@@ -51,6 +54,23 @@ class TestSequences:
 
     def test_shift_carried_through(self):
         assert seq_elem(TailSeqSpec({2}, 1), 6) == make([1, 2, 3, 5], 1)
+
+    @pytest.mark.parametrize("kept", list(subsets(range(2, 6))), ids=repr)
+    def test_first_index_is_the_least_index_with_an_element(self, kept):
+        for shift in range(-3, 4):
+            spec = TailSeqSpec(kept, shift)
+            top = max(kept, default=0)
+            assert spec.first_index == max(1, top + 1, top + 1 - shift) == min_index(spec)
+            # the least n whose domain minimum n - top and range minimum
+            # n - top + shift are both positive
+            least = next(n for n in range(1, 20) if n - top >= 1 and n - top + shift >= 1)
+            assert spec.first_index == least
+            assert seq_elem(spec, least).tail_start == least
+            with pytest.raises(OffsetOutOfRange, match=f"need n >= {least}, got {least - 1}"):
+                seq_elem(spec, least - 1)
+            for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+                assert twin == spec and twin.first_index == least
+            assert repr(spec) == f"TailSeqSpec(kept_offsets={frozenset(kept)!r}, shift={shift})"
 
     def test_tail_start_is_the_index(self):
         spec = TailSeqSpec({2, 4}, -1)

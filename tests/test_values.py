@@ -7,12 +7,12 @@ import pickle
 import pytest
 
 from cofiso.bicyclic import BicyclicNF
-from cofiso.core import NoiseParams, PartialIso, from_anatomy, in_offset_class
+from cofiso.core import BETA, NoiseParams, PartialIso, elements, from_anatomy, in_offset_class, make
 from cofiso.expr import Gen, GrpLit, IsoLit, Pow, Prod, Puncture
 from cofiso.extension import Group, UpSet
 from cofiso.oracle import EnumBounds
 from cofiso.properties import Report
-from cofiso.topology import NbhdSpec, TailSeqSpec
+from cofiso.topology import NbhdSpec, TailSeqSpec, seq_elem
 
 # one value of each class, built afresh on each call, a field of it and
 # its repr
@@ -117,6 +117,50 @@ def test_a_map_keeps_its_fields_in_slots():
     for twin in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h), copy.copy(h)):
         assert twin == h and twin is not h and vars(twin) == {}
         assert repr(twin) == "iso([1,2,4],-1)"
+
+
+def _tail_start_routes():
+    """(route, map) for each way a map is built: literals, the anatomy
+    constructor, the algebra, the sequences, the enumeration and the
+    copy protocols."""
+    g, h = PartialIso((2, 4), 1), make([1, 3, 6], -1)
+    yield "literal", g
+    yield "literal", PartialIso()
+    yield "literal", PartialIso((1, 2, 5), -2)
+    yield "make", h
+    yield "from_anatomy", from_anatomy(3, 0b110, -2)
+    yield "compose", g * h
+    yield "compose", h.compose(g)
+    yield "inverse", g.inverse()
+    yield "inverse", h.inverse()
+    yield "tail", g.tail()
+    yield "tail", h.tail()
+    for n in (-3, 0, 2, 5):
+        yield "pow", g**n
+        yield "pow", h**n
+    yield "pow", BETA**7
+    yield "seq_elem", seq_elem(TailSeqSpec({2, 4}, -1), 7)
+    yield "seq_elem", seq_elem(TailSeqSpec(frozenset(), 2), 3)
+    for e in elements(range(1, 5), (-1, 0, 2), 3):
+        yield "elements", e
+    for twin in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+        yield "copy", twin
+
+
+def test_every_route_stores_the_tail_start():
+    assert "tail_start" in PartialIso.__slots__
+    for route, g in _tail_start_routes():
+        assert g.tail_start == max(g.excluded, default=0) + 1 == g.dom_min + g.noise, (route, g)
+        # a field of the slots, not of the dict, and not of the value
+        assert "tail_start" not in vars(g)
+        assert hash(g) == hash((g.dom_min, g.gaps, g.shift))
+        assert g.__reduce__() == (from_anatomy, (g.dom_min, g.gaps, g.shift))
+    g = PartialIso((2, 4), 1)
+    with pytest.raises(AttributeError, match="'tail_start'"):
+        g.tail_start = 9
+    with pytest.raises(AttributeError, match="'tail_start'"):
+        del g.tail_start
+    assert g.tail_start == 5
 
 
 def test_offset_mask_memo_leaves_equality_alone():
