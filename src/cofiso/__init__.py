@@ -33,6 +33,7 @@ _EXPORTS = {
         "InvalidShift",
         "NoiseParams",
         "NotIdempotent",
+        "OverBudget",
         "PartialIso",
         "boundary_set",
         "d_witness",

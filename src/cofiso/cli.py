@@ -11,9 +11,12 @@ import json
 import sys
 from typing import Optional
 
+from . import core
 from .core import (
     NoiseParams,
+    OverBudget,
     PartialIso,
+    _check_walk,
     boundary_set,
     d_witness,
     green_d,
@@ -33,24 +36,9 @@ from .extension import Group, ext_leq, ext_pi, up_set_truncated
 
 _SCHEMA = 1
 
-# the most elements, subsets or excluded points one call may list
-_BUDGET = 1 << 16
-# the most element pairs or triples one verify call may walk
-_TUPLES = _BUDGET << 8
-
 
 class _UsageError(Exception):
     pass
-
-
-class OverBudget(ValueError):
-    """The call would list more than the budget allows; refused up front."""
-
-
-def _check_walk(exponent: int, what: str, items: str) -> None:
-    # 2^exponent > _BUDGET, decided without building 2^exponent
-    if exponent >= _BUDGET.bit_length():
-        raise OverBudget(f"{what} 2^{exponent} {items}, above the budget of {_BUDGET}")
 
 
 def _walked_points(x, bound: int) -> int:
@@ -60,36 +48,6 @@ def _walked_points(x, bound: int) -> int:
         return max(bound, 0)
     width = min(max(bound + 1 - x.dom_min, 0), x.noise)
     return min(x.dom_min - 1, max(bound, 0)) + (x.gaps & ((1 << width) - 1)).bit_count()
-
-
-def _check_suite(property_id: str, bounds, j: Optional[int]) -> None:
-    """Refuse a suite whose pool, as properties.suite_size counts it, is
-    over the budget, or whose loops nested arity deep, once for each
-    offset-set tuple it walks at level j, would walk more element tuples
-    than _TUPLES."""
-    from .properties import suite_size
-
-    shifts, extra, arity, set_bits = suite_size(property_id, bounds, j)
-    if shifts > _BUDGET:
-        # named by its size: 2S+1 may have more digits than str() writes
-        raise OverBudget(
-            f"verify tries at least 2^{shifts.bit_length() - 1} shifts, above the budget of {_BUDGET}"
-        )
-    # shifts*2^n + extra elements, decided without building 2^n
-    if shifts and (bounds.n >= _BUDGET.bit_length() or (shifts << bounds.n) + extra > _BUDGET):
-        count = f"{shifts}*2^{bounds.n}" + (f"+{extra}" if extra else "")
-        raise OverBudget(f"verify enumerates {count} elements, above the budget of {_BUDGET}")
-    pool = (shifts << bounds.n) + extra
-    # a fixed input (pool 0) is still walked once per offset-set tuple;
-    # 2^set_bits tuples are decided without building 2^set_bits
-    walked = max(pool, 1) ** arity
-    if set_bits >= _TUPLES.bit_length() or walked << set_bits > _TUPLES:
-        walks = [f"{pool}^{arity} element tuples"] if pool else []
-        if set_bits:
-            walks.append(f"2^{set_bits} offset-set tuples")
-        raise OverBudget(
-            f"verify {property_id} walks {' for each of '.join(walks)}, above the budget of {_TUPLES}"
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,8 +129,8 @@ def _elem_doc(x) -> dict:
     if isinstance(x, Group):
         return {"group": x.k}
     count = x.dom_min - 1 + x.gaps.bit_count()
-    if count > _BUDGET:
-        raise OverBudget(f"the value excludes {count} points, above the budget of {_BUDGET}")
+    if count > core._BUDGET:
+        raise OverBudget(f"the value excludes {count} points, above the budget of {core._BUDGET}")
     return {"excluded": list(x.excluded), "shift": x.shift}
 
 
@@ -182,8 +140,8 @@ def _offsets(text: Optional[str], j: int, name: str) -> frozenset:
     if text is None or text.strip() in ("", "none", "-"):
         return frozenset()
     if text.strip() == "all":
-        if j - 1 > _BUDGET:
-            message = f"all lists {j - 1} offsets, above the budget of {_BUDGET}"
+        if j - 1 > core._BUDGET:
+            message = f"all lists {j - 1} offsets, above the budget of {core._BUDGET}"
             raise OverBudget(f"argument {name}: {message}")
         return frozenset(range(2, j + 1))
     offsets = set()
@@ -339,16 +297,10 @@ def _dispatch(args) -> tuple:
 
     if cmd == "verify":
         from .oracle import EnumBounds
-        from .properties import suite_level, verify
+        from .properties import verify
 
         bounds = EnumBounds(args.N, args.S)
-        params = None
-        if args.j is not None:
-            # a suite that reads no params lists nothing at level j
-            if suite_level(args.property) is not None:
-                _check_walk(args.j - 1, "verify lists", "offset sets")
-            params = NoiseParams(args.j)
-        _check_suite(args.property, bounds, args.j)
+        params = None if args.j is None else NoiseParams(args.j)
         report = verify(args.property, bounds, params)
         doc = {
             "property": report.property_id,

@@ -37,6 +37,20 @@ class NotIdempotent(ValueError):
     """The operation requires a partial identity (shift 0)."""
 
 
+class OverBudget(ValueError):
+    """The call would list or check more than the budget allows; refused up front."""
+
+
+# the most elements, subsets, offset sets or excluded points one call may list
+_BUDGET = 1 << 16
+
+
+def _check_walk(exponent: int, what: str, items: str) -> None:
+    # 2^exponent > _BUDGET, decided without building 2^exponent
+    if exponent >= _BUDGET.bit_length():
+        raise OverBudget(f"{what} 2^{exponent} {items}, above the budget of {_BUDGET}")
+
+
 def subsets(points: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Subsets of the ascending points in lexicographic order, by index stack.
 

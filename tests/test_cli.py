@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,11 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cofiso import cli, properties
+from cofiso import cli, core, properties
 from cofiso.cli import invoke, main
 from cofiso.extension import Group
-from cofiso.oracle import EnumBounds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -295,7 +298,9 @@ class TestTopologyCommands:
 
 
 class TestBudget:
-    """Listings larger than ``cli._BUDGET`` are refused from their count."""
+    """Listings larger than ``core._BUDGET`` are refused from their count,
+    and suites whose planned work passes ``properties._WORK`` from their
+    plans."""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -335,7 +340,7 @@ class TestBudget:
         assert (code, doc["value"]) == (0, {"excluded": list(range(1, 65537)), "shift": -65536})
 
     def test_walks_at_the_budget_run(self, monkeypatch):
-        monkeypatch.setattr(cli, "_BUDGET", 8)
+        monkeypatch.setattr(core, "_BUDGET", 8)
         assert invoke(["boundary", "--j", "4"])[1]["count"] == 8
         assert invoke(["boundary", "--j", "5"])[1]["error"]["type"] == "OverBudget"
         assert invoke(["upset", "grp(0)", "--j", "3", "--bound", "3"])[1]["count"] == 9
@@ -346,7 +351,7 @@ class TestBudget:
         assert doc["error"]["message"] == "upset walks 2^4 subsets, above the budget of 8"
 
     def test_verify_and_all_at_the_budget_run(self, monkeypatch):
-        monkeypatch.setattr(cli, "_BUDGET", 8)
+        monkeypatch.setattr(core, "_BUDGET", 8)
         # (2S+1)*2^N elements: 6 and 8 run; 10, 12 and 16 do not
         assert invoke(["verify", "assoc", "--N", "1", "--S", "1"])[0] == 0
         assert invoke(["verify", "assoc", "--N", "3", "--S", "0"])[0] == 0
@@ -372,90 +377,67 @@ class TestBudget:
             doc = invoke(["verify", suite, "--N", "1", "--S", "0", "--j", "18"])
             assert doc == (2, {"schema": 1, "error": {"type": "OverBudget", "message": message}})
 
-    def test_verify_tuples_at_the_budget_run(self, monkeypatch):
-        monkeypatch.setattr(cli, "_TUPLES", 40**3)
-        # assoc walks triples: a pool of 40 runs, 48 does not
-        assert invoke(["verify", "assoc", "--N", "3", "--S", "2"])[1]["instances"] == 27000
-        code, doc = invoke(["verify", "assoc", "--N", "4", "--S", "1"])
-        assert doc["error"]["message"] == "verify assoc walks 48^3 element tuples, above the budget of 64000"
-        # a single pass over the same pool stays far inside
-        assert invoke(["verify", "absorption", "--N", "4", "--S", "1"])[0] == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("assoc", "--N", "3", "--S", "2"),
+            # the suite's own level, 3, when --j is omitted
+            ("offset_classes", "--N", "1", "--S", "0"),
+            ("offset_classes", "--N", "1", "--S", "0", "--j", "4"),
+            # a fixed input still plans each probe
+            ("convergence_probe", "--N", "1", "--S", "0", "--j", "4"),
+            # plans made after earlier stages ran: each a <= b row, each
+            # split of the neighborhood pool, each offset class
+            ("natural_order", "--N", "2", "--S", "1"),
+            ("nbhd_translation", "--N", "1", "--S", "0", "--j", "3"),
+            ("class_closure", "--N", "2", "--S", "0", "--j", "3"),
+        ],
+    )
+    def test_verify_work_at_the_budget_runs(self, monkeypatch, argv):
+        tallies = []
 
-    def test_verify_offset_set_tuples_at_the_budget_run(self, monkeypatch):
-        # offset_classes walks its pool of 2 once per pair of the 2^(j-1)
-        # offset sets: 2*2^6 tuples at j = 4, 2*2^8 at j = 5
-        monkeypatch.setattr(cli, "_TUPLES", 2 << 6)
-        assert invoke(["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "4"])[0] == 0
-        code, doc = invoke(["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "5"])
-        message = "verify offset_classes walks 2^1 element tuples for each of 2^8 offset-set tuples"
-        assert doc["error"]["message"] == f"{message}, above the budget of 128"
-        # without --j the suite's own level, 3, counts: 2*2^4 tuples
-        monkeypatch.setattr(cli, "_TUPLES", 2 << 4)
-        assert invoke(["verify", "offset_classes", "--N", "1", "--S", "0"])[0] == 0
-        monkeypatch.setattr(cli, "_TUPLES", (2 << 4) - 1)
-        code, doc = invoke(["verify", "offset_classes", "--N", "1", "--S", "0"])
-        assert (code, doc["error"]["type"]) == (2, "OverBudget")
-        # a fixed input still walks each offset-set tuple once
-        code, doc = invoke(["verify", "convergence_probe", "--N", "1", "--S", "0", "--j", "4"])
-        message = "verify convergence_probe walks 2^6 offset-set tuples, above the budget of 31"
-        assert doc["error"]["message"] == message
+        class Recording(properties._Tally):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tallies.append(self)
+
+        monkeypatch.setattr(properties, "_Tally", Recording)
+        code, doc = invoke(["verify", *argv])
+        planned = tallies[-1].planned
+        assert code == 0 and doc["instances"] <= planned
+        # a call runs when its plans reach the budget and is refused, by
+        # its last plan, one unit below
+        monkeypatch.setattr(properties, "_WORK", planned)
+        assert invoke(["verify", *argv]) == (code, doc)
+        monkeypatch.setattr(properties, "_WORK", planned - 1)
+        message = f"verify {argv[0]} plans {planned} units, above the budget of {planned - 1}"
+        error = {"type": "OverBudget", "message": message}
+        assert invoke(["verify", *argv]) == (2, {"schema": 1, "error": error})
 
     def test_shift_count_at_the_budget(self):
         # 2S+1 shifts: 65535 pass to the pool count, 65537 are refused by size
         code, doc = invoke(["verify", "assoc", "--N", "0", "--S", "32767"])
-        message = "verify assoc walks 65535^3 element tuples, above the budget of 16777216"
+        # the 32768 elements of shift 0..32767 plan one unit per triple
+        message = "verify assoc plans 35184372088832 units, above the budget of 16777216"
         assert doc["error"]["message"] == message
         code, doc = invoke(["verify", "assoc", "--N", "0", "--S", "32768"])
         assert doc["error"]["message"] == "verify tries at least 2^16 shifts, above the budget of 65536"
 
     @pytest.mark.parametrize(
-        "pid,n,s,j",
+        "argv,instances",
         [
-            *((pid, 4, 2, None) for pid in ("oracle_equiv", "inverse_axioms", "idempotent_iff")),
-            ("assoc", 3, 2, None),
-            *(
-                (pid, 4, 2, None)
-                for pid in ("green_relations", "natural_order", "congruence", "retraction")
-            ),
-            ("offset_classes", 5, 2, 4),
-            ("class_closure", 5, 2, 4),
-            *((pid, 4, 2, None) for pid in ("absorption", "tail_chain", "conjugation")),
-            ("noise_one_absent", 6, 3, None),
-            ("series_strict", 6, 3, None),
-            ("boundary", 6, 2, 6),
-            *(
-                (pid, 4, 2, 3)
-                for pid in (
-                    "ext_assoc",
-                    "ext_ideal",
-                    "ext_order",
-                    "ext_commute",
-                    "ext_surjective",
-                    "ext_translation",
-                )
-            ),
-            *(
-                (pid, 8, 2, 3)
-                for pid in (
-                    "nbhd_product",
-                    "nbhd_translation",
-                    "nbhd_inversion",
-                    "upset_char",
-                    "nbhd_nesting",
-                    "nbhd_hausdorff",
-                    "nbhd_monotone",
-                )
-            ),
-            ("convergence_probe", 3, 2, 4),
-            ("bicyclic_hom", 4, 2, None),
-            ("word_soundness", 3, 2, None),
+            # 101 elements, once refused as a pool of 5127 candidates cubed
+            (("ext_assoc", "--N", "10", "--S", "2", "--j", "2"), 1030301),
+            # 256^3 triples: exactly the budget
+            (("assoc", "--N", "8", "--S", "0"), 16777216),
+            (("class_closure", "--N", "8", "--S", "0", "--j", "8"), 520876),
+            (("nbhd_monotone", "--N", "8", "--S", "0", "--j", "6"), 1588830),
         ],
+        ids=["ext_assoc", "assoc", "class_closure", "nbhd_monotone"],
     )
-    def test_acceptance_bounds_are_inside_the_budget(self, pid, n, s, j):
-        # the bounds of tests/test_acceptance.py at their largest level;
-        # the largest walk is nbhd_product's 1799^2 pairs for each of the
-        # 4 offset sets at j = 3
-        cli._check_suite(pid, EnumBounds(n, s), j)
+    def test_large_calls_inside_the_budget_run(self, argv, instances):
+        code, doc = invoke(["verify", *argv])
+        assert (code, doc["passed"], doc["instances"]) == (0, True, instances)
 
     def test_explicit_offsets_at_a_large_level_run(self):
         code, doc = invoke(["classify", "iso([2],0)", "--j", "100000000", "--M", "2,99999999"])
@@ -492,11 +474,35 @@ class TestBudget:
             ("eval", "b^1000000000"),
             ("verify", "boundary", "--N", "1", "--S", "0", "--j", "18"),
             ("verify", "nbhd_nesting", "--N", "1", "--S", "0", "--j", "18"),
+            # each of these ran for more than 15 s under a per-suite model
+            # of loop depth and offset-set loops
+            ("verify", "nbhd_nesting", "--N", "1", "--S", "0", "--j", "17"),
+            ("verify", "upset_char", "--N", "1", "--S", "0", "--j", "17"),
+            ("verify", "nbhd_translation", "--N", "1", "--S", "0", "--j", "17"),
+            ("verify", "convergence_probe", "--N", "1", "--S", "0", "--j", "9"),
+            ("verify", "oracle_equiv", "--N", "11", "--S", "0"),
+            ("verify", "green_relations", "--N", "11", "--S", "0"),
+            ("verify", "congruence", "--N", "12", "--S", "0"),
+            ("verify", "retraction", "--N", "12", "--S", "0"),
         ],
-        ids=["boundary", "upset", "eval", "verify boundary", "verify nbhd_nesting"],
+        ids=[
+            "boundary",
+            "upset",
+            "eval",
+            "verify boundary",
+            "verify nbhd_nesting",
+            "plan nbhd_nesting",
+            "plan upset_char",
+            "plan nbhd_translation",
+            "plan convergence_probe",
+            "plan oracle_equiv",
+            "plan green_relations",
+            "plan congruence",
+            "plan retraction",
+        ],
     )
     def test_refusal_returns_promptly(self, argv):
-        proc = run_cli(*argv, timeout=30)
+        proc = run_cli(*argv, timeout=10)
         assert proc.returncode == 2
         assert json.loads(proc.stdout)["error"]["type"] == "OverBudget"
 
@@ -561,22 +567,23 @@ class TestBudget:
                 "verify enumerates 7*2^16+7 elements, above the budget of 65536",
             ),
             (
+                # 30720 elements, one unit per triple
                 ["verify", "assoc", "--N", "13", "--S", "2"],
-                "verify assoc walks 40960^3 element tuples, above the budget of 16777216",
+                "verify assoc plans 28991029248000 units, above the budget of 16777216",
             ),
             (
-                ["verify", "ext_assoc", "--N", "10", "--S", "2", "--j", "2"],
-                "verify ext_assoc walks 5127^3 element tuples, above the budget of 16777216",
+                # 3840 maps of noise up to 10 and 7 integers
+                ["verify", "ext_assoc", "--N", "10", "--S", "2", "--j", "10"],
+                "verify ext_assoc plans 56933326423 units, above the budget of 16777216",
             ),
             (
+                # 2^16 offset sets compared pairwise
                 ["verify", "nbhd_monotone", "--N", "1", "--S", "0", "--j", "17"],
-                "verify nbhd_monotone walks 21^1 element tuples for each of 2^32 offset-set tuples, "
-                "above the budget of 16777216",
+                "verify nbhd_monotone plans 4294967296 units, above the budget of 16777216",
             ),
             (
                 ["verify", "offset_classes", "--N", "1", "--S", "0", "--j", "17"],
-                "verify offset_classes walks 2^1 element tuples for each of 2^32 offset-set tuples, "
-                "above the budget of 16777216",
+                "verify offset_classes plans 4294967296 units, above the budget of 16777216",
             ),
             (
                 ["verify", "assoc", "--N", "1", "--S", "9" * 4300],
@@ -817,3 +824,60 @@ class TestReadme:
     )
     def test_example_output_matches(self, argv, code, doc):
         assert invoke(argv) == (code, doc)
+
+
+# small and huge values for every integer option: 17 lists 2^16 offset
+# sets, 40 and 10^10 are past every budget
+_NUMBERS = ("0", "1", "2", "3", "17", "40", "10000000000")
+_EXPRS = ("a", "b*a", "iso([2],0)", "iso([1,3],1)", "grp(1)", "e[3]*b^2", "b^1000000000", "a^", "x")
+_OFFSETS = ("none", "all", "2", "2,3", "x")
+
+
+def _argv():
+    number = st.sampled_from(_NUMBERS)
+    expr = st.sampled_from(_EXPRS)
+    offsets = st.sampled_from(_OFFSETS)
+    level = st.one_of(st.just(()), number.map(lambda j: ("--j", j)))
+    verify = st.tuples(
+        st.just(("verify",)),
+        st.sampled_from((*properties.known_properties(), "nope")).map(lambda pid: (pid,)),
+        number.map(lambda n: ("--N", n)),
+        st.sampled_from((*_NUMBERS, "9" * 4300)).map(lambda s: ("--S", s)),
+        level,
+    )
+    other = st.one_of(
+        st.tuples(st.just(("eval",)), expr.map(lambda x: (x,)), level),
+        st.tuples(st.just(("classify",)), expr.map(lambda x: (x,)), number.map(lambda j: ("--j", j)),
+                  offsets.map(lambda m: ("--M", m))),
+        st.tuples(st.just(("green",)), st.sampled_from("LRHDJ").map(lambda r: (r,)), expr.map(lambda x: (x,)),
+                  expr.map(lambda x: (x,))),
+        st.tuples(st.just(("order",)), expr.map(lambda x: (x,)), expr.map(lambda x: (x,))),
+        st.tuples(st.sampled_from(("pi", "arrow")).map(lambda c: (c,)), expr.map(lambda x: (x,))),
+        st.tuples(st.just(("normalize",)), st.sampled_from(("ab", "bbaba", "", "abc")).map(lambda w: (w,))),
+        st.tuples(st.just(("nbhd",)), expr.map(lambda x: (x,)), number.map(lambda k: ("--k", k)),
+                  number.map(lambda i: ("--i", i)), number.map(lambda j: ("--j", j))),
+        st.tuples(st.just(("converge", "--k", "0")), offsets.map(lambda o: ("--offsets", o)),
+                  number.map(lambda j: ("--j", j))),
+        st.tuples(st.just(("distinguish",)), offsets.map(lambda m: (m,)), offsets.map(lambda m: (m,)),
+                  number.map(lambda j: ("--j", j))),
+        st.tuples(st.just(("upset",)), expr.map(lambda x: (x,)), number.map(lambda j: ("--j", j)),
+                  number.map(lambda b: ("--bound", b))),
+        st.tuples(st.just(("boundary",)), number.map(lambda j: ("--j", j))),
+        st.tuples(st.sampled_from(((), ("nope",), ("verify",), ("eval", "a", "--j", "x")))),
+    )
+    return st.one_of(verify, other).map(lambda parts: [word for part in parts for word in part])
+
+
+class TestFuzz:
+    @settings(deadline=None, max_examples=60)
+    @given(_argv())
+    def test_every_call_prints_one_document_and_a_known_code(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), argv
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        doc = json.loads(lines[0])
+        assert doc["schema"] == 1
+        assert ("error" in doc) == (code == 2), argv

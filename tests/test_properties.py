@@ -1,5 +1,7 @@
+import os
+import sys
 import tracemalloc
-from itertools import count
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -146,45 +148,114 @@ def test_suite_size_counts_at_least_the_walked_pool(n, s):
         "word_soundness": [],
     }
     for pid, pool in pools.items():
-        shifts, extra, arity, _ = suite_size(pid, bounds)
+        shifts, extra = suite_size(pid, bounds)
         assert len(pool) <= (shifts << n) + extra, (pid, n, s)
     # the counts are exact where every candidate shift is admissible: none
     # sends the least domain point below 1 once s is 0 and no noise cap applies
-    assert suite_size("assoc", EnumBounds(n, 0))[:2] == (1, 0)
+    assert suite_size("assoc", EnumBounds(n, 0)) == (1, 0)
     assert len(list(enumerate_elements(EnumBounds(n, 0)))) == 1 << n
 
 
-def test_every_suite_has_a_size():
-    arities = {pid: suite_size(pid, EnumBounds(2, 1))[2] for pid in known_properties()}
-    assert set(arities.values()) <= {1, 2, 3}
-    assert arities["assoc"] == arities["ext_assoc"] == arities["natural_order"] == 3
-    assert arities["nbhd_product"] == arities["oracle_equiv"] == 2
+def test_suite_size_is_refused_for_an_unknown_suite():
     with pytest.raises(UnknownProperty):
         suite_size("not_a_property", EnumBounds(1, 0))
 
 
-def test_suite_size_counts_offset_set_tuples():
-    # level j has 2^(j-1) offset sets; a suite nests 0, 1 or 2 loops over them
-    bounds = EnumBounds(2, 1)
-    nested = {pid: suite_size(pid, bounds, 17)[3] // 16 for pid in known_properties()}
-    assert {pid for pid, sets in nested.items() if sets == 2} == {
-        "offset_classes",
-        "nbhd_monotone",
-        "convergence_probe",
-    }
-    assert {pid for pid, sets in nested.items() if sets == 1} == {
-        "class_closure",
-        "nbhd_nesting",
-        "nbhd_inversion",
-        "nbhd_translation",
-        "nbhd_product",
-        "nbhd_hausdorff",
-        "upset_char",
-    }
-    # without a level each suite counts at its own default
-    assert suite_size("offset_classes", bounds)[3] == 4
-    assert suite_size("nbhd_monotone", bounds)[3] == 2
-    assert suite_size("nbhd_inversion", bounds, 0)[3] == 0
+# every suite call of tests/test_acceptance.py: (suite, N, S, j)
+ACCEPTANCE_CALLS = [
+    *(
+        (pid, 4, 2, None)
+        for pid in (
+            "oracle_equiv",
+            "inverse_axioms",
+            "idempotent_iff",
+            "green_relations",
+            "natural_order",
+            "congruence",
+            "retraction",
+            "absorption",
+            "tail_chain",
+            "conjugation",
+            "bicyclic_hom",
+        )
+    ),
+    ("assoc", 3, 2, None),
+    *((pid, 5, 2, j) for pid in ("offset_classes", "class_closure") for j in (2, 3, 4)),
+    *((pid, 6, 3, None) for pid in ("noise_one_absent", "series_strict")),
+    *(("boundary", 6, 2, j) for j in (2, 3, 4, 5, 6)),
+    *(
+        (pid, 4, 2, j)
+        for pid in ("ext_assoc", "ext_ideal", "ext_order", "ext_commute", "ext_surjective", "ext_translation")
+        for j in (2, 3)
+    ),
+    *(
+        (pid, 8, 2, j)
+        for pid in (
+            "nbhd_product",
+            "nbhd_translation",
+            "nbhd_inversion",
+            "upset_char",
+            "nbhd_nesting",
+            "nbhd_hausdorff",
+            "nbhd_monotone",
+        )
+        for j in (2, 3)
+    ),
+    *(("convergence_probe", 3, 2, j) for j in (2, 3, 4)),
+    ("word_soundness", 3, 2, None),
+]
+
+
+def _verify_planned(monkeypatch, pid, bounds, params):
+    """verify's report and the units its suite planned."""
+    tallies = []
+
+    class Recording(_Tally):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tallies.append(self)
+
+    monkeypatch.setattr(properties, "_Tally", Recording)
+    report = verify(pid, bounds, params)
+    return report, tallies[-1].planned
+
+
+@pytest.mark.parametrize("pid,n,s,j", ACCEPTANCE_CALLS)
+def test_acceptance_plans_cover_the_instances_well_inside_the_budget(monkeypatch, pid, n, s, j):
+    params = None if j is None else NoiseParams(j)
+    report, planned = _verify_planned(monkeypatch, pid, EnumBounds(n, s), params)
+    assert report.instances <= planned <= properties._WORK // 32
+
+
+def test_acceptance_calls_cover_every_suite():
+    assert len(ACCEPTANCE_CALLS) == 55
+    assert {pid for pid, *_ in ACCEPTANCE_CALLS} == set(known_properties())
+
+
+@pytest.mark.parametrize("pid", known_properties())
+def test_plans_bound_the_instances_and_the_calls(monkeypatch, pid):
+    # a plan is honest both ways: no suite checks more instances than it
+    # planned, nor makes more than 64 Python calls into the package per
+    # planned unit, so a budget in units bounds the time a call takes
+    home = os.path.dirname(properties.__file__)
+    calls = 0
+
+    def count_calls(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(home):
+            calls += 1
+
+    levels = (None,) if suite_level(pid) is None else (2, 4)
+    for (n, s), j in product(((0, 0), (3, 2)), levels):
+        calls = 0
+        sys.setprofile(count_calls)
+        try:
+            params = None if j is None else NoiseParams(j)
+            report, planned = _verify_planned(monkeypatch, pid, EnumBounds(n, s), params)
+        finally:
+            sys.setprofile(None)
+        assert report.instances <= planned, (n, s, j)
+        assert calls <= 64 * planned, (n, s, j, calls, planned)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +265,6 @@ def test_suite_size_counts_offset_set_tuples():
 def test_a_suite_given_no_params_runs_at_its_own_level(pid, j):
     bounds = SMOKE_BOUNDS.get(pid, EnumBounds(3, 2))
     assert verify(pid, bounds) == verify(pid, bounds, NoiseParams(j))
-    assert suite_size(pid, bounds) == suite_size(pid, bounds, j)
 
 
 @pytest.mark.parametrize("pid", [pid for pid in known_properties() if suite_level(pid) is None])
