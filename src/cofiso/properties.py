@@ -5,12 +5,13 @@ allow and reports pass/fail with counterexamples.  verify() is the
 single entry point; the bounds pick the enumeration budget and params
 carries the noise bound for the suites that need one.
 
-Every call is bounded.  verify() refuses a pool of more than the listing
-budget (core._BUDGET) elements before it is built, as the offset-set
-lists refuse a level past it.  Each suite then plans its work in units
-(one predicate, product or comparison, weighted where one check hides
-a loop) from the lengths of what it has built, before each costly
-stage; the call is refused with OverBudget once the plans pass _WORK.
+Every call is bounded.  Each pool refuses itself before it is built
+once it would hold more than the listing budget (core._BUDGET)
+elements, as the offset-set lists refuse a level past it.  Each suite
+then plans its work in units (one predicate, product or comparison,
+weighted where one check hides a loop) from the lengths of what it has
+built, before each costly stage; the call is refused with OverBudget
+once the plans pass _WORK.
 """
 
 from __future__ import annotations
@@ -139,22 +140,17 @@ class _Tally:
 
 
 _REGISTRY: dict[str, tuple[str, Callable]] = {}
-# property id -> (pool, default j): see suite_size and suite_level
-_SIZES: dict[str, tuple[Callable, Optional[int]]] = {}
+# property id -> the level its suite runs at when given no params
+_LEVELS: dict[str, Optional[int]] = {}
 
 
-def _enumerated(bounds: EnumBounds) -> tuple[int, int]:
-    """enumerate_elements(bounds) tries 2s+1 shifts on each subset of {1..n}."""
-    return 2 * bounds.s + 1, 0
-
-
-def register(property_id: str, description: str, pool: Callable = _enumerated, j: Optional[int] = None):
-    """Register a suite whose largest element pool ``pool(bounds)``
-    counts, as in suite_size.  A suite that reads a level gets
-    NoiseParams(j) when verify() is given no params."""
+def register(property_id: str, description: str, j: Optional[int] = None):
+    """Register a suite.  A suite that reads a level gets NoiseParams(j)
+    when verify() is given no params.  Each pool a suite builds refuses
+    itself, through _listed or _check_pool, before it is built."""
     def deco(fn):
         _REGISTRY[property_id] = (description, fn)
-        _SIZES[property_id] = (pool, j)
+        _LEVELS[property_id] = j
         return fn
     return deco
 
@@ -163,23 +159,10 @@ def known_properties() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _shape(property_id: str) -> tuple[Callable, Optional[int]]:
-    # a suite put in the registry by hand counts as one enumeration pass
-    return _SIZES.get(property_id, (_enumerated, None))
-
-
 def suite_level(property_id: str) -> Optional[int]:
     """The level a suite runs at when given no params; None for a suite
     that reads no params."""
-    return _shape(property_id)[1]
-
-
-def suite_size(property_id: str, bounds: EnumBounds) -> tuple[int, int]:
-    """(shifts, extra): the suite's largest pool holds at most
-    shifts * 2^n + extra elements.  Read off the bounds without
-    enumerating."""
-    _require_known(property_id)
-    return _shape(property_id)[0](bounds)
+    return _LEVELS.get(property_id)
 
 
 def _require_known(property_id: str) -> None:
@@ -190,17 +173,7 @@ def _require_known(property_id: str) -> None:
 
 
 def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
-    shifts, extra = suite_size(property_id, bounds)
-    budget = core._BUDGET
-    if shifts > budget:
-        # named by its size: 2S+1 may have more digits than str() writes
-        raise OverBudget(
-            f"verify tries at least 2^{shifts.bit_length() - 1} shifts, above the budget of {budget}"
-        )
-    # shifts*2^n + extra elements, decided without building 2^n
-    if shifts and (bounds.n >= budget.bit_length() or (shifts << bounds.n) + extra > budget):
-        count = f"{shifts}*2^{bounds.n}" + (f"+{extra}" if extra else "")
-        raise OverBudget(f"verify enumerates {count} elements, above the budget of {budget}")
+    _require_known(property_id)
     description, fn = _REGISTRY[property_id]
     level = suite_level(property_id)
     if params is None and level is not None:
@@ -215,6 +188,28 @@ def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] =
         tuple(tally.bad),
         tally.failures,
     )
+
+
+def _check_pool(shifts: int, n: int, extra: int = 0) -> None:
+    """Refuse a pool of shifts * 2^n + extra elements past the listing
+    budget, decided without building 2^n."""
+    budget = core._BUDGET
+    if shifts > budget:
+        # named by its size: 2S+1 may have more digits than str() writes
+        raise OverBudget(
+            f"verify tries at least 2^{shifts.bit_length() - 1} shifts, above the budget of {budget}"
+        )
+    if n >= budget.bit_length() or (shifts << n) + extra > budget:
+        count = f"{shifts}*2^{n}" + (f"+{extra}" if extra else "")
+        raise OverBudget(f"verify enumerates {count} elements, above the budget of {budget}")
+
+
+def _listed(bounds: EnumBounds, extra: int = 0) -> list[PartialIso]:
+    """enumerate_elements(bounds) as a list, refused first if it and extra
+    more elements could pass the budget: it tries 2s+1 shifts on each
+    subset of {1..n}."""
+    _check_pool(2 * bounds.s + 1, bounds.n, extra)
+    return list(enumerate_elements(bounds))
 
 
 def _nested_pairs(t, all_p: list[NoiseParams]) -> list[tuple[NoiseParams, NoiseParams]]:
@@ -268,12 +263,12 @@ def _check_assoc(t, univ, mul):
 
 @register("assoc", "composition is associative on every enumerated triple")
 def _assoc(t, bounds, params):
-    _check_assoc(t, list(enumerate_elements(bounds)), operator.mul)
+    _check_assoc(t, _listed(bounds), operator.mul)
 
 
 @register("inverse_axioms", "x*x~*x == x, x~*x*x~ == x~, and partial identities commute")
 def _inverse_axioms(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     idems = [g for g in elems if g.is_idempotent]
     t.plan(10 * len(elems) + 3 * len(idems) ** 2)
     for g in elems:
@@ -288,7 +283,7 @@ def _inverse_axioms(t, bounds, params):
 
 @register("oracle_equiv", "algebraic composition matches the pointwise window oracle on all pairs")
 def _oracle_equiv(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     # a window composition walks up to n + 2s + 2 points
     t.plan(len(elems) ** 2 * (bounds.n + 2 * bounds.s + 4))
     for a in elems:
@@ -298,7 +293,7 @@ def _oracle_equiv(t, bounds, params):
 
 @register("idempotent_iff", "idempotency, being square-fixed, and having shift 0 coincide")
 def _idempotent_iff(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     t.plan(6 * len(elems))
     for g in elems:
         square_fixed = g * g == g
@@ -310,7 +305,7 @@ def _idempotent_iff(t, bounds, params):
 
 @register("green_relations", "the five Green predicates match their idempotent and witness forms")
 def _green_relations(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     span = bounds.n + bounds.s + 1
     # each pair searches the 2*span+1 maps sharing a's domain
     t.plan(len(elems) * (2 * span + 4) + len(elems) ** 2 * (2 * span + 18))
@@ -358,7 +353,7 @@ def _green_relations(t, bounds, params):
 
 @register("natural_order", "the four formulations of the natural order coincide and order the monoid")
 def _natural_order(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     t.plan(11 * len(elems) ** 2)
     ids, table = _numbered_products(elems, operator.mul)
     values = list(ids)
@@ -390,7 +385,7 @@ def _natural_order(t, bounds, params):
 
 @register("congruence", "shift equality is the least group congruence, with explicit witnesses")
 def _congruence(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     idems = [g for g in elems if g.is_idempotent]
     t.plan(8 * len(elems) ** 2 + len(idems) ** 2)
     for a in elems:
@@ -411,7 +406,7 @@ def _congruence(t, bounds, params):
 
 @register("retraction", "tail restriction is an idempotent homomorphism onto the noise-free part")
 def _retraction(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     t.plan(12 * len(elems) + 5 * len(elems) ** 2)
     for g in elems:
         r = g.tail()
@@ -436,7 +431,7 @@ def _retraction(t, bounds, params):
 @register("offset_classes", "domain- and range-side offset conditions agree; extremes collapse", j=3)
 def _offset_classes(t, bounds, params):
     j = params.j
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     all_p = _all_params(j)
     nested = _nested_pairs(t, all_p)
     t.plan(2 * len(all_p) * len(elems) + 2 * len(elems) + len(nested) * (2 * len(elems) + 2))
@@ -460,7 +455,7 @@ def _offset_classes(t, bounds, params):
 @register("class_closure", "every offset class is closed under products and inverses", j=3)
 def _class_closure(t, bounds, params):
     j = params.j
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     all_p = _all_params(j)
     t.plan(len(all_p) * len(elems))
     classes = [[g for g in elems if in_offset_class(g, p)] for p in all_p]
@@ -485,7 +480,7 @@ def _class_closure(t, bounds, params):
 
 @register("noise_one_absent", "no element has noise exactly 1")
 def _noise_one_absent(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     t.plan(len(elems) + 2)
     seen = set()
     for g in elems:
@@ -498,7 +493,7 @@ def _noise_one_absent(t, bounds, params):
 
 @register("series_strict", "the noise filtration is strict at every level from 2 up")
 def _series_strict(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     t.plan(8 * len(elems) + 8)
     for j in range(2, 6):
         w = PartialIso(range(2, j + 1), 0)
@@ -514,7 +509,7 @@ def _series_strict(t, bounds, params):
 
 @register("absorption", "the basepoint identity is absorbed exactly off the point 1, on both sides")
 def _absorption(t, bounds, params):
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     t.plan(6 * len(elems) + 2)
     ba = BETA * ALPHA
     t.check(ba == PartialIso((1,), 0), ba)
@@ -526,7 +521,9 @@ def _absorption(t, bounds, params):
 @register("tail_chain", "the collapsing chain turns any partial identity into a plain tail identity")
 def _tail_chain(t, bounds, params):
     # the chain at depth d flattens the idempotents of the noise-d monoid;
-    # above that noise the head can outrun the d-step sweep
+    # above that noise the head can outrun the d-step sweep.  The
+    # enumerations are streamed, so the pool is refused as _listed would
+    _check_pool(2 * bounds.s + 1, bounds.n)
     for depth in (2, 3, 4):
         idems = [e for e in enumerate_elements(EnumBounds(bounds.n, bounds.s, depth)) if e.is_idempotent]
         t.plan(len(idems) * (2 * depth + 2))
@@ -544,6 +541,8 @@ def _tail_chain(t, bounds, params):
 
 @register("conjugation", "shift conjugation moves a partial identity's head up and keeps its noise")
 def _conjugation(t, bounds, params):
+    # streamed, so the pool is refused as _listed would
+    _check_pool(2 * bounds.s + 1, bounds.n)
     idems = [e for e in enumerate_elements(bounds) if e.is_idempotent]
     t.plan(4 * 12 * len(idems))
     for e in idems:
@@ -562,10 +561,11 @@ def _boundary(t, bounds, params):
     j = params.j
     t.check(bounds.n >= j, bounds.n, j)  # the sweep must reach every candidate point
     ba = BETA * ALPHA
+    # the pool is refused ahead of the 2^(j-1) listed maps
+    candidates = _listed(EnumBounds(bounds.n, bounds.s, j))
     _check_walk(j - 1, "verify lists", "offset sets")
     listed = boundary_set(j)
     t.check(len(listed) == 2 ** (j - 1), j, len(listed))
-    candidates = list(enumerate_elements(EnumBounds(bounds.n, bounds.s, j)))
     t.plan(4 * len(candidates) + 2 * len(listed))
     brute = [g for g in candidates if ba * g != g and g * ba != g]
     found, wanted = set(brute), set(listed)
@@ -580,37 +580,17 @@ def _boundary(t, bounds, params):
 
 
 def _ext_universe(bounds, params):
-    isos = list(enumerate_elements(EnumBounds(bounds.n, bounds.s, params.j)))
     reach = bounds.s + 1
+    isos = _listed(EnumBounds(bounds.n, bounds.s, params.j), 2 * reach + 1)
     return isos + [Group(k) for k in range(-reach, reach + 1)]
 
 
-def _ext_pool(bounds):
-    # the enumeration plus the 2s+3 integers of _ext_universe
-    return 2 * bounds.s + 1, 2 * bounds.s + 3
-
-
-def _zero_upset(bounds):
-    # up_set_truncated(Group(0), ...) lists it and each shift-0 map over {1..n}
-    return 1, 1
-
-
-@register(
-    "ext_assoc",
-    "the extended product is associative across maps and adjoined integers",
-    pool=_ext_pool,
-    j=2,
-)
+@register("ext_assoc", "the extended product is associative across maps and adjoined integers", j=2)
 def _ext_assoc(t, bounds, params):
     _check_assoc(t, _ext_universe(bounds, params), ext_mul)
 
 
-@register(
-    "ext_ideal",
-    "adjoined integers absorb every product and the shift total is additive",
-    pool=_ext_pool,
-    j=2,
-)
+@register("ext_ideal", "adjoined integers absorb every product and the shift total is additive", j=2)
 def _ext_ideal(t, bounds, params):
     univ = _ext_universe(bounds, params)
     t.plan(4 * len(univ) ** 2)
@@ -622,7 +602,7 @@ def _ext_ideal(t, bounds, params):
             t.check(ext_pi(prod) == ext_pi(x) + ext_pi(y), x, y)
 
 
-@register("ext_order", "the extended order is a partial order obeying the level rules", pool=_ext_pool, j=2)
+@register("ext_order", "the extended order is a partial order obeying the level rules", j=2)
 def _ext_order(t, bounds, params):
     univ = _ext_universe(bounds, params)
     t.plan(len(univ) + 6 * len(univ) ** 2)
@@ -646,7 +626,7 @@ def _ext_order(t, bounds, params):
                         t.check(ext_leq(x, z), x, y, z)
 
 
-@register("ext_commute", "adjoined integers commute with every element", pool=_ext_pool, j=2)
+@register("ext_commute", "adjoined integers commute with every element", j=2)
 def _ext_commute(t, bounds, params):
     univ = _ext_universe(bounds, params)
     t.plan(5 * 3 * len(univ))
@@ -655,12 +635,7 @@ def _ext_commute(t, bounds, params):
             t.check(ext_mul(Group(k), x) == ext_mul(x, Group(k)), x, k)
 
 
-@register(
-    "ext_surjective",
-    "pushing all maps down to the zero level fills the reachable levels",
-    pool=_ext_pool,
-    j=2,
-)
+@register("ext_surjective", "pushing all maps down to the zero level fills the reachable levels", j=2)
 def _ext_surjective(t, bounds, params):
     univ = _ext_universe(bounds, params)
     t.plan(2 * len(univ) + 1)
@@ -673,10 +648,11 @@ def _ext_surjective(t, bounds, params):
 @register(
     "ext_translation",
     "level translations are injective, level-true, and undone by the opposite shift",
-    pool=_zero_upset,
     j=2,
 )
 def _ext_translation(t, bounds, params):
+    # Group(0) and each shift-0 map over {1..n}
+    _check_pool(1, bounds.n, 1)
     p = NoiseParams(params.j)
     base = up_set_truncated(Group(0), p, bounds.n)
     t.plan(3 * (10 * len(base.elements) + 2) + 2)
@@ -704,26 +680,11 @@ def _ext_translation(t, bounds, params):
 
 
 def _topo_pool(bounds, params):
-    isos = list(enumerate_elements(EnumBounds(bounds.n, max(bounds.s, 3))))
+    isos = _listed(EnumBounds(bounds.n, max(bounds.s, 3)), 7)
     return params.j, isos + [Group(k) for k in range(-3, 4)]
 
 
-def _nbhd_pool(bounds):
-    # _topo_pool: shifts up to max(s, 3) either way, plus seven integers
-    return 2 * max(bounds.s, 3) + 1, 7
-
-
-def _level_pool(bounds):
-    # upset_pool(k, n): shifts k - 1, k and k + 1
-    return 3, 0
-
-
-def _no_pool(bounds):
-    # a fixed input: the bounds enumerate nothing
-    return 0, 0
-
-
-@register("nbhd_nesting", "neighborhoods shrink as the base index grows", pool=_nbhd_pool, j=2)
+@register("nbhd_nesting", "neighborhoods shrink as the base index grows", j=2)
 def _nbhd_nesting(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     all_p = _all_params(j)
@@ -740,12 +701,7 @@ def _nbhd_nesting(t, bounds, params):
                 )
 
 
-@register(
-    "nbhd_inversion",
-    "members invert into the mirrored neighborhood at the shifted index",
-    pool=_nbhd_pool,
-    j=2,
-)
+@register("nbhd_inversion", "members invert into the mirrored neighborhood at the shifted index", j=2)
 def _nbhd_inversion(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     all_p = _all_params(j)
@@ -775,7 +731,6 @@ def _members_by_level(pool, i, p):
 @register(
     "nbhd_translation",
     "translation carries neighborhoods into the predicted ones, once past the head",
-    pool=_nbhd_pool,
     j=2,
 )
 def _nbhd_translation(t, bounds, params):
@@ -814,12 +769,7 @@ def _nbhd_translation(t, bounds, params):
                         )
 
 
-@register(
-    "nbhd_product",
-    "products of same-index members land in the summed-level neighborhood",
-    pool=_nbhd_pool,
-    j=2,
-)
+@register("nbhd_product", "products of same-index members land in the summed-level neighborhood", j=2)
 def _nbhd_product(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     levels = range(-2, 3)
@@ -851,7 +801,7 @@ def _nbhd_product(t, bounds, params):
                     )
 
 
-@register("nbhd_hausdorff", "neighborhoods of different levels never meet", pool=_nbhd_pool, j=2)
+@register("nbhd_hausdorff", "neighborhoods of different levels never meet", j=2)
 def _nbhd_hausdorff(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     all_p = _all_params(j)
@@ -868,7 +818,7 @@ def _nbhd_hausdorff(t, bounds, params):
                     )
 
 
-@register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", pool=_nbhd_pool, j=2)
+@register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", j=2)
 def _nbhd_monotone(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     nested = _nested_pairs(t, _all_params(j))
@@ -885,13 +835,10 @@ def _nbhd_monotone(t, bounds, params):
                 )
 
 
-@register(
-    "upset_char",
-    "the index cutoff equals exclusion from the cutoff witness's up-set",
-    pool=_level_pool,
-    j=2,
-)
+@register("upset_char", "the index cutoff equals exclusion from the cutoff witness's up-set", j=2)
 def _upset_char(t, bounds, params):
+    # upset_pool(k, n): shifts k - 1, k and k + 1
+    _check_pool(3, bounds.n)
     j = params.j
     # one shift pool per level, shared by every (i, offset set)
     pools = {k: upset_pool(k, bounds.n) for k in range(-2, 3)}
@@ -904,12 +851,7 @@ def _upset_char(t, bounds, params):
                 t.check(nbhd_upset_agreement(k, i, p, pool=pool), k, i, p.offsets)
 
 
-@register(
-    "convergence_probe",
-    "closed-form convergence verdicts match the direct neighborhood probe",
-    pool=_no_pool,
-    j=3,
-)
+@register("convergence_probe", "closed-form convergence verdicts match the direct neighborhood probe", j=3)
 def _convergence_probe(t, bounds, params):
     all_p = _all_params(params.j)
     # each probe builds and tests the ten elements of its closing stretch
@@ -931,7 +873,7 @@ def _convergence_probe(t, bounds, params):
 @register("bicyclic_hom", "normal-form products match map composition through the embedding")
 def _bicyclic_hom(t, bounds, params):
     nfs = [BicyclicNF(k, l) for k in range(7) for l in range(7)]
-    elems = list(enumerate_elements(bounds))
+    elems = _listed(bounds)
     t.plan(3 * len(nfs) + 5 * len(nfs) ** 2 + 4 * len(elems))
     for u in nfs:
         t.check(recognize(embed(u)) == u, u)
@@ -944,11 +886,7 @@ def _bicyclic_hom(t, bounds, params):
             t.check(embed(nf) == g, g, nf)
 
 
-@register(
-    "word_soundness",
-    "random words normalize to the same element along every reduction route",
-    pool=_no_pool,
-)
+@register("word_soundness", "random words normalize to the same element along every reduction route")
 def _word_soundness(t, bounds, params):
     # each word of up to 20 letters is composed and rewritten letter by letter
     t.plan(1 + 1000 * (3 * 20 + 3))

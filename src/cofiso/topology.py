@@ -45,7 +45,9 @@ class NbhdSpec(_Value):
     def __init__(self, k: int, i: int, params: NoiseParams) -> None:
         if i < 1:
             raise ValueError("neighborhood index must be >= 1")
-        super().__init__(k, i, params)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "params", params)
 
 
 def nbhd_member(x: ExtElem, spec: NbhdSpec) -> bool:

@@ -1,5 +1,7 @@
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
@@ -17,7 +19,7 @@ from cofiso.expr import (
     parse,
     unparse,
 )
-from cofiso.extension import Group
+from cofiso.extension import Group, ext_pi
 
 
 class TestParse:
@@ -160,8 +162,50 @@ _PIECES = [
     *("٣", "²", "x", "+", "\u3000", "\x1c", "\n"),
 ]
 
+# (text, shift total) for one factor: a generator, a puncture, a literal
+# (valid or not) or an adjoined integer
+_FACTORS = st.one_of(
+    st.sampled_from([("a", 1), ("b", -1), ("I", 0)]),
+    st.integers(1, 12).map(lambda n: (f"e[{n}]", 0)),
+    st.tuples(st.lists(st.integers(1, 12), max_size=4), st.integers(-6, 6)).map(
+        lambda t: (f"iso([{','.join(map(str, t[0]))}],{t[1]})", t[1])
+    ),
+    st.integers(-5, 5).map(lambda k: (f"grp({k})", k)),
+)
+_EXPONENTS = st.integers(-3, 3) | st.integers(10**9, 10**40) | st.integers(-(10**40), -(10**9))
+
+
+def _compound(inner):
+    """Products of inner texts, and an inner text raised to a chain of
+    powers, each with the shift total of its parse tree."""
+    products = st.lists(inner, min_size=2, max_size=4).map(
+        lambda fs: ("*".join(f for f, _ in fs), sum(total for _, total in fs))
+    )
+    powers = st.tuples(inner, st.lists(_EXPONENTS, min_size=1, max_size=3)).map(
+        lambda t: (f"({t[0][0]})" + "".join(f"^{n}" for n in t[1]), t[0][1] * prod(t[1]))
+    )
+    return products | powers
+
 
 class TestFuzz:
+    # shift totals go as high as 10^480; a hang or a walk over a huge
+    # tail start would pass the deadline
+    @settings(deadline=2000, max_examples=300)
+    @given(st.recursive(_FACTORS, _compound, max_leaves=12))
+    # powers chain to the left: x^10^41 is (x^10)^41
+    @example(("(e[2]*e[7]*b^3)^10^41", -3 * 10 * 41))
+    @example(("((a*e[2])^10^9*b)^10^12", (10 * 9 - 1) * 10 * 12))
+    @example((f"((a*e[2])^{10**9}*b)^{10**12}", (10**9 - 1) * 10**12))
+    def test_evaluate_gives_the_summed_shift_or_a_typed_error(self, case):
+        text, total = case
+        try:
+            value = evaluate(parse(text))
+        except (ParseError, EvalError):
+            return
+        assert ext_pi(value) == total
+        # an adjoined integer absorbs every product and power it is in
+        assert isinstance(value, Group) == ("grp" in text)
+
     @settings(deadline=None, max_examples=400)
     @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
     def test_parse_round_trips_or_locates_its_error(self, text):

@@ -1,4 +1,5 @@
 import os
+import runpy
 import sys
 import tracemalloc
 from itertools import count, product
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from cofiso import properties
 from cofiso.bicyclic import embed, normalize_word, word_iso
-from cofiso.core import IDENTITY, NoiseParams, PartialIso
-from cofiso.extension import Group, ext_inv, ext_mul, up_set_truncated
+from cofiso.core import IDENTITY, NoiseParams, OverBudget, PartialIso
+from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
     Report,
@@ -23,10 +24,9 @@ from cofiso.properties import (
     _topo_pool,
     known_properties,
     suite_level,
-    suite_size,
     verify,
 )
-from cofiso.topology import NbhdSpec, upset_pool
+from cofiso.topology import NbhdSpec
 
 SMOKE_BOUNDS = {
     "assoc": EnumBounds(2, 2),
@@ -135,30 +135,45 @@ def test_ext_assoc_checks_every_triple(j, instances):
     assert instances == len(_ext_universe(EnumBounds(4, 2), NoiseParams(j))) ** 3
 
 
-@pytest.mark.parametrize("n,s", [(0, 0), (2, 0), (3, 1), (4, 2), (5, 4)])
-def test_suite_size_counts_at_least_the_walked_pool(n, s):
-    bounds = EnumBounds(n, s)
-    p = NoiseParams(3)
-    pools = {
-        "assoc": list(enumerate_elements(bounds)),
-        "ext_assoc": _ext_universe(bounds, p),
-        "ext_translation": up_set_truncated(Group(0), p, n).elements,
-        "nbhd_inversion": _topo_pool(bounds, p)[1],
-        "upset_char": max((upset_pool(k, n) for k in range(-2, 3)), key=len),
-        "word_soundness": [],
-    }
-    for pid, pool in pools.items():
-        shifts, extra = suite_size(pid, bounds)
-        assert len(pool) <= (shifts << n) + extra, (pid, n, s)
-    # the counts are exact where every candidate shift is admissible: none
-    # sends the least domain point below 1 once s is 0 and no noise cap applies
-    assert suite_size("assoc", EnumBounds(n, 0)) == (1, 0)
-    assert len(list(enumerate_elements(EnumBounds(n, 0)))) == 1 << n
+# the pool each suite lists first, as its refusal at N=17, S=0 names it:
+# shifts*2^17+extra elements, or None for a suite whose input is fixed
+_EXT = ("ext_assoc", "ext_ideal", "ext_order", "ext_commute", "ext_surjective")
+_NBHD = ("nbhd_nesting", "nbhd_inversion", "nbhd_translation", "nbhd_product", "nbhd_hausdorff", "nbhd_monotone")
+POOL_AT_17 = {
+    **{pid: "1*2^17+3" for pid in _EXT},
+    "ext_translation": "1*2^17+1",
+    **{pid: "7*2^17+7" for pid in _NBHD},
+    "upset_char": "3*2^17",
+    "convergence_probe": None,
+    "word_soundness": None,
+}
+# the suites whose pools do not draw on S
+S_FREE = {"upset_char", "ext_translation", "convergence_probe", "word_soundness"}
 
 
-def test_suite_size_is_refused_for_an_unknown_suite():
-    with pytest.raises(UnknownProperty):
-        suite_size("not_a_property", EnumBounds(1, 0))
+@pytest.mark.parametrize("pid", known_properties())
+def test_every_pool_refuses_itself(pid):
+    # each pool is refused before it is built, so a suite that lists one
+    # without _listed or _check_pool names a plan here, or none
+    pool = POOL_AT_17.get(pid, "1*2^17")
+    if pool is None:
+        assert verify(pid, EnumBounds(17, 0), NoiseParams(2)).passed
+    else:
+        message = f"verify enumerates {pool} elements, above the budget of 65536"
+        with pytest.raises(OverBudget) as info:
+            verify(pid, EnumBounds(17, 0), NoiseParams(2))
+        assert str(info.value) == message
+    if pid in S_FREE:
+        assert verify(pid, EnumBounds(1, 32768), NoiseParams(2)).passed
+    else:
+        with pytest.raises(OverBudget) as info:
+            verify(pid, EnumBounds(1, 32768), NoiseParams(2))
+        assert str(info.value) == "verify tries at least 2^16 shifts, above the budget of 65536"
+    if pid == "boundary":
+        # the pool is named ahead of the 2^16 maps the level would list
+        with pytest.raises(OverBudget) as info:
+            verify(pid, EnumBounds(17, 0), NoiseParams(17))
+        assert str(info.value) == "verify enumerates 1*2^17 elements, above the budget of 65536"
 
 
 # every suite call of tests/test_acceptance.py: (suite, N, S, j)
@@ -220,16 +235,26 @@ def _verify_planned(monkeypatch, pid, bounds, params):
     return report, tallies[-1].planned
 
 
+# the benchmark's sweep plan and instance counts, run from its source
+# file, which writes no bytecode beside it
+SWEEP = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "sweep.py"))
+
+
 @pytest.mark.parametrize("pid,n,s,j", ACCEPTANCE_CALLS)
 def test_acceptance_plans_cover_the_instances_well_inside_the_budget(monkeypatch, pid, n, s, j):
     params = None if j is None else NoiseParams(j)
     report, planned = _verify_planned(monkeypatch, pid, EnumBounds(n, s), params)
     assert report.instances <= planned <= properties._WORK // 32
+    assert report.instances == SWEEP["EXPECTED_INSTANCES"][(pid, j)]
 
 
 def test_acceptance_calls_cover_every_suite():
     assert len(ACCEPTANCE_CALLS) == 55
     assert {pid for pid, *_ in ACCEPTANCE_CALLS} == set(known_properties())
+
+
+def test_acceptance_calls_match_the_benchmark_sweep():
+    assert set(ACCEPTANCE_CALLS) == set(SWEEP["PLAN"])
 
 
 @pytest.mark.parametrize("pid", known_properties())
