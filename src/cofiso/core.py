@@ -260,10 +260,20 @@ class PartialIso:
         return from_anatomy(self.dom_min + self.shift, self.gaps, -self.shift)
 
     def __pow__(self, n: int) -> "PartialIso":
-        """Square and multiply: O(log |n|) compositions."""
+        """The n-th power; a negative n powers the inverse.
+
+        A map with no head, x -> x + s on [u, oo), has a closed form: its
+        power x -> x + n*s is defined where all n steps stay in [u, oo),
+        which is [u, oo) when s >= 0 and [u + (n-1)*|s|, oo) when s < 0,
+        so it costs O(1) whatever n.  Any other map squares and
+        multiplies: O(log |n|) compositions.
+        """
         base = self if n >= 0 else self.inverse()
-        out = IDENTITY
         n = abs(n)
+        if n and not base.gaps:
+            u, s = base.dom_min, base.shift
+            return from_anatomy(u if s >= 0 else u - (n - 1) * s, 0, n * s)
+        out = IDENTITY
         while n:
             if n & 1:
                 out = out.compose(base)

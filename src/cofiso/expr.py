@@ -25,6 +25,7 @@ rejected.
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from typing import Optional, Union
@@ -95,12 +96,15 @@ _GENS = {"a": ALPHA, "b": BETA, "I": IDENTITY}
 
 # Every legal sequence of characters.  A greedy match with nothing after it
 # never backtracks, so it ends at the first character no token can start.
-_LEGAL = re.compile(r"(?:[\s\dabIe()\[\],*^-]+|iso|grp)*")
+# Each class lists its ASCII members ahead of \s and \d: re tries them in
+# order, and an ASCII bitmap is tested far faster than a Unicode category,
+# so the characters real input is made of skip the category lookups.
+_LEGAL = re.compile(r"(?:[0-9,abIe()\[\]*^\s\d-]+|iso|grp)*")
 # The next token, after any blanks.
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\],*^-]))")
+_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9\d]+)|(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\],*^-]))")
 # A literal's digits and commas from its first integer on, read in one
 # match.  A repeated character class keeps no backtracking stack.
-_POINTS = re.compile(r"[\d,]*")
+_POINTS = re.compile(r"[0-9,\d]*")
 # Deepest parenthesis nesting parse accepts: each level costs three parser
 # frames, so this keeps parsing far from the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -169,6 +173,21 @@ class _Parser:
             raise ParseError(f"point must be <= {MAX_POINT}", column)
         return values
 
+    def run_points(self, run: str, column: int) -> list[int]:
+        """``points`` of a literal's run, converted by json in one C scan.
+
+        The run holds only digits and commas, starts with a digit and has
+        no empty part, so json gives exactly the integers ``int`` would or
+        raises ValueError: for leading zeros, digits of another script
+        and integers longer than ``int`` reads.  Those, and points over
+        MAX_POINT, go through ``points`` for their value or error.
+        """
+        try:
+            values = json.loads(f"[{run}]")
+        except ValueError:
+            return self.points(run, column)
+        return values if max(values) <= MAX_POINT else self.points(run, column)
+
     def int_token(self, tok) -> int:
         return self.ints(tok[1], tok[2])[0]
 
@@ -221,7 +240,7 @@ class _Parser:
             if self.at("int"):
                 start = self.tok[2] - 1
                 run = _POINTS.match(self.text, start)[0].split(",,", 1)[0].rstrip(",")
-                entries = self.points(run, start + 1)
+                entries = self.run_points(run, start + 1)
                 self.scan(start + len(run))
                 # a comma the run left (",]", ",,", " ,", ", ") goes token by token
                 while self.at(","):

@@ -10,8 +10,8 @@ once it would hold more than the listing budget (core._BUDGET)
 elements, as the offset-set lists refuse a level past it.  Each suite
 then plans its work in units (one predicate, product or comparison,
 weighted where one check hides a loop) from the lengths of what it has
-built, before each costly stage; the call is refused with OverBudget
-once the plans pass _WORK.
+built, or from the bounds alone, before each costly stage; the call is
+refused with OverBudget once the plans pass _WORK.
 """
 
 from __future__ import annotations
@@ -840,11 +840,14 @@ def _upset_char(t, bounds, params):
     # upset_pool(k, n): shifts k - 1, k and k + 1
     _check_pool(3, bounds.n)
     j = params.j
+    _check_walk(j - 1, "verify lists", "offset sets")
+    # planned from the bounds, before any pool or offset set is built: at
+    # most 2^(j-1) offset sets, each checked at 7 indices on 5 pools of at
+    # most 3 * 2^n maps, three predicates a map
+    t.plan(2 ** max(j - 1, 0) * 7 * 5 * (3 * 3 * 2**bounds.n + 3))
     # one shift pool per level, shared by every (i, offset set)
     pools = {k: upset_pool(k, bounds.n) for k in range(-2, 3)}
     all_p = _all_params(j)
-    # each agreement check runs three predicates on each map of its pool
-    t.plan(len(all_p) * 7 * sum(3 * len(pool) + 3 for pool in pools.values()))
     for p in all_p:
         for k, pool in pools.items():
             for i in range(2, 9):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cofiso.bicyclic import BicyclicNF, recognize
 from cofiso.core import (
     ALPHA,
     BETA,
@@ -399,6 +400,27 @@ class TestRepresentation:
             from_anatomy(3, 0, -3)
 
 
+@st.composite
+def noise_0_maps(draw):
+    """Maps with no head whose tail starts up to 10**4 out."""
+    dom_min = draw(st.integers(min_value=1, max_value=10**4))
+    return from_anatomy(dom_min, 0, draw(st.integers(min_value=1 - dom_min, max_value=10**4)))
+
+
+def _nf_power(u, n):
+    """u^n by square and multiply on normal forms; a negative n powers
+    the inverse q^l p^k of q^k p^l."""
+    base = u if n >= 0 else BicyclicNF(u.l, u.k)
+    out = BicyclicNF(0, 0)
+    n = abs(n)
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 class TestPowers:
     def test_square_and_multiply_matches_the_loop(self):
         for g in enumerate_elements(EnumBounds(4, 2)):
@@ -408,6 +430,38 @@ class TestPowers:
                 for _ in range(abs(n)):
                     expected = expected * base
                 assert g ** n == expected, (g, n)
+
+    @settings(deadline=None, max_examples=200)
+    @given(noise_0_maps(), st.integers(-(10**18), 10**18))
+    def test_noise_0_powers_match_bicyclic_arithmetic(self, g, n):
+        assert recognize(g ** n) == _nf_power(recognize(g), n)
+
+    @settings(deadline=None, max_examples=100)
+    @given(noise_0_maps(), st.integers(-40, 40))
+    def test_noise_0_powers_match_the_loop(self, g, n):
+        base = g if n >= 0 else g.inverse()
+        expected = IDENTITY
+        for _ in range(abs(n)):
+            expected = expected * base
+        assert g ** n == expected
+
+    def test_noise_0_powers_compose_nothing(self, monkeypatch):
+        calls = 0
+        compose = PartialIso.compose
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return compose(a, b)
+
+        monkeypatch.setattr(PartialIso, "compose", counted)
+        assert BETA ** 10**18 == from_anatomy(10**18 + 1, 0, -(10**18))
+        assert ALPHA ** -(10**18) == BETA ** 10**18
+        assert calls == 0
+        # a map with a head still squares and multiplies
+        g = BETA * punctured_identity(3)
+        assert (g ** 10).shift == -10
+        assert calls > 0
 
     def test_huge_power_is_one_small_object(self):
         t0 = time.perf_counter()

@@ -1,4 +1,7 @@
+import sys
+from itertools import chain, repeat
 from math import prod
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +9,11 @@ from hypothesis import strategies as st
 
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
 from cofiso.expr import (
+    _LEGAL,
+    _POINTS,
+    _TOKEN,
     MAX_NESTING,
+    MAX_POINT,
     EvalError,
     Gen,
     GrpLit,
@@ -135,6 +142,79 @@ class TestErrors:
     def test_decimal_digits_of_any_script(self):
         assert parse("e[٣]") == Puncture(3)
         assert parse("iso([١,٢٣],-١)") == IsoLit((1, 23), -1)
+
+
+def _chars():
+    """Every character a str can hold, surrogates left out."""
+    return map(chr, chain(range(0xD800), range(0xE000, sys.maxunicode + 1)))
+
+
+_BLANKS = set(filter(str.isspace, _chars()))
+_DECIMALS = set(filter(str.isdecimal, _chars()))
+_SYMBOLS = set("abIe()[],*^-")
+
+
+class TestCharacterClasses:
+    """The scanner's classes list ASCII members ahead of \\s and \\d; they
+    must still accept exactly what str's own predicates name."""
+
+    def test_legal_characters(self):
+        assert set(filter(_LEGAL.fullmatch, _chars())) == _BLANKS | _DECIMALS | _SYMBOLS
+
+    def test_point_run_characters(self):
+        assert set(filter(_POINTS.fullmatch, _chars())) == _DECIMALS | {","}
+
+    def test_token_characters(self):
+        tokens = set(filter(_TOKEN.fullmatch, _chars()))
+        assert tokens == _DECIMALS | _SYMBOLS
+        assert {c for c in tokens if _TOKEN.fullmatch(c).lastgroup == "int"} == _DECIMALS
+        # a blank before a token
+        blank_then_a = filter(None, map(_TOKEN.fullmatch, map(add, _chars(), repeat("a"))))
+        assert {m[0][0] for m in blank_then_a} == _BLANKS
+
+
+_OTHER_DIGITS = "٠١٢٣٤٥٦٧٨٩०१२३४५६७८९０１２３４５６７８９"
+# One part of a literal's point run: ASCII or mixed-script digits, leading
+# zeros, 7-digit points, points over MAX_POINT and integers longer than
+# int() reads.
+_RUN_PARTS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.integers(10**6, 2 * MAX_POINT).map(str),
+    st.integers(0, 10**6).map(lambda n: "0" + str(n)),
+    st.text(alphabet="0123456789" + _OTHER_DIGITS, min_size=1, max_size=8),
+    st.integers(MAX_POINT + 1, 10**40).map(str),
+    st.tuples(st.integers(4301, 4310), st.sampled_from("19٣")).map(lambda t: t[1] * t[0]),
+)
+
+
+def _run_reference(parts):
+    """The IsoLit, or the ParseError's (message, column), that int() read
+    part by part predicts for iso([<parts>],0): the first part int()
+    cannot read is an error, else the first point over MAX_POINT."""
+    columns = [6 + sum(map(len, parts[:n])) + n for n in range(len(parts))]
+    values = []
+    for part, column in zip(parts, columns):
+        try:
+            values.append(int(part))
+        except ValueError:
+            return f"column {column}: integer of {len(part)} digits is too long", column
+    for value, column in zip(values, columns):
+        if value > MAX_POINT:
+            return f"column {column}: point must be <= {MAX_POINT}", column
+    return IsoLit(tuple(values), 0)
+
+
+class TestPointRuns:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_RUN_PARTS, min_size=1, max_size=12))
+    @example(["007", "٣", "1048576"])
+    @example(["1", str(MAX_POINT + 1), "9" * 4301])  # too long wins over too large
+    def test_run_matches_int_per_part(self, parts):
+        try:
+            got = parse(f"iso([{','.join(parts)}],0)")
+        except ParseError as exc:
+            got = str(exc), exc.column
+        assert got == _run_reference(parts)
 
 
 class TestLiterals:

@@ -176,6 +176,20 @@ def test_every_pool_refuses_itself(pid):
         assert str(info.value) == "verify enumerates 1*2^17 elements, above the budget of 65536"
 
 
+def test_upset_char_plans_before_it_lists(monkeypatch):
+    # planned from the bounds, so a call far over the budget builds
+    # neither a level pool nor an offset set
+    def unbuilt(*args):
+        raise AssertionError("built before the plan")
+
+    monkeypatch.setattr(properties, "upset_pool", unbuilt)
+    monkeypatch.setattr(properties, "_all_params", unbuilt)
+    with pytest.raises(OverBudget) as info:
+        verify("upset_char", EnumBounds(14, 0), NoiseParams(17))
+    # 2^16 offset sets * 7 indices * 5 pools * (3 predicates * 3 * 2^14 maps + 3)
+    assert str(info.value) == "verify upset_char plans 338235555840 units, above the budget of 16777216"
+
+
 # every suite call of tests/test_acceptance.py: (suite, N, S, j)
 ACCEPTANCE_CALLS = [
     *(
