@@ -383,6 +383,10 @@ class NoiseParams(_Value):
         """Widest offset set {2, ..., j}."""
         return cls(j, frozenset(range(2, j + 1)))
 
+    # the key of each offset class a neighborhood index keeps, so written out
+    def __hash__(self) -> int:
+        return hash((self.j, self.offsets))
+
     def offset_mask(self, width: int) -> tuple[int, int]:
         """(w, mask) with w >= width and bit w - o of mask set for each
         allowed offset o up to w: the offsets reversed against w, as the

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import operator
 import random
-from collections import defaultdict
+from collections import Counter
 from typing import Callable, Optional
 
 from . import core
@@ -34,6 +34,7 @@ from .core import (
     OverBudget,
     PartialIso,
     _check_walk,
+    _bits,
     _Value,
     boundary_set,
     d_witness,
@@ -66,6 +67,7 @@ from .oracle import EnumBounds, compose_via_window, enumerate_elements
 from .topology import (
     NbhdSpec,
     TailSeqSpec,
+    _MemberIndex,
     converges,
     empirical_converges,
     nbhd_member,
@@ -137,6 +139,17 @@ class _Tally:
                 self.failures += 1
                 if len(self.bad) < _CAP:
                     self.bad.append(tuple(repr(x) for x in info(n)))
+
+    def check_mask(self, count: int, bad: int, info: Callable) -> None:
+        """count checks, as check_all would make them, of which bit n of
+        bad marks the failed n-th; info(n) is called only for the lowest
+        failures, in order, while fewer than _CAP are kept."""
+        self.instances += count
+        self.failures += bad.bit_count()
+        while bad and len(self.bad) < _CAP:
+            low = bad & -bad
+            self.bad.append(tuple(repr(x) for x in info(low.bit_length() - 1)))
+            bad ^= low
 
 
 _REGISTRY: dict[str, tuple[str, Callable]] = {}
@@ -690,15 +703,13 @@ def _nbhd_nesting(t, bounds, params):
     all_p = _all_params(j)
     # two memberships for each x at each (offset set, k, i)
     t.plan(len(all_p) * 5 * 6 * 2 * len(pool))
+    index = _MemberIndex(pool)
     for p in all_p:
         for k in range(-2, 3):
             for i in range(1, 7):
-                inner = NbhdSpec(k, i + 1, p)
-                outer = NbhdSpec(k, i, p)
-                t.check_all(
-                    [not nbhd_member(x, inner) or nbhd_member(x, outer) for x in pool],
-                    lambda n: (pool[n], k, i, p.offsets),
-                )
+                inner = index.mask(NbhdSpec(k, i + 1, p))
+                outer = index.mask(NbhdSpec(k, i, p))
+                t.check_mask(len(pool), inner & ~outer, lambda n: (pool[n], k, i, p.offsets))
 
 
 @register("nbhd_inversion", "members invert into the mirrored neighborhood at the shifted index", j=2)
@@ -706,26 +717,18 @@ def _nbhd_inversion(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     all_p = _all_params(j)
     t.plan(len(pool) + len(all_p) * 5 * 6 * 2 * len(pool))
-    pairs = [(x, ext_inv(x)) for x in pool]
+    # bit n of the second index answers for the inverse of pool[n]
+    index, inverses = _MemberIndex(pool), _MemberIndex([ext_inv(x) for x in pool])
     for p in all_p:
         for k in range(-2, 3):
             for i in range(1, 7):
                 spec = NbhdSpec(k, i, p)
                 mirror = NbhdSpec(-k, max(1, i + k), p)
-                t.check_all(
-                    [nbhd_member(x, spec) == nbhd_member(x_inv, mirror) for x, x_inv in pairs],
+                t.check_mask(
+                    len(pool),
+                    index.mask(spec) ^ inverses.mask(mirror),
                     lambda n: (pool[n], k, i, p.offsets),
                 )
-
-
-def _members_by_level(pool, i, p):
-    by_k = defaultdict(list)
-    for x in pool:
-        if isinstance(x, Group):
-            by_k[x.k].append(x)
-        elif x.tail_start >= i and in_offset_class(x, p):
-            by_k[x.shift].append(x)
-    return by_k
 
 
 @register(
@@ -743,14 +746,22 @@ def _nbhd_translation(t, bounds, params):
         reach = max(head, head + gam.shift)
         steps.extend((gam, reach, i) for i in range(reach + j + 1, reach + j + 3))
     # movers with the same reach share a base index: split once per i
-    indices = {i for _, _, i in steps}
+    per_index = Counter(i for _, _, i in steps)
     # the splits, and two targets for each step and level, each about
     # five units to build
-    t.plan(len(all_p) * (len(indices) * len(pool) + 5 * 10 * len(steps)))
-    for p in all_p:
-        levels = {i: _members_by_level(pool, i, p) for i in indices}
-        # a product, a membership and a tally for each side of each member
-        t.plan(sum(6 * len(levels[i].get(k, ())) for _, _, i in steps for k in range(-2, 3)))
+    t.plan(len(all_p) * (len(per_index) * len(pool) + 5 * 10 * len(steps)))
+    index = _MemberIndex(pool)
+    splits = [(p, {i: index.members(i, p) for i in per_index}) for p in all_p]
+    # a product, a membership and a tally for each side of each member,
+    # planned for every split before the first check
+    t.plan(
+        sum(
+            6 * n * sum(len(levels[i].get(k, ())) for k in range(-2, 3))
+            for _, levels in splits
+            for i, n in per_index.items()
+        )
+    )
+    for p, levels in splits:
         for gam, reach, i in steps:
             by_k = levels[i]
             for k in range(-2, 3):
@@ -775,7 +786,8 @@ def _nbhd_product(t, bounds, params):
     levels = range(-2, 3)
     all_p = _all_params(j)
     t.plan(len(all_p) * 2 * len(pool))
-    splits = [(p, i, _members_by_level(pool, i, p)) for p in all_p for i in range(j + 1, j + 3)]
+    index = _MemberIndex(pool)
+    splits = [(p, i, index.members(i, p)) for p in all_p for i in range(j + 1, j + 3)]
     # every pair of members at the checked levels is checked in some split
     univ = list(
         dict.fromkeys(x for _, _, by_k in splits for k in levels for x in by_k.get(k, []))
@@ -786,17 +798,23 @@ def _nbhd_product(t, bounds, params):
     t.plan(len(univ) ** 2 + sum(size ** 2 + 15 * size + 125 for size in sizes))
     number = {x: n for n, x in enumerate(univ)}
     ids, table = _numbered_products(univ, ext_mul)
-    values = list(ids)
+    products = _MemberIndex(list(ids))
     for p, i, by_k in splits:
+        # per summed level, a "1" at the number of each product inside
+        # its neighborhood
+        inside = {
+            k: _bits(products.mask(NbhdSpec(k, i, p))).ljust(len(ids), "0")
+            for k in {k1 + k2 for k1 in levels for k2 in levels}
+        }
         for k1 in levels:
             for k2 in levels:
-                target = NbhdSpec(k1 + k2, i, p)
+                flags = inside[k1 + k2]
                 ys = by_k.get(k2, [])
                 cols = [number[y] for y in ys]
                 for x in by_k.get(k1, []):
                     row = table[number[x]]
                     t.check_all(
-                        [nbhd_member(values[row[c]], target) for c in cols],
+                        [flags[row[c]] == "1" for c in cols],
                         lambda n: (x, ys[n], k1, k2, i, p.offsets),
                     )
 
@@ -807,15 +825,13 @@ def _nbhd_hausdorff(t, bounds, params):
     all_p = _all_params(j)
     # two memberships for each x at each (offset set, k1 < k2, i)
     t.plan(len(all_p) * 10 * 3 * 2 * len(pool))
+    index = _MemberIndex(pool)
     for p in all_p:
         for k1 in range(-2, 3):
             for k2 in range(k1 + 1, 3):
                 for i in (1, 3, 5):
-                    s1, s2 = NbhdSpec(k1, i, p), NbhdSpec(k2, i, p)
-                    t.check_all(
-                        [not (nbhd_member(x, s1) and nbhd_member(x, s2)) for x in pool],
-                        lambda n: (pool[n], k1, k2, i),
-                    )
+                    s1, s2 = index.mask(NbhdSpec(k1, i, p)), index.mask(NbhdSpec(k2, i, p))
+                    t.check_mask(len(pool), s1 & s2, lambda n: (pool[n], k1, k2, i))
 
 
 @register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", j=2)
@@ -823,16 +839,14 @@ def _nbhd_monotone(t, bounds, params):
     j, pool = _topo_pool(bounds, params)
     nested = _nested_pairs(t, _all_params(j))
     t.plan(len(nested) * 3 * 2 * 2 * len(pool))
+    index = _MemberIndex(pool)
     for p1, p2 in nested:
         m1, m2 = p1.offsets, p2.offsets
         for k in (-1, 0, 2):
             for i in (1, 4):
-                small = NbhdSpec(k, i, p1)
-                large = NbhdSpec(k, i, p2)
-                t.check_all(
-                    [not nbhd_member(x, small) or nbhd_member(x, large) for x in pool],
-                    lambda n: (pool[n], m1, m2, k, i),
-                )
+                small = index.mask(NbhdSpec(k, i, p1))
+                large = index.mask(NbhdSpec(k, i, p2))
+                t.check_mask(len(pool), small & ~large, lambda n: (pool[n], m1, m2, k, i))
 
 
 @register("upset_char", "the index cutoff equals exclusion from the cutoff witness's up-set", j=2)

@@ -15,6 +15,7 @@ from .core import (
     InvalidShift,
     NoiseParams,
     PartialIso,
+    _bits,
     _Value,
     elements,
     from_anatomy,
@@ -54,6 +55,80 @@ def nbhd_member(x: ExtElem, spec: NbhdSpec) -> bool:
     if x.__class__ is Group:  # Group has no subclasses
         return x.k == spec.k
     return x.shift == spec.k and x.tail_start >= spec.i and in_offset_class(x, spec.params)
+
+
+# byte 0 or 1 to the binary digit that int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: list) -> int:
+    """The int whose bit n is set when flags[n] is true, built in one
+    pass: a bit at a time would copy the growing int once per flag."""
+    return int(bytes(flags[::-1]).translate(_DIGITS) or b"0", 2)
+
+
+class _Memo(dict):
+    """A dict that builds a missing key's value as build(key) and keeps
+    it; a key it holds is read at plain dict speed."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build) -> None:
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _MemberIndex:
+    """nbhd_member for a whole pool at once: bit n of mask(spec) is
+    nbhd_member(pool[n], spec).
+
+    Membership splits into three parts, each a mask over the pool: the
+    level (Group(k) or a shift-k map), the tail start (at least i) and
+    the offset class.  A Group passes the last two, so a neighborhood is
+    the three masks ANDed.  Each is built on first use and kept, so a map
+    meets in_offset_class once per offset set.
+    """
+
+    __slots__ = ("pool", "_levels", "_by_level", "_by_tail", "_by_class", "_by_members")
+
+    def __init__(self, pool: list) -> None:
+        self.pool = pool
+        levels = self._levels = [x.k if x.__class__ is Group else x.shift for x in pool]
+        self._by_level = _Memo(lambda k: _mask([level == k for level in levels]))
+        self._by_tail = _Memo(lambda i: _mask([x.__class__ is Group or x.tail_start >= i for x in pool]))
+        self._by_class = _Memo(
+            lambda p: _mask([x.__class__ is Group or in_offset_class(x, p) for x in pool])
+        )
+        self._by_members = _Memo(self._split)
+
+    def mask(self, spec: NbhdSpec) -> int:
+        return self._by_level[spec.k] & self._by_tail[spec.i] & self._by_class[spec.params]
+
+    def members(self, i: int, p: NoiseParams) -> dict:
+        """k -> the members of NbhdSpec(k, i, p) in pool order, for each
+        level k that has one.
+
+        Kept by the members' mask and handed to every later call with the
+        same members, as many offset sets cut a small pool alike: read
+        it, do not change it.
+        """
+        return self._by_members[self._by_tail[i] & self._by_class[p]]
+
+    def _split(self, found: int) -> dict:
+        """The pool entries at the set bits of found, by level: one pass
+        over the members at every level."""
+        by_k: dict = {}
+        levels, pool = self._levels, self.pool
+        digits = _bits(found)
+        n = digits.find("1")
+        while n >= 0:
+            by_k.setdefault(levels[n], []).append(pool[n])
+            n = digits.find("1", n + 1)
+        return by_k
 
 
 class TailSeqSpec(_Value):

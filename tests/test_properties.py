@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cofiso import properties
+from cofiso import properties, topology
 from cofiso.bicyclic import embed, normalize_word, word_iso
 from cofiso.core import IDENTITY, NoiseParams, OverBudget, PartialIso
 from cofiso.extension import Group, ext_inv, ext_mul
@@ -26,7 +26,7 @@ from cofiso.properties import (
     suite_level,
     verify,
 )
-from cofiso.topology import NbhdSpec
+from cofiso.topology import NbhdSpec, _MemberIndex, nbhd_member
 
 SMOKE_BOUNDS = {
     "assoc": EnumBounds(2, 2),
@@ -383,8 +383,9 @@ def _wrong_product(real):
 
 
 def _wrong_split(real):
-    def split(pool, i, p):
-        by_k = real(pool, i, p)
+    def split(index, i, p):
+        # a copy: the index hands the same split to later calls
+        by_k = dict(real(index, i, p))
         by_k[0] = [Group(1)] + by_k[0][1:]
         return by_k
 
@@ -392,20 +393,21 @@ def _wrong_split(real):
 
 
 @pytest.mark.parametrize(
-    "pid,name,wrong",
+    "pid,owner,name,wrong",
     [
-        ("nbhd_inversion", "ext_inv", _wrong_inverse),
-        ("green_relations", "green_r", _wrong_green_r),
-        ("nbhd_translation", "_members_by_level", _wrong_split),
-        ("nbhd_product", "ext_mul", _wrong_product),
+        ("nbhd_inversion", properties, "ext_inv", _wrong_inverse),
+        ("green_relations", properties, "green_r", _wrong_green_r),
+        ("nbhd_translation", _MemberIndex, "members", _wrong_split),
+        ("nbhd_product", properties, "ext_mul", _wrong_product),
     ],
+    ids=["nbhd_inversion", "green_relations", "nbhd_translation", "nbhd_product"],
 )
-def test_hoisted_suites_still_catch_a_planted_fault(monkeypatch, pid, name, wrong):
+def test_hoisted_suites_still_catch_a_planted_fault(monkeypatch, pid, owner, name, wrong):
     # each suite computes this once per call; a fault in it must still show
     bounds, params = EnumBounds(3, 2), NoiseParams(2)
     clean = verify(pid, bounds, params)
     assert clean.passed
-    monkeypatch.setattr(properties, name, wrong(getattr(properties, name)))
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
     report = verify(pid, bounds, params)
     assert report.failures > 0
     assert report.instances == clean.instances
@@ -423,6 +425,22 @@ def _flips_on(shift, noise):
 
     return wrong
 
+
+def _index_flips_on(shift, noise):
+    # the same fault in the membership index: mask flips the bits of the
+    # maps of one shift and noise, as _flips_on flips nbhd_member
+    def wrong(real):
+        def mask(index, spec):
+            flips = sum(
+                1 << n
+                for n, x in enumerate(index.pool)
+                if isinstance(x, PartialIso) and x.shift == shift and x.noise == noise
+            )
+            return real(index, spec) ^ flips
+
+        return mask
+
+    return wrong
 
 
 def _each_nesting(t, pool, all_p, member):
@@ -478,11 +496,11 @@ def _each_monotone(t, pool, all_p, member):
 def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
     # at level 3 the noise-3 maps are members of some neighborhoods
     bounds, params = EnumBounds(4, 2), NoiseParams(3)
-    monkeypatch.setattr(properties, "nbhd_member", _flips_on(2, 3)(properties.nbhd_member))
+    monkeypatch.setattr(_MemberIndex, "mask", _index_flips_on(2, 3)(_MemberIndex.mask))
     report = verify(pid, bounds, params)
     ref = _Tally()
     _, pool = _topo_pool(bounds, params)
-    each(ref, pool, properties._all_params(3), properties.nbhd_member)
+    each(ref, pool, properties._all_params(3), _flips_on(2, 3)(nbhd_member))
     assert (report.instances, report.failures, report.counterexamples) == (
         ref.instances,
         ref.failures,
@@ -524,35 +542,39 @@ def _each_class_closure(t, bounds, params, member):
                 t.check(member(a * b, p), a, b, p.offsets)
 
 
-def _each_product(t, bounds, params, member):
+def _each_product(t, bounds, params, in_offset_class):
+    # nbhd_member reads the planted in_offset_class itself
     j, pool = _topo_pool(bounds, params)
+    levels = range(-2, 3)
     for p in properties._all_params(j):
         for i in range(j + 1, j + 3):
-            by_k = properties._members_by_level(pool, i, p)
-            for k1 in range(-2, 3):
-                for k2 in range(-2, 3):
+            by_k = {k: [x for x in pool if nbhd_member(x, NbhdSpec(k, i, p))] for k in levels}
+            for k1 in levels:
+                for k2 in levels:
                     target = NbhdSpec(k1 + k2, i, p)
-                    for x in by_k.get(k1, []):
-                        for y in by_k.get(k2, []):
-                            t.check(member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
+                    for x in by_k[k1]:
+                        for y in by_k[k2]:
+                            t.check(nbhd_member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
 
 
 @pytest.mark.parametrize(
-    "pid,name,wrong,each,bounds",
+    "pid,owner,name,wrong,each,bounds",
     [
-        ("natural_order", "leq", _flips_on(1, 3), _each_natural_order, EnumBounds(3, 2)),
-        ("class_closure", "in_offset_class", _flips_on(2, 3), _each_class_closure, EnumBounds(4, 2)),
-        ("nbhd_product", "nbhd_member", _flips_on(2, 3), _each_product, EnumBounds(4, 2)),
+        ("natural_order", properties, "leq", _flips_on(1, 3), _each_natural_order, EnumBounds(3, 2)),
+        ("class_closure", properties, "in_offset_class", _flips_on(2, 3), _each_class_closure, EnumBounds(4, 2)),
+        # read by the membership index and by nbhd_member alike
+        ("nbhd_product", topology, "in_offset_class", _flips_on(2, 3), _each_product, EnumBounds(4, 2)),
     ],
+    ids=["natural_order", "class_closure", "nbhd_product"],
 )
-def test_tabled_suites_match_a_check_per_instance(monkeypatch, pid, name, wrong, each, bounds):
+def test_tabled_suites_match_a_check_per_instance(monkeypatch, pid, owner, name, wrong, each, bounds):
     # the suites read pair products from numbered tables; a check per
     # instance on products computed afresh must give the same report
     params = NoiseParams(3)
-    monkeypatch.setattr(properties, name, wrong(getattr(properties, name)))
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
     report = verify(pid, bounds, params)
     ref = _Tally()
-    each(ref, bounds, params, getattr(properties, name))
+    each(ref, bounds, params, getattr(owner, name))
     assert (report.instances, report.failures, report.counterexamples) == (
         ref.instances,
         ref.failures,
@@ -597,3 +619,41 @@ def test_check_all_counts_like_check():
     t.check_all(oks, lambda n: (n, "row"))
     assert (t.instances - 3, t.failures, t.bad) == (each.instances, each.failures, each.bad)
     assert len(t.bad) == properties._CAP
+
+
+def test_check_mask_counts_like_check():
+    def never(n):
+        raise AssertionError("info is read only for a kept failure")
+
+    t = _Tally()
+    t.check_mask(0, 0, never)
+    t.check_mask(3, 0, never)
+    assert (t.instances, t.failures, t.bad) == (3, 0, [])
+    oks = [i % 3 != 1 for i in range(20)]
+    each = _Tally()
+    for i, ok in enumerate(oks):
+        each.check(ok, i, "row")
+    read = []
+
+    def info(n):
+        read.append(n)
+        return n, "row"
+
+    t.check_mask(len(oks), sum(1 << i for i, ok in enumerate(oks) if not ok), info)
+    assert (t.instances - 3, t.failures, t.bad) == (each.instances, each.failures, each.bad)
+    # the lowest failures, in order, and no more than are kept
+    assert read == [1, 4, 7, 10, 13]
+    assert len(t.bad) == properties._CAP
+    # once the cap is reached, failures are counted but never described
+    t.check_mask(2, 0b10, never)
+    assert (t.instances, t.failures) == (25, 8)
+
+
+def test_nbhd_translation_is_refused_before_its_first_check(monkeypatch):
+    # every split is listed and planned before the first product is taken
+    def unchecked(x, y):
+        raise AssertionError("checked before the plan")
+
+    monkeypatch.setattr(properties, "ext_mul", unchecked)
+    with pytest.raises(OverBudget):
+        verify("nbhd_translation", EnumBounds(0, 0), NoiseParams(14))

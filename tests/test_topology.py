@@ -2,8 +2,10 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cofiso.core import ALPHA, IDENTITY, NoiseParams, elements, leq, make, subsets
+from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, elements, from_anatomy, leq, make, subsets
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.topology import (
     NbhdSpec,
@@ -11,6 +13,7 @@ from cofiso.topology import (
     OffsetOutOfRange,
     OutsideSpace,
     TailSeqSpec,
+    _MemberIndex,
     converges,
     cutoff_witness,
     distinguish,
@@ -258,3 +261,35 @@ class TestIndexReadings:
             assert (not leq(mine, g)) == (g.tail_start >= i)
             assert (not leq(padded, g)) == (g.tail_start >= i - k)
         assert any(g.tail_start >= i and leq(padded, g) for g in pool)
+
+
+_FAR = 10**18
+# maps with noise up to 6, above every level checked, and maps whose
+# tail starts past 10^18
+_MAPS = [
+    *elements(range(1, 7), range(-3, 4)),
+    BETA**_FAR,
+    *(from_anatomy(_FAR + 1, gaps, k) for gaps in (0, 0b10, 0b110, 0b1010) for k in range(-3, 4)),
+]
+
+
+class TestMemberIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-4, 4).map(Group), st.sampled_from(_MAPS)), max_size=40),
+        st.one_of(st.integers(1, 12), st.integers(_FAR - 2, _FAR + 6)),
+        st.integers(0, 4),
+    )
+    def test_index_answers_like_nbhd_member(self, pool, i, j):
+        index = _MemberIndex(pool)
+        levels = {x.k if isinstance(x, Group) else x.shift for x in pool}
+        for offsets in subsets(range(2, j + 1)):
+            p = NoiseParams(j, offsets)
+            for k in range(-3, 4):
+                spec = NbhdSpec(k, i, p)
+                mask = index.mask(spec)
+                assert [mask >> n & 1 == 1 for n in range(len(pool))] == [nbhd_member(x, spec) for x in pool]
+                assert mask >> len(pool) == 0
+            # each level's members, in pool order
+            by_filter = {k: [x for x in pool if nbhd_member(x, NbhdSpec(k, i, p))] for k in levels}
+            assert index.members(i, p) == {k: xs for k, xs in by_filter.items() if xs}
