@@ -43,6 +43,11 @@ class OverBudget(ValueError):
 
 # the most elements, subsets, offset sets or excluded points one call may list
 _BUDGET = 1 << 16
+# Largest puncture index or literal point an expression may write, and
+# largest kept offset a convergence probe builds.  A product's noise is at
+# most its factors' largest, so this caps every value's noise and gap mask
+# at 2^20 bits; exponents and shifts stay unbounded.
+MAX_POINT = 1 << 20
 
 
 def _check_walk(exponent: int, what: str, items: str) -> None:
@@ -546,4 +551,5 @@ def boundary_set(j: int) -> tuple[PartialIso, ...]:
     """
     if j < 2:
         raise ValueError("noise bound must be >= 2")
+    _check_walk(j - 1, "boundary lists", "elements")
     return tuple(elements(range(2, j + 1), (0,)))

@@ -30,7 +30,7 @@ import re
 import sys
 from typing import Optional, Union
 
-from .core import ALPHA, BETA, IDENTITY, NoiseParams, PartialIso, _Value, punctured_identity
+from .core import ALPHA, BETA, IDENTITY, MAX_POINT, NoiseParams, PartialIso, _Value, punctured_identity
 from .extension import ExtElem, Group, ext_mul
 
 
@@ -108,10 +108,6 @@ _POINTS = re.compile(r"[0-9,\d]*")
 # Deepest parenthesis nesting parse accepts: each level costs three parser
 # frames, so this keeps parsing far from the interpreter's recursion limit.
 MAX_NESTING = 100
-# Largest puncture index or literal point.  A product's noise is at most
-# its factors' largest, so this caps every value's noise and gap mask at
-# 2^20 bits; exponents and shifts stay unbounded.
-MAX_POINT = 1 << 20
 
 
 class _Parser:

@@ -20,6 +20,7 @@ from .core import (
     NoiseParams,
     PartialIso,
     _bits,
+    _check_walk,
     _Value,
     elements,
     leq,
@@ -98,14 +99,25 @@ class UpSet(_Value):
     __slots__ = ("elements", "complete")
 
 
+def _walked_points(x: ExtElem, bound: int) -> int:
+    """How many points the up-set of x walks up to bound, read off the
+    anatomy: the points below dom_min plus the gaps up to bound."""
+    if isinstance(x, Group):
+        return max(bound, 0)
+    width = min(max(bound + 1 - x.dom_min, 0), x.noise)
+    return min(x.dom_min - 1, max(bound, 0)) + (x.gaps & ((1 << width) - 1)).bit_count()
+
+
 def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
     """All y >= x whose excluded set fits inside {1..bound}: x first
     when it is a Group element, then maps ordered by excluded set.
 
     For a map this is the whole (finite) up-set as soon as bound reaches
     tail_start - 1; for a Group element the up-set is infinite and the
-    truncation is never complete.
+    truncation is never complete.  A walk past the listing budget is
+    refused with OverBudget, ahead of the noise check.
     """
+    _check_walk(_walked_points(x, bound), "upset walks", "subsets")
     if isinstance(x, Group):
         shift, points, complete, members = x.k, range(1, bound + 1), False, [x]
     elif not noise_bounded(x, params.j):

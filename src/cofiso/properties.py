@@ -152,9 +152,9 @@ class _Tally:
             bad ^= low
 
 
-_REGISTRY: dict[str, tuple[str, Callable]] = {}
-# property id -> the level its suite runs at when given no params
-_LEVELS: dict[str, Optional[int]] = {}
+# property id -> (description, the level its suite runs at when given
+# no params, the suite)
+_REGISTRY: dict[str, tuple[str, Optional[int], Callable]] = {}
 
 
 def register(property_id: str, description: str, j: Optional[int] = None):
@@ -162,8 +162,7 @@ def register(property_id: str, description: str, j: Optional[int] = None):
     when verify() is given no params.  Each pool a suite builds refuses
     itself, through _listed or _check_pool, before it is built."""
     def deco(fn):
-        _REGISTRY[property_id] = (description, fn)
-        _LEVELS[property_id] = j
+        _REGISTRY[property_id] = (description, j, fn)
         return fn
     return deco
 
@@ -174,21 +173,16 @@ def known_properties() -> tuple[str, ...]:
 
 def suite_level(property_id: str) -> Optional[int]:
     """The level a suite runs at when given no params; None for a suite
-    that reads no params."""
-    return _LEVELS.get(property_id)
+    that reads no params or an id that is not registered."""
+    return _REGISTRY.get(property_id, (None, None, None))[1]
 
 
-def _require_known(property_id: str) -> None:
+def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
     if property_id not in _REGISTRY:
         raise UnknownProperty(
             f"{property_id!r} is not registered; known: {', '.join(known_properties())}"
         )
-
-
-def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
-    _require_known(property_id)
-    description, fn = _REGISTRY[property_id]
-    level = suite_level(property_id)
+    description, level, fn = _REGISTRY[property_id]
     if params is None and level is not None:
         params = NoiseParams(level)
     tally = _Tally(property_id)
@@ -707,8 +701,7 @@ def _nbhd_nesting(t, bounds, params):
     for p in all_p:
         for k in range(-2, 3):
             for i in range(1, 7):
-                inner = index.mask(NbhdSpec(k, i + 1, p))
-                outer = index.mask(NbhdSpec(k, i, p))
+                inner, outer = index.mask(k, i + 1, p), index.mask(k, i, p)
                 t.check_mask(len(pool), inner & ~outer, lambda n: (pool[n], k, i, p.offsets))
 
 
@@ -722,11 +715,9 @@ def _nbhd_inversion(t, bounds, params):
     for p in all_p:
         for k in range(-2, 3):
             for i in range(1, 7):
-                spec = NbhdSpec(k, i, p)
-                mirror = NbhdSpec(-k, max(1, i + k), p)
                 t.check_mask(
                     len(pool),
-                    index.mask(spec) ^ inverses.mask(mirror),
+                    index.mask(k, i, p) ^ inverses.mask(-k, max(1, i + k), p),
                     lambda n: (pool[n], k, i, p.offsets),
                 )
 
@@ -793,8 +784,8 @@ def _nbhd_product(t, bounds, params):
         dict.fromkeys(x for _, _, by_k in splits for k in levels for x in by_k.get(k, []))
     )
     sizes = [sum(len(by_k.get(k, ())) for k in levels) for _, _, by_k in splits]
-    # each split builds 25 targets, about five units each, and tallies a
-    # row of memberships for each member and level
+    # each split reads 25 level pairs, about five units each, and tallies
+    # a row of memberships for each member and level
     t.plan(len(univ) ** 2 + sum(size ** 2 + 15 * size + 125 for size in sizes))
     number = {x: n for n, x in enumerate(univ)}
     ids, table = _numbered_products(univ, ext_mul)
@@ -803,7 +794,7 @@ def _nbhd_product(t, bounds, params):
         # per summed level, a "1" at the number of each product inside
         # its neighborhood
         inside = {
-            k: _bits(products.mask(NbhdSpec(k, i, p))).ljust(len(ids), "0")
+            k: _bits(products.mask(k, i, p)).ljust(len(ids), "0")
             for k in {k1 + k2 for k1 in levels for k2 in levels}
         }
         for k1 in levels:
@@ -830,7 +821,7 @@ def _nbhd_hausdorff(t, bounds, params):
         for k1 in range(-2, 3):
             for k2 in range(k1 + 1, 3):
                 for i in (1, 3, 5):
-                    s1, s2 = index.mask(NbhdSpec(k1, i, p)), index.mask(NbhdSpec(k2, i, p))
+                    s1, s2 = index.mask(k1, i, p), index.mask(k2, i, p)
                     t.check_mask(len(pool), s1 & s2, lambda n: (pool[n], k1, k2, i))
 
 
@@ -844,8 +835,7 @@ def _nbhd_monotone(t, bounds, params):
         m1, m2 = p1.offsets, p2.offsets
         for k in (-1, 0, 2):
             for i in (1, 4):
-                small = index.mask(NbhdSpec(k, i, p1))
-                large = index.mask(NbhdSpec(k, i, p2))
+                small, large = index.mask(k, i, p1), index.mask(k, i, p2)
                 t.check_mask(len(pool), small & ~large, lambda n: (pool[n], m1, m2, k, i))
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .core import (
+    MAX_POINT,
     InvalidShift,
     NoiseParams,
+    OverBudget,
     PartialIso,
     _bits,
     _Value,
@@ -83,8 +85,8 @@ class _Memo(dict):
 
 
 class _MemberIndex:
-    """nbhd_member for a whole pool at once: bit n of mask(spec) is
-    nbhd_member(pool[n], spec).
+    """nbhd_member for a whole pool at once: bit n of mask(k, i, p) is
+    nbhd_member(pool[n], NbhdSpec(k, i, p)).
 
     Membership splits into three parts, each a mask over the pool: the
     level (Group(k) or a shift-k map), the tail start (at least i) and
@@ -105,8 +107,8 @@ class _MemberIndex:
         )
         self._by_members = _Memo(self._split)
 
-    def mask(self, spec: NbhdSpec) -> int:
-        return self._by_level[spec.k] & self._by_tail[spec.i] & self._by_class[spec.params]
+    def mask(self, k: int, i: int, p: NoiseParams) -> int:
+        return self._by_level[k] & self._by_tail[i] & self._by_class[p]
 
     def members(self, i: int, p: NoiseParams) -> dict:
         """k -> the members of NbhdSpec(k, i, p) in pool order, for each
@@ -216,12 +218,16 @@ def empirical_converges(
     tail_start n, so membership at index i is the index-1 membership
     plus n >= i.  That holds for every i up to depth exactly when every
     element of the stretch is an index-1 member and the stretch starts
-    at depth or later, so the cost does not grow with depth.
+    at depth or later, so the cost does not grow with depth.  An element's
+    gap mask is as wide as the largest kept offset, so one past MAX_POINT
+    is refused with OverBudget before any element is built.
     """
     _require_inside(spec, params)
     start = min_index(spec)
     if horizon < start:
         raise ValueError(f"horizon {horizon} is below the first index {start}")
+    if spec.max_offset > MAX_POINT:
+        raise OverBudget(f"kept offset {spec.max_offset} is above the cap of {MAX_POINT}")
     base = NbhdSpec(k, 1, params)
     stretch = range(max(start, horizon - 9), horizon + 1)
     inside = [nbhd_member(seq_elem(spec, n), base) for n in stretch]

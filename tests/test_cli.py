@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cofiso import cli, core, properties
+from cofiso import cli, core, extension, properties
 from cofiso.cli import invoke, main
 from cofiso.extension import Group
 
@@ -321,6 +321,10 @@ class TestBudget:
                 ["distinguish", "2", "all", "--j", "65538"],
                 "argument m2: all lists 65537 offsets, above the budget of 65536",
             ),
+            (
+                ["converge", "--offsets", "2000000", "--j", "2000000", "--k", "0", "--horizon", "2000020"],
+                "kept offset 2000000 is above the cap of 1048576",
+            ),
         ],
         ids=[
             "boundary",
@@ -330,6 +334,7 @@ class TestBudget:
             "eval budget+1",
             "arrow",
             "all budget+1",
+            "converge far offset",
         ],
     )
     def test_over_budget_is_refused(self, argv, message):
@@ -462,7 +467,7 @@ class TestBudget:
     )
     def test_walked_points_match_the_excluded_set(self, x, bound, points):
         value = cli._value(x)
-        assert cli._walked_points(value, bound) == points
+        assert extension._walked_points(value, bound) == points
         if not isinstance(value, Group) and value.dom_min < 100:
             assert points == len([e for e in value.excluded if e <= bound])
 
@@ -659,7 +664,7 @@ class TestVerify:
             t.check(False, "broken")
 
         monkeypatch.setitem(
-            properties._REGISTRY, "always_fails", ("it always fails", always_fails)
+            properties._REGISTRY, "always_fails", ("it always fails", None, always_fails)
         )
         code, doc = invoke(["verify", "always_fails", "--N", "1", "--S", "0"])
         assert code == 3

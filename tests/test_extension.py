@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
+from cofiso import core
+from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, OverBudget, boundary_set, make
 from cofiso.oracle import EnumBounds, enumerate_elements
 from cofiso.extension import (
     Group,
@@ -97,6 +98,14 @@ class TestUpSet:
     def test_noise_gate(self):
         with pytest.raises(ValueError):
             up_set_truncated(make([3], 0), NoiseParams(2), 4)
+
+    def test_walks_refuse_themselves_outside_the_cli(self, monkeypatch):
+        # the messages the CLI prints, from a Python call
+        monkeypatch.setattr(core, "_BUDGET", 8)
+        with pytest.raises(OverBudget, match=r"^boundary lists 2\^4 elements, above the budget of 8$"):
+            boundary_set(5)
+        with pytest.raises(OverBudget, match=r"^upset walks 2\^4 subsets, above the budget of 8$"):
+            up_set_truncated(Group(0), NoiseParams(3), 4)
 
 
 class TestTranslations:

@@ -66,7 +66,7 @@ def test_counterexamples_are_capped(monkeypatch):
         for i in range(10):
             t.check(False, i)
 
-    monkeypatch.setitem(_REGISTRY, "many_failures", ("fails ten times", many_failures))
+    monkeypatch.setitem(_REGISTRY, "many_failures", ("fails ten times", None, many_failures))
     report = verify("many_failures", EnumBounds(1, 0))
     assert not report.passed
     assert report.instances == 10
@@ -121,7 +121,7 @@ def test_report_counts_every_failure(monkeypatch):
         for i in range(10):
             t.check(False, i)
 
-    monkeypatch.setitem(_REGISTRY, "many_failures", ("fails ten times", many_failures))
+    monkeypatch.setitem(_REGISTRY, "many_failures", ("fails ten times", None, many_failures))
     report = verify("many_failures", EnumBounds(1, 0))
     assert report.failures == 10
     assert len(report.counterexamples) == 5
@@ -430,13 +430,13 @@ def _index_flips_on(shift, noise):
     # the same fault in the membership index: mask flips the bits of the
     # maps of one shift and noise, as _flips_on flips nbhd_member
     def wrong(real):
-        def mask(index, spec):
+        def mask(index, *key):
             flips = sum(
                 1 << n
                 for n, x in enumerate(index.pool)
                 if isinstance(x, PartialIso) and x.shift == shift and x.noise == noise
             )
-            return real(index, spec) ^ flips
+            return real(index, *key) ^ flips
 
         return mask
 
@@ -508,6 +508,19 @@ def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
     )
     # the fault shows in some rows and not in others, more often than kept
     assert properties._CAP < report.failures < report.instances
+
+
+@pytest.mark.parametrize(
+    "pid", ["nbhd_nesting", "nbhd_inversion", "nbhd_hausdorff", "nbhd_monotone", "nbhd_product"]
+)
+def test_indexed_suites_build_no_neighborhood_spec(monkeypatch, pid):
+    # these suites read the membership index by (k, i, offset set) alone
+    def refuse(*args):
+        raise AssertionError(f"NbhdSpec{args} built")
+
+    monkeypatch.setattr(properties, "NbhdSpec", refuse)
+    report = verify(pid, EnumBounds(3, 2), NoiseParams(3))
+    assert report.passed and report.instances > 0
 
 
 def _each_natural_order(t, bounds, params, leq):

@@ -287,7 +287,7 @@ class TestMemberIndex:
             p = NoiseParams(j, offsets)
             for k in range(-3, 4):
                 spec = NbhdSpec(k, i, p)
-                mask = index.mask(spec)
+                mask = index.mask(k, i, p)
                 assert [mask >> n & 1 == 1 for n in range(len(pool))] == [nbhd_member(x, spec) for x in pool]
                 assert mask >> len(pool) == 0
             # each level's members, in pool order
