@@ -177,8 +177,10 @@ class PartialIso:
 
     __slots__ = ("dom_min", "gaps", "shift", "tail_start", "__dict__")
 
-    def __init__(self, excluded: Iterable[int] = (), shift: int = 0) -> None:
-        u, gaps, prev = 1, 0, 0
+    def __init__(self, excluded: Iterable[int] = (), shift: int = 0, *, _run: int = 0) -> None:
+        # _run > 0 stands for the points 1, ..., _run ahead of ``excluded``,
+        # already known to be there: the walk starts past them
+        u, gaps, prev = _run + 1, 0, _run
         for e in excluded:
             if not isinstance(e, int) or e < 1:
                 raise ValueError(f"excluded point {e!r} is not a positive integer")
@@ -369,8 +371,9 @@ class NoiseParams(_Value):
     """
 
     _fields = ("j", "offsets")
-    # the offset_mask memo sits beside the fields: (width built, mask)
-    __slots__ = (*_fields, "_offset_mask")
+    # the offset_mask memo, (width built, mask), and the hash sit beside
+    # the fields
+    __slots__ = (*_fields, "_offset_mask", "_hash")
 
     def __init__(self, j: int, offsets: Iterable[int] = frozenset()) -> None:
         offsets = frozenset(offsets)
@@ -382,15 +385,16 @@ class NoiseParams(_Value):
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "_offset_mask", (0, 0))
+        object.__setattr__(self, "_hash", hash((j, offsets)))
 
     @classmethod
     def full(cls, j: int) -> "NoiseParams":
         """Widest offset set {2, ..., j}."""
         return cls(j, frozenset(range(2, j + 1)))
 
-    # the key of each offset class a neighborhood index keeps, so written out
+    # the key of each offset class a neighborhood index keeps, so hashed once
     def __hash__(self) -> int:
-        return hash((self.j, self.offsets))
+        return self._hash
 
     def offset_mask(self, width: int) -> tuple[int, int]:
         """(w, mask) with w >= width and bit w - o of mask set for each

@@ -59,11 +59,15 @@ class Puncture(_Value):
 
 
 class IsoLit(_Value):
-    __slots__ = ("excluded", "shift")
+    _fields = ("excluded", "shift")
+    # the run memo sits beside the fields: the parser's k when ``excluded``
+    # starts 1, 2, ..., k, and 0 for a node built by hand or unpickled
+    __slots__ = (*_fields, "_run")
 
-    def __init__(self, excluded: tuple, shift: int) -> None:
+    def __init__(self, excluded: tuple, shift: int, *, _run: int = 0) -> None:
         object.__setattr__(self, "excluded", excluded)
         object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "_run", _run)
 
 
 class GrpLit(_Value):
@@ -105,6 +109,46 @@ _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9\d]+)|(?P<name>[abIe])|(?P<sym>iso|grp|[
 # A literal's digits and commas from its first integer on, read in one
 # match.  A repeated character class keeps no backtracking stack.
 _POINTS = re.compile(r"[0-9,\d]*")
+# (n, "1,2,...,n"): the counting text a literal's leading run is compared
+# with, so that no point of the run is converted.  Built on first use, not
+# at import, and replaced whole by a longer one, n doubling up to MAX_POINT.
+_counting = (0, "")
+
+
+def _counting_end(k: int) -> int:
+    """Length of "1,2,...,k": the digits of 1..k plus k - 1 commas."""
+    if not k:
+        return 0
+    d = len(str(k))
+    # 1..k holds k + 1 - 10^(t-1) numbers of t digits or more, t = 1..d
+    return d * (k + 1) - (10**d - 1) // 9 + k - 1
+
+
+def _run_length(run: str) -> int:
+    """The largest k <= MAX_POINT with the run starting 1,2,...,k and then
+    a comma or its end, binary-searched against the counting text."""
+    global _counting
+    # every number but the last takes a digit and a comma
+    top = min(MAX_POINT, (len(run) + 1) // 2)
+    n, text = _counting
+    # the text doubles while the run starts with all of it and may go on
+    while n < top and run.startswith(text):
+        n = min(2 * n or 1, MAX_POINT)
+        text = ",".join(map(str, range(1, n + 1)))
+        _counting = n, text
+    lo, hi = 0, min(n, top) + 1  # the run starts with "1,...,lo", not "1,...,hi"
+    start = 0  # the length of "1,...,lo"
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        end = _counting_end(mid)
+        if run.startswith(text[start:end], start):
+            lo, start = mid, end
+        else:
+            hi = mid
+    # "1,2,34" starts with the text "1,2,3", but its third number is 34
+    return lo - 1 if lo and start < len(run) and run[start] != "," else lo
+
+
 # Deepest parenthesis nesting parse accepts: each level costs three parser
 # frames, so this keeps parsing far from the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -232,11 +276,16 @@ class _Parser:
         if kind == "iso":
             self.expect("(")
             self.expect("[")
-            entries = []
+            entries, k = [], 0
             if self.at("int"):
                 start = self.tok[2] - 1
                 run = _POINTS.match(self.text, start)[0].split(",,", 1)[0].rstrip(",")
-                entries = self.run_points(run, start + 1)
+                k = _run_length(run)
+                # the leading 1,...,k is read as text; the rest, past its
+                # comma, keeps the columns it has in the whole run
+                end = _counting_end(k) + (k > 0)
+                rest = self.run_points(run[end:], start + end + 1) if end < len(run) else ()
+                entries = [*range(1, k + 1), *rest]
                 self.scan(start + len(run))
                 # a comma the run left (",]", ",,", " ,", ", ") goes token by token
                 while self.at(","):
@@ -247,7 +296,7 @@ class _Parser:
             self.expect(",")
             shift = self.signed_int()
             self.expect(")")
-            return IsoLit(tuple(entries), shift)
+            return IsoLit(tuple(entries), shift, _run=k)
         if kind == "grp":
             self.expect("(")
             k = self.signed_int()
@@ -315,8 +364,9 @@ def _eval_operand(node: Node) -> ExtElem:
     if isinstance(node, Puncture):
         return punctured_identity(node.index)
     if isinstance(node, IsoLit):
+        k = node._run
         try:
-            return PartialIso(node.excluded, node.shift)
+            return PartialIso(node.excluded[k:], node.shift, _run=k)
         except ValueError as exc:
             raise EvalError(f"bad literal {unparse(node)}: {exc}") from exc
     if isinstance(node, GrpLit):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from itertools import chain, repeat
 from math import prod
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, make
+from cofiso import expr
+from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, PartialIso, make
 from cofiso.expr import (
     _LEGAL,
     _POINTS,
@@ -79,6 +82,8 @@ class TestParse:
 # Malformed inputs and the exact error each raises: message and column.
 # Recorded from the tokenizer that scanned one character at a time.
 _LONG_BAD = "iso([" + ",".join(map(str, range(1, 1498))) + ",,1499,1500],0)"
+# "1,2,...,300" is 1091 characters long
+_COUNTING_300 = ",".join(map(str, range(1, 301)))
 ERRORS = [
     ("", "column 1: unexpected end of input", 1),
     ("a^ ", "column 3: unexpected end of input", 3),
@@ -118,6 +123,11 @@ ERRORS = [
     ("e[1048577]", "column 3: point must be <= 1048576", 3),
     ("iso([1,1048577],0)", "column 8: point must be <= 1048576", 8),
     ("iso([1, 1048577],0)", "column 9: point must be <= 1048576", 9),
+    # the same two errors after a leading run 1, 2, ..., k, and after a run
+    # whose next part starts like its next number
+    (f"I*iso([{_COUNTING_300},{'1' * 5000}],0)", "column 1100: integer of 5000 digits is too long", 1100),
+    (f"I iso([{_COUNTING_300},1048577],0)", "column 1100: point must be <= 1048576", 1100),
+    ("Iiso([1,2,31048577],0)", "column 11: point must be <= 1048576", 11),
     # parentheses nested past MAX_NESTING, reported at the first one too many
     ("(" * 101 + "a" + ")" * 101, "column 101: parentheses nested deeper than 100", 101),
     ("a*(" * 1000 + "a" + ")" * 1000, "column 303: parentheses nested deeper than 100", 303),
@@ -204,17 +214,116 @@ def _run_reference(parts):
     return IsoLit(tuple(values), 0)
 
 
+def _parse_or_error(parts):
+    try:
+        return parse(f"iso([{','.join(parts)}],0)")
+    except ParseError as exc:
+        return str(exc), exc.column
+
+
+# The points 1, 2, ..., k for k up to 300, or all of them but one, which
+# a wrong counting text would take for a counting run.
+_COUNTING_PREFIXES = st.tuples(st.integers(0, 300), st.just(0) | st.integers(1, 12) | st.integers(1, 300)).map(
+    lambda t: [n for n in range(1, t[0] + 1) if n != t[1]]
+)
+# A counting prefix, read as text, ahead of the parts above.
+_COUNTED_RUNS = st.tuples(_COUNTING_PREFIXES, st.lists(_RUN_PARTS, max_size=6)).map(
+    lambda t: [*map(str, t[0]), *t[1]]
+).filter(bool)
+
+
 class TestPointRuns:
     @settings(deadline=None, max_examples=300)
     @given(st.lists(_RUN_PARTS, min_size=1, max_size=12))
     @example(["007", "٣", "1048576"])
     @example(["1", str(MAX_POINT + 1), "9" * 4301])  # too long wins over too large
     def test_run_matches_int_per_part(self, parts):
-        try:
-            got = parse(f"iso([{','.join(parts)}],0)")
-        except ParseError as exc:
-            got = str(exc), exc.column
-        assert got == _run_reference(parts)
+        assert _parse_or_error(parts) == _run_reference(parts)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_COUNTED_RUNS)
+    @example([*map(str, range(1, 10)), "10"])
+    @example([*map(str, range(1, 10)), "100"])  # "1,...,9,10" is a prefix
+    @example(["1", "2", "3" + str(MAX_POINT)])
+    @example(["1", "2", "03"])
+    @example(["1", "2", "٣"])
+    @example(["1", "2", "4", "5", "6"])
+    def test_counted_run_matches_int_per_part(self, parts):
+        assert _parse_or_error(parts) == _run_reference(parts)
+
+
+# (points, shift) for a literal with a counting prefix: the points after
+# it ascend, repeat, descend or hold 0, and the shift may send the domain
+# minimum below 1
+_COUNTED_LITERALS = st.tuples(
+    _COUNTING_PREFIXES,
+    st.one_of(
+        st.sets(st.integers(1, 320)).map(sorted),
+        st.lists(st.integers(0, 320), max_size=5),
+        st.lists(st.integers(0, 320), max_size=5).map(lambda xs: sorted(xs, reverse=True)),
+    ),
+    st.integers(-330, 5),
+).map(lambda t: ([*t[0], *t[1]], t[2]))
+
+
+def _value_or_message(build):
+    try:
+        return build()
+    except ValueError as exc:
+        cause = exc.__cause__ or exc
+        return type(cause), str(exc)
+
+
+class TestCountedLiterals:
+    """A literal's leading 1, 2, ..., k is read as text and handed to
+    PartialIso as a run: the value and every error stay as if each point
+    were read and walked."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_COUNTED_LITERALS)
+    @example(([1, 2, 3, 3], 0))
+    @example(([1, 2, 3, 2], 0))
+    @example(([1, 2, 3, 0], 0))
+    @example(([1, 2, 3], -4))
+    @example(([1, 2, 3, 7], -3))
+    @example(([1, 2, 4, 5, 6], 0))
+    def test_evaluate_matches_the_point_walk(self, literal):
+        points, shift = literal
+        text = f"iso([{','.join(map(str, points))}],{shift})"
+        got = _value_or_message(lambda: evaluate(parse(text)))
+        want = _value_or_message(lambda: PartialIso(points, shift))
+        if isinstance(want, PartialIso):
+            assert got == want
+        else:
+            assert got == (want[0], f"bad literal {text}: {want[1]}")
+
+    def test_long_run_is_carried_on_the_node(self):
+        k = 10**5
+        points = (*range(1, k + 1), k + 3)
+        node = parse(f"iso([{','.join(map(str, points))}],-7)")
+        assert node._run == k
+        hand = IsoLit(points, -7)
+        assert hand._run == 0
+        assert node == hand and hash(node) == hash(hand) and repr(node) == repr(hand)
+        assert evaluate(node) == evaluate(hand) == PartialIso(points, -7)
+
+    @pytest.mark.parametrize("text", ["iso([1,2,3,5],-1)", "iso([1,2,3],0)*a", "(b*iso([1,2,3,4,9],2))^3"])
+    def test_copies_evaluate_the_same(self, text):
+        node = parse(text)
+        for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+            assert twin == node and evaluate(twin) == evaluate(node)
+            if isinstance(node, IsoLit):  # the memo is no field: a copy walks every point
+                assert (node._run, twin._run) == (3, 0)
+
+    def test_lowered_max_point_still_bounds_the_run(self, monkeypatch):
+        parse(f"iso([{','.join(map(str, range(1, 3001)))}],0)")  # the counting text reaches past 1000
+        monkeypatch.setattr(expr, "MAX_POINT", 1000)
+        counted = ",".join(map(str, range(1, 1001)))
+        assert parse(f"iso([{counted}],0)")._run == 1000
+        with pytest.raises(ParseError) as info:
+            parse(f"iso([{counted},1001],0)")
+        column = 6 + len(counted) + 1
+        assert (str(info.value), info.value.column) == (f"column {column}: point must be <= 1000", column)
 
 
 class TestLiterals:

@@ -41,6 +41,12 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_expr_import_builds_no_counting_text(self):
+        # the text a literal's leading run is compared with is built on first use
+        proc = run_python("-c", "import cofiso.expr as e; print(e._counting)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "(0, '')"
+
     def test_public_names_are_their_home_module_objects(self):
         for name in cofiso.__all__:
             home = importlib.import_module(f"cofiso.{cofiso._HOME[name]}")

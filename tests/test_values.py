@@ -8,7 +8,7 @@ import pytest
 
 from cofiso.bicyclic import BicyclicNF
 from cofiso.core import BETA, NoiseParams, PartialIso, elements, from_anatomy, in_offset_class, make
-from cofiso.expr import Gen, GrpLit, IsoLit, Pow, Prod, Puncture
+from cofiso.expr import Gen, GrpLit, IsoLit, Pow, Prod, Puncture, evaluate, parse
 from cofiso.extension import Group, UpSet
 from cofiso.oracle import EnumBounds
 from cofiso.properties import Report
@@ -127,6 +127,9 @@ def _tail_start_routes():
     yield "literal", g
     yield "literal", PartialIso()
     yield "literal", PartialIso((1, 2, 5), -2)
+    # a parsed literal's leading 1, 2, 3 is passed as a run, not walked
+    yield "parsed literal", evaluate(parse("iso([1,2,3,5,8],-2)"))
+    yield "parsed literal", evaluate(parse("iso([1,2,3],1)"))
     yield "make", h
     yield "from_anatomy", from_anatomy(3, 0b110, -2)
     yield "compose", g * h
@@ -169,3 +172,14 @@ def test_offset_mask_memo_leaves_equality_alone():
     assert not in_offset_class(PartialIso((2,), 0), p)
     assert p == NoiseParams(4, {3}) and hash(p) == hash(NoiseParams(4, {3}))
     assert repr(p) == "NoiseParams(j=4, offsets=frozenset({3}))"
+
+
+def test_noise_params_hash_is_cached_on_the_value():
+    p = NoiseParams(5, {2, 4})
+    twins = (p, NoiseParams(5, [4, 2]), pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p))
+    for q in twins:
+        assert hash(q) == q._hash == hash((5, frozenset({2, 4}))) and q == p
+    assert hash(NoiseParams(0)) == hash((0, frozenset()))
+    assert repr(p) == "NoiseParams(j=5, offsets=frozenset({2, 4}))"
+    with pytest.raises(AttributeError):
+        p._hash = 0
