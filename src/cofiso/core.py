@@ -150,6 +150,19 @@ def _bits(gaps: int) -> str:
     return bin(gaps)[:1:-1] if gaps else ""
 
 
+# byte 0 or 1 to the binary digit that int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask(flags: list) -> int:
+    """The int whose bit n is set when flags[n] is true, the inverse of
+    _bits, built in one pass: a bit at a time would copy the growing int
+    once per flag."""
+    if not any(flags):
+        return 0
+    return int(bytes(flags[::-1]).translate(_DIGITS), 2)
+
+
 def _fill(g: "PartialIso", dom_min: int, gaps: int, shift: int) -> "PartialIso":
     if shift < 1 - dom_min:
         raise InvalidShift(f"shift {shift} sends the domain minimum {dom_min} below 1")

@@ -35,6 +35,7 @@ from .core import (
     PartialIso,
     _check_walk,
     _bits,
+    _mask,
     _Value,
     boundary_set,
     d_witness,
@@ -127,23 +128,11 @@ class _Tally:
             if len(self.bad) < _CAP:
                 self.bad.append(tuple(repr(x) for x in info))
 
-    def check_all(self, oks: list, info: Callable) -> None:
-        """One check per entry of oks, as a row of check calls would make;
-        info(n) gives the n-th entry's counterexample and is called only
-        when that entry failed."""
-        self.instances += len(oks)
-        if all(oks):
-            return
-        for n, ok in enumerate(oks):
-            if not ok:
-                self.failures += 1
-                if len(self.bad) < _CAP:
-                    self.bad.append(tuple(repr(x) for x in info(n)))
-
     def check_mask(self, count: int, bad: int, info: Callable) -> None:
-        """count checks, as check_all would make them, of which bit n of
-        bad marks the failed n-th; info(n) is called only for the lowest
-        failures, in order, while fewer than _CAP are kept."""
+        """count checks, as a row of check calls would make them, of which
+        bit n of bad marks the failed n-th; info(n) gives the n-th
+        counterexample and is called only for the lowest failures, in
+        order, while fewer than _CAP are kept."""
         self.instances += count
         self.failures += bad.bit_count()
         while bad and len(self.bad) < _CAP:
@@ -262,8 +251,9 @@ def _check_assoc(t, univ, mul):
     for x, x_prod, x_left in zip(univ, prod, left):
         for y, xy, y_prod in zip(univ, x_prod, prod):
             # one row: (x*y)*z against x*(y*z) for every z
-            t.check_all(
-                list(map(operator.eq, right[xy], map(x_left.__getitem__, y_prod))),
+            t.check_mask(
+                len(univ),
+                _mask(list(map(operator.ne, right[xy], map(x_left.__getitem__, y_prod)))),
                 lambda n: (x, y, univ[n]),
             )
 
@@ -381,11 +371,12 @@ def _natural_order(t, bounds, params):
                 t.check(leq(a.inverse(), b.inverse()), a, b)
                 t.plan(2 * len(elems))
                 # a*c and b*c from rows a and b, c*a and c*b from row c
-                t.check_all(
-                    [
-                        leq(values[ac], values[bc]) and leq(values[c_row[ai]], values[c_row[bi]])
+                t.check_mask(
+                    len(elems),
+                    _mask([
+                        not (leq(values[ac], values[bc]) and leq(values[c_row[ai]], values[c_row[bi]]))
                         for ac, bc, c_row in zip(a_row, b_row, table)
-                    ],
+                    ]),
                     lambda n: (a, b, elems[n]),
                 )
 
@@ -479,8 +470,9 @@ def _class_closure(t, bounds, params):
         cols = [number[b] for b in members]
         for a in members:
             row = table[number[a]]
-            t.check_all(
-                [in_offset_class(values[row[c]], p) for c in cols],
+            t.check_mask(
+                len(cols),
+                _mask([not in_offset_class(values[row[c]], p) for c in cols]),
                 lambda n: (a, members[n], p.offsets),
             )
 
@@ -570,7 +562,6 @@ def _boundary(t, bounds, params):
     ba = BETA * ALPHA
     # the pool is refused ahead of the 2^(j-1) listed maps
     candidates = _listed(EnumBounds(bounds.n, bounds.s, j))
-    _check_walk(j - 1, "verify lists", "offset sets")
     listed = boundary_set(j)
     t.check(len(listed) == 2 ** (j - 1), j, len(listed))
     t.plan(4 * len(candidates) + 2 * len(listed))
@@ -804,8 +795,9 @@ def _nbhd_product(t, bounds, params):
                 cols = [number[y] for y in ys]
                 for x in by_k.get(k1, []):
                     row = table[number[x]]
-                    t.check_all(
-                        [flags[row[c]] == "1" for c in cols],
+                    t.check_mask(
+                        len(cols),
+                        _mask([flags[row[c]] == "0" for c in cols]),
                         lambda n: (x, ys[n], k1, k2, i, p.offsets),
                     )
 

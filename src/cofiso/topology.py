@@ -18,6 +18,7 @@ from .core import (
     OverBudget,
     PartialIso,
     _bits,
+    _mask,
     _Value,
     elements,
     from_anatomy,
@@ -57,16 +58,6 @@ def nbhd_member(x: ExtElem, spec: NbhdSpec) -> bool:
     if x.__class__ is Group:  # Group has no subclasses
         return x.k == spec.k
     return x.shift == spec.k and x.tail_start >= spec.i and in_offset_class(x, spec.params)
-
-
-# byte 0 or 1 to the binary digit that int(..., 2) reads
-_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _mask(flags: list) -> int:
-    """The int whose bit n is set when flags[n] is true, built in one
-    pass: a bit at a time would copy the growing int once per flag."""
-    return int(bytes(flags[::-1]).translate(_DIGITS) or b"0", 2)
 
 
 class _Memo(dict):

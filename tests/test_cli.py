@@ -377,8 +377,10 @@ class TestBudget:
         code, doc = invoke(["verify", "assoc", "--N", "1", "--S", "0", "--j", "18"])
         assert (code, doc["passed"], doc["instances"]) == (0, True, 8)
         # boundary lists 2^(j-1) elements, nbhd_nesting 2^(j-1) offset sets
-        message = "verify lists 2^17 offset sets, above the budget of 65536"
-        for suite in ("boundary", "nbhd_nesting"):
+        for suite, message in (
+            ("boundary", "boundary lists 2^17 elements, above the budget of 65536"),
+            ("nbhd_nesting", "verify lists 2^17 offset sets, above the budget of 65536"),
+        ):
             doc = invoke(["verify", suite, "--N", "1", "--S", "0", "--j", "18"])
             assert doc == (2, {"schema": 1, "error": {"type": "OverBudget", "message": message}})
 

@@ -13,6 +13,8 @@ from cofiso.core import (
     NoiseParams,
     NotIdempotent,
     PartialIso,
+    _bits,
+    _mask,
     boundary_set,
     d_witness,
     from_anatomy,
@@ -277,6 +279,29 @@ class TestOffsetMask:
     def test_offsets_outside_menu_rejected(self):
         with pytest.raises(ValueError):
             NoiseParams(2, {3})
+
+
+class TestBitRows:
+    """_mask and _bits convert a bit row in opposite directions: flag n
+    of a row is bit n of its mask, the n-th digit of _bits."""
+
+    @given(st.lists(st.booleans(), max_size=200) | st.lists(st.sampled_from([0, 1]), max_size=200))
+    def test_mask_round_trips_with_bits(self, flags):
+        m = _mask(flags)
+        assert _bits(m) == "".join("01"[bool(f)] for f in flags).rstrip("0")
+        assert _mask([d == "1" for d in _bits(m)]) == m
+        assert [m >> n & 1 for n in range(len(flags))] == [int(f) for f in flags]
+
+    def test_a_row_with_no_flag_set_is_zero(self):
+        assert _mask([]) == 0
+        assert _mask([False] * 100) == 0
+        assert _mask([0, 0]) == 0
+
+    def test_a_row_past_a_machine_word_keeps_every_bit(self):
+        flags = [n % 7 == 3 or n == 99 for n in range(100)]
+        m = _mask(flags)
+        assert m.bit_length() == 100
+        assert all((m >> n & 1) == flags[n] for n in range(100))
 
 
 class TestCollapsingChain:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cofiso import properties, topology
 from cofiso.bicyclic import embed, normalize_word, word_iso
-from cofiso.core import IDENTITY, NoiseParams, OverBudget, PartialIso
+from cofiso.core import IDENTITY, NoiseParams, OverBudget, PartialIso, _mask
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
@@ -617,30 +617,13 @@ def test_product_tables_hold_numbers_not_products(pid, bounds, params):
     assert peak < 1 << 20, peak
 
 
-def test_check_all_counts_like_check():
-    def never(n):
-        raise AssertionError("info is read only for a failed entry")
-
-    t = _Tally()
-    t.check_all([], never)
-    t.check_all([True, 1, True], never)
-    assert (t.instances, t.failures, t.bad) == (3, 0, [])
-    oks = [i % 3 != 1 for i in range(20)]
-    each = _Tally()
-    for i, ok in enumerate(oks):
-        each.check(ok, i, "row")
-    t.check_all(oks, lambda n: (n, "row"))
-    assert (t.instances - 3, t.failures, t.bad) == (each.instances, each.failures, each.bad)
-    assert len(t.bad) == properties._CAP
-
-
 def test_check_mask_counts_like_check():
     def never(n):
         raise AssertionError("info is read only for a kept failure")
 
     t = _Tally()
-    t.check_mask(0, 0, never)
-    t.check_mask(3, 0, never)
+    t.check_mask(0, _mask([]), never)
+    t.check_mask(3, _mask([not ok for ok in (True, 1, True)]), never)
     assert (t.instances, t.failures, t.bad) == (3, 0, [])
     oks = [i % 3 != 1 for i in range(20)]
     each = _Tally()
@@ -652,7 +635,7 @@ def test_check_mask_counts_like_check():
         read.append(n)
         return n, "row"
 
-    t.check_mask(len(oks), sum(1 << i for i, ok in enumerate(oks) if not ok), info)
+    t.check_mask(len(oks), _mask([not ok for ok in oks]), info)
     assert (t.instances - 3, t.failures, t.bad) == (each.instances, each.failures, each.bad)
     # the lowest failures, in order, and no more than are kept
     assert read == [1, 4, 7, 10, 13]
