@@ -25,7 +25,6 @@ rejected.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from typing import Optional, Union
@@ -213,21 +212,6 @@ class _Parser:
             raise ParseError(f"point must be <= {MAX_POINT}", column)
         return values
 
-    def run_points(self, run: str, column: int) -> list[int]:
-        """``points`` of a literal's run, converted by json in one C scan.
-
-        The run holds only digits and commas, starts with a digit and has
-        no empty part, so json gives exactly the integers ``int`` would or
-        raises ValueError: for leading zeros, digits of another script
-        and integers longer than ``int`` reads.  Those, and points over
-        MAX_POINT, go through ``points`` for their value or error.
-        """
-        try:
-            values = json.loads(f"[{run}]")
-        except ValueError:
-            return self.points(run, column)
-        return values if max(values) <= MAX_POINT else self.points(run, column)
-
     def int_token(self, tok) -> int:
         return self.ints(tok[1], tok[2])[0]
 
@@ -284,7 +268,7 @@ class _Parser:
                 # the leading 1,...,k is read as text; the rest, past its
                 # comma, keeps the columns it has in the whole run
                 end = _counting_end(k) + (k > 0)
-                rest = self.run_points(run[end:], start + end + 1) if end < len(run) else ()
+                rest = self.points(run[end:], start + end + 1) if end < len(run) else ()
                 entries = [*range(1, k + 1), *rest]
                 self.scan(start + len(run))
                 # a comma the run left (",]", ",,", " ,", ", ") goes token by token

@@ -520,15 +520,15 @@ def _absorption(t, bounds, params):
 @register("tail_chain", "the collapsing chain turns any partial identity into a plain tail identity")
 def _tail_chain(t, bounds, params):
     # the chain at depth d flattens the idempotents of the noise-d monoid;
-    # above that noise the head can outrun the d-step sweep.  The
-    # enumerations are streamed, so the pool is refused as _listed would
-    _check_pool(2 * bounds.s + 1, bounds.n)
+    # above that noise the head can outrun the d-step sweep.  Each depth
+    # sets its own noise cap, so the pool is listed without bounds.j
+    elems = _listed(EnumBounds(bounds.n, bounds.s))
     for depth in (2, 3, 4):
-        idems = [e for e in enumerate_elements(EnumBounds(bounds.n, bounds.s, depth)) if e.is_idempotent]
+        idems = [e for e in elems if e.is_idempotent and e.noise <= depth]
         t.plan(len(idems) * (2 * depth + 2))
         for e in idems:
             t.check(tail_chain(e, depth) == PartialIso(range(1, e.tail_start + depth), 0), e, depth)
-    shifted = next((g for g in enumerate_elements(bounds) if g.shift != 0), None)
+    shifted = next((g for g in elems if g.shift != 0), None)
     if shifted is not None:
         t.plan(1)
         try:
@@ -540,9 +540,7 @@ def _tail_chain(t, bounds, params):
 
 @register("conjugation", "shift conjugation moves a partial identity's head up and keeps its noise")
 def _conjugation(t, bounds, params):
-    # streamed, so the pool is refused as _listed would
-    _check_pool(2 * bounds.s + 1, bounds.n)
-    idems = [e for e in enumerate_elements(bounds) if e.is_idempotent]
+    idems = [e for e in _listed(bounds) if e.is_idempotent]
     t.plan(4 * 12 * len(idems))
     for e in idems:
         for k in range(1, 5):

@@ -231,6 +231,9 @@ _COUNTED_RUNS = st.tuples(_COUNTING_PREFIXES, st.lists(_RUN_PARTS, max_size=6)).
     lambda t: [*map(str, t[0]), *t[1]]
 ).filter(bool)
 
+# A counting prefix and ~2,000 ascending parts after it.
+_LONG_REST = [*map(str, range(1, 51)), *map(str, range(100, 2100))]
+
 
 class TestPointRuns:
     @settings(deadline=None, max_examples=300)
@@ -248,6 +251,11 @@ class TestPointRuns:
     @example(["1", "2", "03"])
     @example(["1", "2", "٣"])
     @example(["1", "2", "4", "5", "6"])
+    # a long rest whose last part int() cannot read, or reads over MAX_POINT
+    @example([*_LONG_REST, "02100"])
+    @example([*_LONG_REST, "٣"])
+    @example([*_LONG_REST, "9" * 4301])
+    @example([*_LONG_REST, str(MAX_POINT + 1)])
     def test_counted_run_matches_int_per_part(self, parts):
         assert _parse_or_error(parts) == _run_reference(parts)
 

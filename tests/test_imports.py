@@ -47,6 +47,12 @@ class TestPackage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "(0, '')"
 
+    def test_expr_import_leaves_json_out(self):
+        # every literal point is read by int(); json loads only with the CLI
+        proc = run_python("-c", "import sys, cofiso.expr; print('json' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_public_names_are_their_home_module_objects(self):
         for name in cofiso.__all__:
             home = importlib.import_module(f"cofiso.{cofiso._HOME[name]}")
