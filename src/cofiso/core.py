@@ -163,18 +163,6 @@ def _mask(flags: list) -> int:
     return int(bytes(flags[::-1]).translate(_DIGITS), 2)
 
 
-def _fill(g: "PartialIso", dom_min: int, gaps: int, shift: int) -> "PartialIso":
-    if shift < 1 - dom_min:
-        raise InvalidShift(f"shift {shift} sends the domain minimum {dom_min} below 1")
-    # the instance is frozen; its slots are written once, here or in
-    # from_anatomy, through the slot setters bound below the class
-    _set_dom_min(g, dom_min)
-    _set_gaps(g, gaps)
-    _set_shift(g, shift)
-    _set_tail_start(g, dom_min + gaps.bit_length())
-    return g
-
-
 @total_ordering
 class PartialIso:
     """A cofinite partial shift: x -> x + shift off the ``excluded`` set.
@@ -206,7 +194,14 @@ class PartialIso:
                 u += 1
             else:
                 gaps |= 1 << (e - u)
-        _fill(self, u, gaps, shift)
+        if shift < 1 - u:
+            raise InvalidShift(f"shift {shift} sends the domain minimum {u} below 1")
+        # the instance is frozen; its slots are written once, here or in
+        # from_anatomy, through the slot setters bound below the class
+        _set_dom_min(self, u)
+        _set_gaps(self, gaps)
+        _set_shift(self, shift)
+        _set_tail_start(self, u + gaps.bit_length())
 
     # -- structure ---------------------------------------------------------
 
@@ -347,8 +342,9 @@ def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:
     marks dom_min + i as excluded, bit 0 clear) and the given shift."""
     if dom_min < 1 or gaps < 0 or gaps & 1:
         raise ValueError(f"no element has dom_min {dom_min} and gap mask {gaps}")
-    # _fill written out: every product, inverse and tail comes through
-    # here, and the extra call layer cost a few percent of the sweep
+    # built without PartialIso.__init__'s walk over the excluded points:
+    # the anatomy is already known, and every product, inverse and tail
+    # comes through here
     if shift < 1 - dom_min:
         raise InvalidShift(f"shift {shift} sends the domain minimum {dom_min} below 1")
     g = object.__new__(PartialIso)

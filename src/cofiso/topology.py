@@ -9,7 +9,7 @@ converge.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import (
     MAX_POINT,
@@ -209,7 +209,9 @@ def empirical_converges(
     tail_start n, so membership at index i is the index-1 membership
     plus n >= i.  That holds for every i up to depth exactly when every
     element of the stretch is an index-1 member and the stretch starts
-    at depth or later, so the cost does not grow with depth.  An element's
+    at depth or later, so the cost does not grow with depth.  The probe
+    stops at the first element outside, and builds none when the stretch
+    starts below depth or depth is below 1.  An element's
     gap mask is as wide as the largest kept offset, so one past MAX_POINT
     is refused with OverBudget before any element is built.
     """
@@ -221,8 +223,9 @@ def empirical_converges(
         raise OverBudget(f"kept offset {spec.max_offset} is above the cap of {MAX_POINT}")
     base = NbhdSpec(k, 1, params)
     stretch = range(max(start, horizon - 9), horizon + 1)
-    inside = [nbhd_member(seq_elem(spec, n), base) for n in stretch]
-    return depth < 1 or (all(inside) and stretch.start >= depth)
+    return depth < 1 or (
+        stretch.start >= depth and all(nbhd_member(seq_elem(spec, n), base) for n in stretch)
+    )
 
 
 def distinguish(m1, m2, j: int) -> TailSeqSpec:
@@ -254,33 +257,23 @@ def cutoff_witness(k: int, i: int):
         return None
 
 
-def upset_pool(k: int, n_max: int = 8) -> tuple[PartialIso, ...]:
+def upset_pool(k: int, n_max: int) -> tuple[PartialIso, ...]:
     """The maps nbhd_upset_agreement checks at level k: every excluded
     subset of {1..n_max} with shift k - 1, k or k + 1."""
     return tuple(elements(range(1, n_max + 1), (k - 1, k, k + 1)))
 
 
-def nbhd_upset_agreement(
-    k: int,
-    i: int,
-    params: NoiseParams,
-    n_max: int = 8,
-    pool: Optional[Iterable[PartialIso]] = None,
-) -> bool:
-    """Check, over a truncated enumeration, that the neighborhood equals
+def nbhd_upset_agreement(k: int, i: int, params: NoiseParams, pool: Iterable[PartialIso]) -> bool:
+    """Check, over the maps of pool (upset_pool(k, n_max), built once per
+    level and shared by every (i, params)), that the neighborhood equals
     {Group(k)} plus the shift-k offset-class members NOT above the cutoff
-    witness (no cut when the witness does not exist).
-
-    ``pool`` is the enumeration to check, ``upset_pool(k, n_max)`` when
-    omitted; a caller checking many (i, params) at one level builds it
-    once and hands it over.
-    """
+    witness (no cut when the witness does not exist)."""
     w = cutoff_witness(k, i)  # refuses i < 2
     spec = NbhdSpec(k, i, params)
     # the level's own base point is a member, the next level's is not
     if not nbhd_member(Group(k), spec) or nbhd_member(Group(k + 1), spec):
         return False
-    for x in upset_pool(k, n_max) if pool is None else pool:
+    for x in pool:
         alt = x.shift == k and in_offset_class(x, params) and (w is None or not leq(w, x))
         if nbhd_member(x, spec) != alt:
             return False

@@ -33,7 +33,7 @@ from cofiso.core import (
     punctured_identity,
     tail_chain,
 )
-from cofiso.oracle import EnumBounds, enumerate_elements
+from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 
 
 class TestConstruction:
@@ -545,3 +545,30 @@ class TestDeepElements:
         assert (set(ab.excluded), ab.shift) == _then_on_sets(a, b)
         ai = a.inverse()
         assert (set(ai.excluded), ai.shift) == _inverse_on_sets(a)
+
+
+def _lift(x, t):
+    """x conjugated up by t points: it sends n + t to x(n) + t."""
+    return from_anatomy(x.dom_min + t, x.gaps, x.shift)
+
+
+class TestScaleInvariance:
+    # lifting by t is an injective homomorphism that keeps inverses, so
+    # every verdict on a pair holds again t points out: this carries the
+    # window oracle, which reaches only small tail starts, out to 10**100
+    def test_every_verdict_holds_t_points_out(self):
+        pool = list(enumerate_elements(EnumBounds(4, 2)))
+        assert len(pool) == 60
+        window = {(a, b): compose_via_window(a, b) for a in pool for b in pool}
+        relations = (leq, green_l, green_r, green_h, green_d)
+        for t in (1, 2**20, 10**18, 10**100):
+            lifted = [_lift(x, t) for x in pool]
+            for a, ta in zip(pool, lifted):
+                assert ta.tail_start == a.tail_start + t, (a, t)
+                assert ta.inverse() == _lift(a.inverse(), t), (a, t)
+                assert ta.tail() == _lift(a.tail(), t), (a, t)
+                assert ta.noise == a.noise and ta.is_idempotent == a.is_idempotent, (a, t)
+                assert head_offsets(ta) == head_offsets(a), (a, t)
+                for b, tb in zip(pool, lifted):
+                    assert ta * tb == _lift(window[a, b], t), (a, b, t)
+                    assert [r(ta, tb) for r in relations] == [r(a, b) for r in relations], (a, b, t)

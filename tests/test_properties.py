@@ -136,12 +136,13 @@ def test_ext_assoc_checks_every_triple(j, instances):
 
 
 # the pool each suite lists first, as its refusal at N=17, S=0 names it:
-# shifts*2^17+extra elements, or None for a suite whose input is fixed
+# shifts*2^17+extra elements, the walk that refuses itself, or None for
+# a suite whose input is fixed
 _EXT = ("ext_assoc", "ext_ideal", "ext_order", "ext_commute", "ext_surjective")
 _NBHD = ("nbhd_nesting", "nbhd_inversion", "nbhd_translation", "nbhd_product", "nbhd_hausdorff", "nbhd_monotone")
 POOL_AT_17 = {
     **{pid: "1*2^17+3" for pid in _EXT},
-    "ext_translation": "1*2^17+1",
+    "ext_translation": "upset walks 2^17 subsets",
     **{pid: "7*2^17+7" for pid in _NBHD},
     "upset_char": "3*2^17",
     "convergence_probe": None,
@@ -159,7 +160,8 @@ def test_every_pool_refuses_itself(pid):
     if pool is None:
         assert verify(pid, EnumBounds(17, 0), NoiseParams(2)).passed
     else:
-        message = f"verify enumerates {pool} elements, above the budget of 65536"
+        what = pool if pool.startswith("upset") else f"verify enumerates {pool} elements"
+        message = f"{what}, above the budget of 65536"
         with pytest.raises(OverBudget) as info:
             verify(pid, EnumBounds(17, 0), NoiseParams(2))
         assert str(info.value) == message
@@ -174,6 +176,14 @@ def test_every_pool_refuses_itself(pid):
         with pytest.raises(OverBudget) as info:
             verify(pid, EnumBounds(17, 0), NoiseParams(17))
         assert str(info.value) == "verify enumerates 1*2^17 elements, above the budget of 65536"
+
+
+@pytest.mark.parametrize("j,instances", [(2, 403), (3, 739)])
+def test_ext_translation_runs_at_the_walk_budget(j, instances):
+    # grp(0)'s up-set walks the 2^16 subsets of {1..16}: at the budget,
+    # not above it, so the call runs
+    report = verify("ext_translation", EnumBounds(16, 0), NoiseParams(j))
+    assert report.passed and report.instances == instances
 
 
 def test_upset_char_plans_before_it_lists(monkeypatch):

@@ -19,7 +19,7 @@ from cofiso.core import (
 from cofiso import topology
 from cofiso.extension import Group, UpSet, up_set_truncated
 from cofiso.oracle import EnumBounds, enumerate_elements
-from cofiso.topology import NbhdSpec, cutoff_witness, nbhd_member, nbhd_upset_agreement
+from cofiso.topology import NbhdSpec, cutoff_witness, nbhd_member, nbhd_upset_agreement, upset_pool
 
 
 def _combos(points):
@@ -172,7 +172,7 @@ def test_nbhd_agreement_matches_old_candidate_loop(monkeypatch):
             for i in range(2, 9):
                 for params in offset_sets:
                     seen.clear()
-                    got = nbhd_upset_agreement(k, i, params, n_max)
+                    got = nbhd_upset_agreement(k, i, params, upset_pool(k, n_max))
                     assert got == _old_agreement(k, i, params, n_max), (k, i, params, n_max)
                     assert seen == pool, (k, i, params, n_max)
 

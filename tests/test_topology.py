@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, elements, from_anatomy, leq, make, subsets
+from cofiso import topology
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.topology import (
     NbhdSpec,
@@ -130,6 +131,29 @@ class TestConverges:
         assert empirical_converges(spec, 0, NoiseParams(2), depth=far - 9, horizon=far)
         assert not empirical_converges(spec, 0, NoiseParams(2), depth=far, horizon=far)
 
+    @pytest.mark.parametrize(
+        "spec,k,p,depth,built",
+        [
+            # the first element is at the wrong level
+            (TailSeqSpec({2}, 0), 1, NoiseParams(2, {2}), 20, 1),
+            # every element of the stretch is a member
+            (TailSeqSpec({2}, 0), 0, NoiseParams(2, {2}), 20, 10),
+            # the stretch 51..60 starts below depth
+            (TailSeqSpec({2}, 0), 0, NoiseParams(2), 52, 0),
+        ],
+        ids=["wrong_level", "every_member", "below_depth"],
+    )
+    def test_probe_stops_at_its_first_miss(self, monkeypatch, spec, k, p, depth, built):
+        calls = []
+
+        def counted(spec, n):
+            calls.append(n)
+            return seq_elem(spec, n)
+
+        monkeypatch.setattr(topology, "seq_elem", counted)
+        assert empirical_converges(spec, k, p, depth) == converges(spec, k, p)
+        assert len(calls) == built
+
 
 def _loop_probe(spec, k, params, depth, horizon):
     """The probe as a loop over every neighborhood index up to depth: the
@@ -193,9 +217,9 @@ class TestDistinguish:
 
 class TestUpsetCharacterization:
     def test_agreement_on_the_frozen_rows(self):
-        assert nbhd_upset_agreement(0, 5, NoiseParams(2, {2}))
-        assert nbhd_upset_agreement(2, 4, NoiseParams(3, {2, 3}))
-        assert nbhd_upset_agreement(-1, 4, NoiseParams(2))
+        assert nbhd_upset_agreement(0, 5, NoiseParams(2, {2}), upset_pool(0, 8))
+        assert nbhd_upset_agreement(2, 4, NoiseParams(3, {2, 3}), upset_pool(2, 8))
+        assert nbhd_upset_agreement(-1, 4, NoiseParams(2), upset_pool(-1, 8))
 
     @pytest.mark.parametrize("j", [2, 3])
     def test_a_shared_pool_gives_the_same_verdicts(self, j):
@@ -207,8 +231,8 @@ class TestUpsetCharacterization:
             p = NoiseParams(j, offsets)
             for k, pool in pools.items():
                 for i in range(2, 9):
-                    shared = nbhd_upset_agreement(k, i, p, pool=pool)
-                    assert shared == nbhd_upset_agreement(k, i, p), (k, i, offsets)
+                    shared = nbhd_upset_agreement(k, i, p, pool)
+                    assert shared and nbhd_upset_agreement(k, i, p, upset_pool(k, 8)), (k, i, offsets)
 
     def test_cutoff_witness_shape(self):
         assert cutoff_witness(0, 4) == make([1, 2], 0)
