@@ -187,26 +187,29 @@ def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] =
     )
 
 
-def _check_pool(shifts: int, n: int, extra: int = 0) -> None:
-    """Refuse a pool of shifts * 2^n + extra elements past the listing
-    budget, decided without building 2^n."""
+def _check_pool(shifts: int, n: int, groups: range = range(0)) -> None:
+    """Refuse a pool of shifts * 2^n maps and a Group for each k in groups
+    past the listing budget, decided without building 2^n."""
     budget = core._BUDGET
     if shifts > budget:
         # named by its size: 2S+1 may have more digits than str() writes
         raise OverBudget(
             f"verify tries at least 2^{shifts.bit_length() - 1} shifts, above the budget of {budget}"
         )
+    # counted only here: a suite's groups are about as many as its
+    # shifts, and len() refuses a range past sys.maxsize
+    extra = len(groups)
     if n >= budget.bit_length() or (shifts << n) + extra > budget:
         count = f"{shifts}*2^{n}" + (f"+{extra}" if extra else "")
         raise OverBudget(f"verify enumerates {count} elements, above the budget of {budget}")
 
 
-def _listed(bounds: EnumBounds, extra: int = 0) -> list[PartialIso]:
-    """enumerate_elements(bounds) as a list, refused first if it and extra
-    more elements could pass the budget: it tries 2s+1 shifts on each
-    subset of {1..n}."""
-    _check_pool(2 * bounds.s + 1, bounds.n, extra)
-    return list(enumerate_elements(bounds))
+def _listed(bounds: EnumBounds, groups: range = range(0)) -> list:
+    """enumerate_elements(bounds) as a list, then Group(k) for each k in
+    groups; refused first if the whole list could pass the budget: it
+    tries 2s+1 shifts on each subset of {1..n}."""
+    _check_pool(2 * bounds.s + 1, bounds.n, groups)
+    return [*enumerate_elements(bounds), *map(Group, groups)]
 
 
 def _nested_pairs(t, all_p: list[NoiseParams]) -> list[tuple[NoiseParams, NoiseParams]]:
@@ -578,8 +581,7 @@ def _boundary(t, bounds, params):
 
 def _ext_universe(bounds, params):
     reach = bounds.s + 1
-    isos = _listed(EnumBounds(bounds.n, bounds.s, params.j), 2 * reach + 1)
-    return isos + [Group(k) for k in range(-reach, reach + 1)]
+    return _listed(EnumBounds(bounds.n, bounds.s, params.j), range(-reach, reach + 1))
 
 
 @register("ext_assoc", "the extended product is associative across maps and adjoined integers", j=2)
@@ -675,15 +677,14 @@ def _ext_translation(t, bounds, params):
 # -- neighborhood filters -------------------------------------------------
 
 
-def _topo_pool(bounds, params):
-    isos = _listed(EnumBounds(bounds.n, max(bounds.s, 3)), 7)
-    return params.j, isos + [Group(k) for k in range(-3, 4)]
+def _topo_pool(bounds):
+    return _listed(EnumBounds(bounds.n, max(bounds.s, 3)), range(-3, 4))
 
 
 @register("nbhd_nesting", "neighborhoods shrink as the base index grows", j=2)
 def _nbhd_nesting(t, bounds, params):
-    j, pool = _topo_pool(bounds, params)
-    all_p = _all_params(j)
+    pool = _topo_pool(bounds)
+    all_p = _all_params(params.j)
     # two memberships for each x at each (offset set, k, i)
     t.plan(len(all_p) * 5 * 6 * 2 * len(pool))
     index = _MemberIndex(pool)
@@ -696,8 +697,8 @@ def _nbhd_nesting(t, bounds, params):
 
 @register("nbhd_inversion", "members invert into the mirrored neighborhood at the shifted index", j=2)
 def _nbhd_inversion(t, bounds, params):
-    j, pool = _topo_pool(bounds, params)
-    all_p = _all_params(j)
+    pool = _topo_pool(bounds)
+    all_p = _all_params(params.j)
     t.plan(len(pool) + len(all_p) * 5 * 6 * 2 * len(pool))
     # bit n of the second index answers for the inverse of pool[n]
     index, inverses = _MemberIndex(pool), _MemberIndex([ext_inv(x) for x in pool])
@@ -717,7 +718,7 @@ def _nbhd_inversion(t, bounds, params):
     j=2,
 )
 def _nbhd_translation(t, bounds, params):
-    j, pool = _topo_pool(bounds, params)
+    j, pool = params.j, _topo_pool(bounds)
     all_p = _all_params(j)
     # (mover, reach, base index): each mover at two indices past its reach
     steps = []
@@ -731,24 +732,20 @@ def _nbhd_translation(t, bounds, params):
     # five units to build
     t.plan(len(all_p) * (len(per_index) * len(pool) + 5 * 10 * len(steps)))
     index = _MemberIndex(pool)
-    splits = [(p, {i: index.members(i, p) for i in per_index}) for p in all_p]
+    splits = [
+        (p, {(i, k): index.members(k, i, p) for i in per_index for k in range(-2, 3)})
+        for p in all_p
+    ]
     # a product, a membership and a tally for each side of each member,
     # planned for every split before the first check
-    t.plan(
-        sum(
-            6 * n * sum(len(levels[i].get(k, ())) for k in range(-2, 3))
-            for _, levels in splits
-            for i, n in per_index.items()
-        )
-    )
-    for p, levels in splits:
+    t.plan(sum(6 * per_index[i] * len(xs) for _, split in splits for (i, _), xs in split.items()))
+    for p, split in splits:
         for gam, reach, i in steps:
-            by_k = levels[i]
             for k in range(-2, 3):
                 left_target = NbhdSpec(gam.pi + k, max(1, i - gam.pi), p)
                 right_target = NbhdSpec(k + gam.pi, i, p)
                 check_right = i > reach + j + max(0, -k)
-                for x in by_k.get(k, []):
+                for x in split[i, k]:
                     t.check(
                         nbhd_member(ext_mul(gam, x), left_target),
                         gam, x, k, i, p.offsets,
@@ -762,17 +759,19 @@ def _nbhd_translation(t, bounds, params):
 
 @register("nbhd_product", "products of same-index members land in the summed-level neighborhood", j=2)
 def _nbhd_product(t, bounds, params):
-    j, pool = _topo_pool(bounds, params)
+    j, pool = params.j, _topo_pool(bounds)
     levels = range(-2, 3)
     all_p = _all_params(j)
     t.plan(len(all_p) * 2 * len(pool))
     index = _MemberIndex(pool)
-    splits = [(p, i, index.members(i, p)) for p in all_p for i in range(j + 1, j + 3)]
+    splits = [
+        (p, i, {k: index.members(k, i, p) for k in levels})
+        for p in all_p
+        for i in range(j + 1, j + 3)
+    ]
     # every pair of members at the checked levels is checked in some split
-    univ = list(
-        dict.fromkeys(x for _, _, by_k in splits for k in levels for x in by_k.get(k, []))
-    )
-    sizes = [sum(len(by_k.get(k, ())) for k in levels) for _, _, by_k in splits]
+    univ = list(dict.fromkeys(x for _, _, by_k in splits for xs in by_k.values() for x in xs))
+    sizes = [sum(map(len, by_k.values())) for _, _, by_k in splits]
     # each split reads 25 level pairs, about five units each, and tallies
     # a row of memberships for each member and level
     t.plan(len(univ) ** 2 + sum(size ** 2 + 15 * size + 125 for size in sizes))
@@ -789,9 +788,9 @@ def _nbhd_product(t, bounds, params):
         for k1 in levels:
             for k2 in levels:
                 flags = inside[k1 + k2]
-                ys = by_k.get(k2, [])
+                ys = by_k[k2]
                 cols = [number[y] for y in ys]
-                for x in by_k.get(k1, []):
+                for x in by_k[k1]:
                     row = table[number[x]]
                     t.check_mask(
                         len(cols),
@@ -802,8 +801,8 @@ def _nbhd_product(t, bounds, params):
 
 @register("nbhd_hausdorff", "neighborhoods of different levels never meet", j=2)
 def _nbhd_hausdorff(t, bounds, params):
-    j, pool = _topo_pool(bounds, params)
-    all_p = _all_params(j)
+    pool = _topo_pool(bounds)
+    all_p = _all_params(params.j)
     # two memberships for each x at each (offset set, k1 < k2, i)
     t.plan(len(all_p) * 10 * 3 * 2 * len(pool))
     index = _MemberIndex(pool)
@@ -817,8 +816,8 @@ def _nbhd_hausdorff(t, bounds, params):
 
 @register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", j=2)
 def _nbhd_monotone(t, bounds, params):
-    j, pool = _topo_pool(bounds, params)
-    nested = _nested_pairs(t, _all_params(j))
+    pool = _topo_pool(bounds)
+    nested = _nested_pairs(t, _all_params(params.j))
     t.plan(len(nested) * 3 * 2 * 2 * len(pool))
     index = _MemberIndex(pool)
     for p1, p2 in nested:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import core
 from .core import (
     MAX_POINT,
     InvalidShift,
@@ -86,42 +87,30 @@ class _MemberIndex:
     meets in_offset_class once per offset set.
     """
 
-    __slots__ = ("pool", "_levels", "_by_level", "_by_tail", "_by_class", "_by_members")
+    __slots__ = ("pool", "_by_level", "_by_tail", "_by_class")
 
     def __init__(self, pool: list) -> None:
         self.pool = pool
-        levels = self._levels = [x.k if x.__class__ is Group else x.shift for x in pool]
+        levels = [x.k if x.__class__ is Group else x.shift for x in pool]
         self._by_level = _Memo(lambda k: _mask([level == k for level in levels]))
         self._by_tail = _Memo(lambda i: _mask([x.__class__ is Group or x.tail_start >= i for x in pool]))
         self._by_class = _Memo(
             lambda p: _mask([x.__class__ is Group or in_offset_class(x, p) for x in pool])
         )
-        self._by_members = _Memo(self._split)
 
     def mask(self, k: int, i: int, p: NoiseParams) -> int:
         return self._by_level[k] & self._by_tail[i] & self._by_class[p]
 
-    def members(self, i: int, p: NoiseParams) -> dict:
-        """k -> the members of NbhdSpec(k, i, p) in pool order, for each
-        level k that has one.
-
-        Kept by the members' mask and handed to every later call with the
-        same members, as many offset sets cut a small pool alike: read
-        it, do not change it.
-        """
-        return self._by_members[self._by_tail[i] & self._by_class[p]]
-
-    def _split(self, found: int) -> dict:
-        """The pool entries at the set bits of found, by level: one pass
-        over the members at every level."""
-        by_k: dict = {}
-        levels, pool = self._levels, self.pool
-        digits = _bits(found)
+    def members(self, k: int, i: int, p: NoiseParams) -> list:
+        """The members of NbhdSpec(k, i, p) in pool order: the pool
+        entries at the set bits of mask(k, i, p), in a new list."""
+        found, pool = [], self.pool
+        digits = _bits(self.mask(k, i, p))
         n = digits.find("1")
         while n >= 0:
-            by_k.setdefault(levels[n], []).append(pool[n])
+            found.append(pool[n])
             n = digits.find("1", n + 1)
-        return by_k
+        return found
 
 
 class TailSeqSpec(_Value):
@@ -259,7 +248,12 @@ def cutoff_witness(k: int, i: int):
 
 def upset_pool(k: int, n_max: int) -> tuple[PartialIso, ...]:
     """The maps nbhd_upset_agreement checks at level k: every excluded
-    subset of {1..n_max} with shift k - 1, k or k + 1."""
+    subset of {1..n_max} with shift k - 1, k or k + 1, refused first
+    past the listing budget."""
+    # 3 * 2^n_max > the budget, decided without building 2^n_max
+    budget = core._BUDGET
+    if n_max > 0 and (n_max >= budget.bit_length() or 3 << n_max > budget):
+        raise OverBudget(f"upset_pool lists 3*2^{n_max} maps, above the budget of {budget}")
     return tuple(elements(range(1, n_max + 1), (k - 1, k, k + 1)))
 
 

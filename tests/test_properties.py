@@ -171,6 +171,11 @@ def test_every_pool_refuses_itself(pid):
         with pytest.raises(OverBudget) as info:
             verify(pid, EnumBounds(1, 32768), NoiseParams(2))
         assert str(info.value) == "verify tries at least 2^16 shifts, above the budget of 65536"
+        # refused by its shifts before its adjoined integers, past
+        # sys.maxsize here, are counted
+        with pytest.raises(OverBudget) as info:
+            verify(pid, EnumBounds(0, 2**63), NoiseParams(2))
+        assert str(info.value) == "verify tries at least 2^64 shifts, above the budget of 65536"
     if pid == "boundary":
         # the pool is named ahead of the 2^16 maps the level would list
         with pytest.raises(OverBudget) as info:
@@ -392,14 +397,13 @@ def _wrong_product(real):
     return lambda x, y: Group(1) if (x, y) == (Group(0), Group(0)) else real(x, y)
 
 
-def _wrong_split(real):
-    def split(index, i, p):
-        # a copy: the index hands the same split to later calls
-        by_k = dict(real(index, i, p))
-        by_k[0] = [Group(1)] + by_k[0][1:]
-        return by_k
+def _wrong_members(real):
+    # level 0's first member swapped for a base point of level 1
+    def members(index, k, i, p):
+        found = real(index, k, i, p)
+        return [Group(1)] + found[1:] if k == 0 else found
 
-    return split
+    return members
 
 
 @pytest.mark.parametrize(
@@ -407,7 +411,7 @@ def _wrong_split(real):
     [
         ("nbhd_inversion", properties, "ext_inv", _wrong_inverse),
         ("green_relations", properties, "green_r", _wrong_green_r),
-        ("nbhd_translation", _MemberIndex, "members", _wrong_split),
+        ("nbhd_translation", _MemberIndex, "members", _wrong_members),
         ("nbhd_product", properties, "ext_mul", _wrong_product),
     ],
     ids=["nbhd_inversion", "green_relations", "nbhd_translation", "nbhd_product"],
@@ -509,7 +513,7 @@ def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
     monkeypatch.setattr(_MemberIndex, "mask", _index_flips_on(2, 3)(_MemberIndex.mask))
     report = verify(pid, bounds, params)
     ref = _Tally()
-    _, pool = _topo_pool(bounds, params)
+    pool = _topo_pool(bounds)
     each(ref, pool, properties._all_params(3), _flips_on(2, 3)(nbhd_member))
     assert (report.instances, report.failures, report.counterexamples) == (
         ref.instances,
@@ -567,7 +571,7 @@ def _each_class_closure(t, bounds, params, member):
 
 def _each_product(t, bounds, params, in_offset_class):
     # nbhd_member reads the planted in_offset_class itself
-    j, pool = _topo_pool(bounds, params)
+    j, pool = params.j, _topo_pool(bounds)
     levels = range(-2, 3)
     for p in properties._all_params(j):
         for i in range(j + 1, j + 3):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, elements, from_anatomy, leq, make, subsets
-from cofiso import topology
+from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, OverBudget, elements, from_anatomy, leq, make, subsets
+from cofiso import core, topology
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.topology import (
     NbhdSpec,
@@ -234,6 +234,16 @@ class TestUpsetCharacterization:
                     shared = nbhd_upset_agreement(k, i, p, pool)
                     assert shared and nbhd_upset_agreement(k, i, p, upset_pool(k, 8)), (k, i, offsets)
 
+    def test_pool_refuses_itself_outside_the_cli(self, monkeypatch):
+        monkeypatch.setattr(core, "_BUDGET", 8)
+        # 3*2^1 within the budget of 8 lists, as does an empty range
+        for n in (1, 0, -1):
+            assert upset_pool(0, n) == tuple(elements(range(1, n + 1), (-1, 0, 1)))
+        with pytest.raises(OverBudget, match=r"^upset_pool lists 3\*2\^2 maps, above the budget of 8$"):
+            upset_pool(0, 2)
+        with pytest.raises(OverBudget, match=r"^upset_pool lists 3\*2\^4000 maps, above the budget of 8$"):
+            upset_pool(0, 4000)
+
     def test_cutoff_witness_shape(self):
         assert cutoff_witness(0, 4) == make([1, 2], 0)
         assert cutoff_witness(2, 2) == make([], 2)
@@ -306,7 +316,6 @@ class TestMemberIndex:
     )
     def test_index_answers_like_nbhd_member(self, pool, i, j):
         index = _MemberIndex(pool)
-        levels = {x.k if isinstance(x, Group) else x.shift for x in pool}
         for offsets in subsets(range(2, j + 1)):
             p = NoiseParams(j, offsets)
             for k in range(-3, 4):
@@ -314,6 +323,17 @@ class TestMemberIndex:
                 mask = index.mask(k, i, p)
                 assert [mask >> n & 1 == 1 for n in range(len(pool))] == [nbhd_member(x, spec) for x in pool]
                 assert mask >> len(pool) == 0
-            # each level's members, in pool order
-            by_filter = {k: [x for x in pool if nbhd_member(x, NbhdSpec(k, i, p))] for k in levels}
-            assert index.members(i, p) == {k: xs for k, xs in by_filter.items() if xs}
+                # the level's members in pool order: [] at a level the
+                # pool lacks
+                assert index.members(k, i, p) == [x for x in pool if nbhd_member(x, spec)]
+
+    def test_members_are_a_new_list_each_call(self):
+        pool = [Group(0), Group(1), *elements(range(1, 4), range(-1, 2))]
+        index = _MemberIndex(pool)
+        p = NoiseParams(2, {2})
+        first, second = index.members(0, 2, p), index.members(0, 2, p)
+        assert first == second and first is not second
+        assert first[0] == Group(0) and len(first) > 1
+        first.clear()
+        assert index.members(0, 2, p) == second
+        assert index.members(3, 2, p) == []
