@@ -248,25 +248,8 @@ class PartialIso:
     # -- algebra -----------------------------------------------------------
 
     def compose(self, other: "PartialIso") -> "PartialIso":
-        """Apply self first, then other.
-
-        Defined where self is defined and the image lands in other's
-        domain, so the composite excludes self's excluded set plus the
-        pullback of other's; shifts add.  Both sets are everything below
-        a minimum plus a mask above it: align the masks at the larger
-        minimum, or them, and move the minimum past any run of excluded
-        points that now starts there.
-        """
-        u, v = self.dom_min, other.dom_min - self.shift
-        if u >= v:
-            gaps = self.gaps | other.gaps >> (u - v)
-        else:
-            u, gaps = v, self.gaps >> (v - u) | other.gaps
-        if gaps & 1:
-            run = (~gaps & (gaps + 1)).bit_length() - 1
-            u += run
-            gaps >>= run
-        return from_anatomy(u, gaps, self.shift + other.shift)
+        """Apply self first, then other: the map of anatomy _product(self, other)."""
+        return from_anatomy(*_product(self, other))
 
     __mul__ = compose
 
@@ -353,6 +336,28 @@ def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:
     _set_shift(g, shift)
     _set_tail_start(g, dom_min + gaps.bit_length())
     return g
+
+
+def _product(a: PartialIso, b: PartialIso) -> tuple[int, int, int]:
+    """The anatomy (dom_min, gaps, shift) of a * b, a applied first,
+    computed without building the product.
+
+    The product is defined where a is defined and the image lands in b's
+    domain, so it excludes a's excluded set plus the pullback of b's;
+    shifts add.  Both sets are everything below a minimum plus a mask
+    above it: align the masks at the larger minimum, or them, and move
+    the minimum past any run of excluded points that now starts there.
+    """
+    u, v = a.dom_min, b.dom_min - a.shift
+    if u >= v:
+        gaps = a.gaps | b.gaps >> (u - v)
+    else:
+        u, gaps = v, a.gaps >> (v - u) | b.gaps
+    if gaps & 1:
+        run = (~gaps & (gaps + 1)).bit_length() - 1
+        u += run
+        gaps >>= run
+    return u, gaps, a.shift + b.shift
 
 
 IDENTITY = PartialIso()

@@ -36,9 +36,11 @@ from .core import (
     _check_walk,
     _bits,
     _mask,
+    _product,
     _Value,
     boundary_set,
     d_witness,
+    from_anatomy,
     green_d,
     green_h,
     green_j,
@@ -230,15 +232,37 @@ def _all_params(j: int) -> list[NoiseParams]:
 
 
 def _numbered_products(univ, mul):
-    """(ids, table): ids numbers each distinct product the first time it
-    appears, and table[a][b] is the number of mul(univ[a], univ[b]).
+    """(ids, table, values): ids numbers each distinct key the first time
+    it appears, table[a][b] is the number of mul(univ[a], univ[b]) and
+    values[n] is the product numbered n.
 
-    The table holds numbers, not products, so a suite that reads a pair
-    many times computes and keeps each distinct product once.
+    mul may return a map's anatomy (dom_min, gaps, shift), as _product
+    does, in place of the map: the pairs are then numbered by anatomy
+    and each distinct product is built once, as from_anatomy(*key).  Any
+    other key is its own value.  The table holds numbers, not products,
+    so a suite that reads a pair many times computes and keeps each
+    distinct product once.
     """
     ids: dict = {}
     table = [[ids.setdefault(mul(x, y), len(ids)) for y in univ] for x in univ]
-    return ids, table
+    values = [from_anatomy(*key) if key.__class__ is tuple else key for key in ids]
+    return ids, table, values
+
+
+def _ext_product(x, y):
+    """ext_mul, with a product of two maps given as its anatomy."""
+    if x.__class__ is PartialIso and y.__class__ is PartialIso:
+        return _product(x, y)
+    return ext_mul(x, y)
+
+
+def _misses(row, cols, outside) -> int:
+    """Bit n set when the product numbered row[cols[n]] is in outside,
+    as _Tally.check_mask reads a row's failures; a row that misses
+    nothing is settled by one disjointness test."""
+    if outside.isdisjoint(map(row.__getitem__, cols)):
+        return 0
+    return _mask([row[c] in outside for c in cols])
 
 
 def _check_assoc(t, univ, mul):
@@ -246,25 +270,27 @@ def _check_assoc(t, univ, mul):
 
     A triple compares two numbers read from tables: the pair products,
     then every distinct pair product times each z and each x times it.
+    A row of z is settled by one list comparison; only a row that fails
+    is compared entry by entry.
     """
     t.plan(len(univ) ** 3)
-    ids, prod = _numbered_products(univ, mul)
-    values = list(ids)  # the distinct pair products, in number order
+    ids, prod, values = _numbered_products(univ, mul)
     right = [[ids.setdefault(mul(v, z), len(ids)) for z in univ] for v in values]
     left = [[ids.setdefault(mul(x, v), len(ids)) for v in values] for x in univ]
     for x, x_prod, x_left in zip(univ, prod, left):
         for y, xy, y_prod in zip(univ, x_prod, prod):
             # one row: (x*y)*z against x*(y*z) for every z
+            xy_z, x_yz = right[xy], list(map(x_left.__getitem__, y_prod))
             t.check_mask(
                 len(univ),
-                _mask(list(map(operator.ne, right[xy], map(x_left.__getitem__, y_prod)))),
+                0 if xy_z == x_yz else _mask(list(map(operator.ne, xy_z, x_yz))),
                 lambda n: (x, y, univ[n]),
             )
 
 
 @register("assoc", "composition is associative on every enumerated triple")
 def _assoc(t, bounds, params):
-    _check_assoc(t, _listed(bounds), operator.mul)
+    _check_assoc(t, _listed(bounds), _product)
 
 
 @register("inverse_axioms", "x*x~*x == x, x~*x*x~ == x~, and partial identities commute")
@@ -356,8 +382,7 @@ def _green_relations(t, bounds, params):
 def _natural_order(t, bounds, params):
     elems = _listed(bounds)
     t.plan(11 * len(elems) ** 2)
-    ids, table = _numbered_products(elems, operator.mul)
-    values = list(ids)
+    _, table, values = _numbered_products(elems, _product)
     for ai, (a, a_row) in enumerate(zip(elems, table)):
         t.check(leq(a, a), a)
         ran_id_a = a.inverse() * a
@@ -465,20 +490,18 @@ def _class_closure(t, bounds, params):
     univ = list(dict.fromkeys(g for members in classes for g in members))
     t.plan(len(univ) ** 2 + sum((len(members) + 1) ** 2 for members in classes))
     number = {g: n for n, g in enumerate(univ)}
-    ids, table = _numbered_products(univ, operator.mul)
-    values = list(ids)
+    _, table, values = _numbered_products(univ, _product)
     for p, members in zip(all_p, classes):
         t.check(in_offset_class(IDENTITY, p), p.offsets)
         for g in members:
             t.check(in_offset_class(g.inverse(), p), g, p.offsets)
+        # the numbers of the products outside the class, one membership
+        # test per distinct product
+        outside = {n for n, v in enumerate(values) if not in_offset_class(v, p)}
         cols = [number[b] for b in members]
         for a in members:
             row = table[number[a]]
-            t.check_mask(
-                len(cols),
-                _mask([not in_offset_class(values[row[c]], p) for c in cols]),
-                lambda n: (a, members[n], p.offsets),
-            )
+            t.check_mask(len(cols), _misses(row, cols, outside), lambda n: (a, members[n], p.offsets))
 
 
 @register("noise_one_absent", "no element has noise exactly 1")
@@ -586,7 +609,7 @@ def _ext_universe(bounds, params):
 
 @register("ext_assoc", "the extended product is associative across maps and adjoined integers", j=2)
 def _ext_assoc(t, bounds, params):
-    _check_assoc(t, _ext_universe(bounds, params), ext_mul)
+    _check_assoc(t, _ext_universe(bounds, params), _ext_product)
 
 
 @register("ext_ideal", "adjoined integers absorb every product and the shift total is additive", j=2)
@@ -776,25 +799,25 @@ def _nbhd_product(t, bounds, params):
     # a row of memberships for each member and level
     t.plan(len(univ) ** 2 + sum(size ** 2 + 15 * size + 125 for size in sizes))
     number = {x: n for n, x in enumerate(univ)}
-    ids, table = _numbered_products(univ, ext_mul)
-    products = _MemberIndex(list(ids))
+    _, table, values = _numbered_products(univ, _ext_product)
+    products = _MemberIndex(values)
     for p, i, by_k in splits:
-        # per summed level, a "1" at the number of each product inside
-        # its neighborhood
-        inside = {
-            k: _bits(products.mask(k, i, p)).ljust(len(ids), "0")
-            for k in {k1 + k2 for k1 in levels for k2 in levels}
-        }
+        # per summed level, the numbers of the products outside its
+        # neighborhood: a "0" in the flags of the products' mask
+        outside = {}
+        for k in {k1 + k2 for k1 in levels for k2 in levels}:
+            flags = _bits(products.mask(k, i, p)).ljust(len(values), "0")
+            outside[k] = {n for n, flag in enumerate(flags) if flag == "0"}
         for k1 in levels:
             for k2 in levels:
-                flags = inside[k1 + k2]
+                out = outside[k1 + k2]
                 ys = by_k[k2]
                 cols = [number[y] for y in ys]
                 for x in by_k[k1]:
                     row = table[number[x]]
                     t.check_mask(
                         len(cols),
-                        _mask([flags[row[c]] == "0" for c in cols]),
+                        _misses(row, cols, out),
                         lambda n: (x, ys[n], k1, k2, i, p.offsets),
                     )
 

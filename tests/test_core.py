@@ -1,9 +1,11 @@
+import inspect
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cofiso import core
 from cofiso.bicyclic import BicyclicNF, recognize
 from cofiso.core import (
     ALPHA,
@@ -15,6 +17,7 @@ from cofiso.core import (
     PartialIso,
     _bits,
     _mask,
+    _product,
     boundary_set,
     d_witness,
     from_anatomy,
@@ -85,6 +88,21 @@ class TestCompose:
         assert BETA ** 2 == BETA * BETA
         assert ALPHA ** 0 == IDENTITY
         assert ALPHA ** -2 == BETA * BETA
+
+    def test_product_anatomy_builds_the_product(self):
+        pool = list(enumerate_elements(EnumBounds(4, 2)))
+        assert len(pool) == 60
+        for a in pool:
+            for b in pool:
+                assert from_anatomy(*_product(a, b)) == a * b == compose_via_window(a, b), (a, b)
+
+    def test_the_run_strip_is_written_once(self):
+        # compose builds the anatomy _product computes and keeps no
+        # arithmetic of its own
+        strip = "(~gaps & (gaps + 1)).bit_length() - 1"
+        assert inspect.getsource(core).count(strip) == 1
+        assert strip in inspect.getsource(_product)
+        assert "gaps" not in inspect.getsource(PartialIso.compose)
 
 
 class TestInverse:
@@ -572,3 +590,13 @@ class TestScaleInvariance:
                 for b, tb in zip(pool, lifted):
                     assert ta * tb == _lift(window[a, b], t), (a, b, t)
                     assert [r(ta, tb) for r in relations] == [r(a, b) for r in relations], (a, b, t)
+
+    def test_product_anatomy_moves_by_t(self):
+        pool = list(enumerate_elements(EnumBounds(4, 2)))
+        keys = {(a, b): _product(a, b) for a in pool for b in pool}
+        for t in (1, 2**20, 10**18, 10**100):
+            lifted = [_lift(x, t) for x in pool]
+            for a, ta in zip(pool, lifted):
+                for b, tb in zip(pool, lifted):
+                    dom_min, gaps, shift = keys[a, b]
+                    assert _product(ta, tb) == (dom_min + t, gaps, shift), (a, b, t)

@@ -1,3 +1,4 @@
+import operator
 import os
 import runpy
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from cofiso import properties, topology
 from cofiso.bicyclic import embed, normalize_word, word_iso
-from cofiso.core import IDENTITY, NoiseParams, OverBudget, PartialIso, _mask
+from cofiso.core import IDENTITY, NoiseParams, OverBudget, PartialIso, _mask, _product
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
@@ -19,6 +20,7 @@ from cofiso.properties import (
     _REGISTRY,
     _Tally,
     _check_assoc,
+    _ext_product,
     _ext_universe,
     _numbered_products,
     _topo_pool,
@@ -370,8 +372,9 @@ def test_check_assoc_equals_the_naive_triple_loop(univ, mul):
     ids=["ext universe", "planted"],
 )
 def test_numbered_products_number_each_distinct_product_once(univ, mul):
-    ids, table = _numbered_products(univ, mul)
-    values = list(ids)
+    ids, table, values = _numbered_products(univ, mul)
+    # a product that is not an anatomy is its own key
+    assert values == list(ids)
     products = [[mul(x, y) for y in univ] for x in univ]
     assert [[values[n] for n in row] for row in table] == products
     assert all(ids[v] == n for n, v in enumerate(values))
@@ -379,6 +382,43 @@ def test_numbered_products_number_each_distinct_product_once(univ, mul):
     # dense and numbered in the order the pairs are read, row by row
     first_seen = list(dict.fromkeys(n for row in table for n in row))
     assert first_seen == list(range(len(ids)))
+
+
+@pytest.mark.parametrize(
+    "univ,keyed,mul",
+    [
+        (_ext_universe(EnumBounds(3, 1), NoiseParams(2)), _ext_product, ext_mul),
+        (list(enumerate_elements(EnumBounds(3, 1))), _product, operator.mul),
+        (list(enumerate_elements(EnumBounds(0, 0))), _product, operator.mul),
+    ],
+    ids=["ext universe", "enumeration", "one element"],
+)
+def test_tables_keyed_by_anatomy_match_tables_of_products(univ, keyed, mul):
+    _, table, values = _numbered_products(univ, keyed)
+    _, table_of_products, products = _numbered_products(univ, mul)
+    assert table == table_of_products
+    assert values == products
+    assert [v.__class__ for v in values] == [v.__class__ for v in products]
+
+
+def test_a_table_builds_each_distinct_map_product_once(monkeypatch):
+    built = []
+    real = properties.from_anatomy
+
+    def counted(*key):
+        built.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(properties, "from_anatomy", counted)
+    bounds, params = EnumBounds(4, 2), NoiseParams(3)
+    assert verify("ext_assoc", bounds, params).passed
+    # the 3,025 pair products take 125 values, 13 of them adjoined
+    # integers; the products of those by each element are compared by
+    # anatomy and built never
+    univ = _ext_universe(bounds, params)
+    distinct = {ext_mul(x, y) for x in univ for y in univ}
+    assert (len(univ), len(distinct), sum(isinstance(v, Group) for v in distinct)) == (55, 125, 13)
+    assert len(built) == len(set(built)) == 112
 
 
 def _wrong_inverse(real):
@@ -616,6 +656,7 @@ def test_tabled_suites_match_a_check_per_instance(monkeypatch, pid, owner, name,
         ("nbhd_product", EnumBounds(8, 2), NoiseParams(3)),
         ("class_closure", EnumBounds(5, 2), NoiseParams(4)),
         ("natural_order", EnumBounds(4, 2), None),
+        ("ext_assoc", EnumBounds(4, 2), NoiseParams(3)),
     ],
 )
 def test_product_tables_hold_numbers_not_products(pid, bounds, params):

@@ -7,11 +7,11 @@ import pickle
 import pytest
 
 from cofiso.bicyclic import BicyclicNF
-from cofiso.core import BETA, NoiseParams, PartialIso, elements, from_anatomy, in_offset_class, make
+from cofiso.core import BETA, NoiseParams, PartialIso, _product, elements, from_anatomy, in_offset_class, make
 from cofiso.expr import Gen, GrpLit, IsoLit, Pow, Prod, Puncture, evaluate, parse
 from cofiso.extension import Group, UpSet
 from cofiso.oracle import EnumBounds
-from cofiso.properties import Report
+from cofiso.properties import Report, _numbered_products
 from cofiso.topology import NbhdSpec, TailSeqSpec, seq_elem
 
 # one value of each class, built afresh on each call, a field of it and
@@ -121,8 +121,8 @@ def test_a_map_keeps_its_fields_in_slots():
 
 def _tail_start_routes():
     """(route, map) for each way a map is built: literals, the anatomy
-    constructor, the algebra, the sequences, the enumeration and the
-    copy protocols."""
+    constructor, the algebra, the sequences, the enumeration, the
+    product tables and the copy protocols."""
     g, h = PartialIso((2, 4), 1), make([1, 3, 6], -1)
     yield "literal", g
     yield "literal", PartialIso()
@@ -146,6 +146,9 @@ def _tail_start_routes():
     yield "seq_elem", seq_elem(TailSeqSpec(frozenset(), 2), 3)
     for e in elements(range(1, 5), (-1, 0, 2), 3):
         yield "elements", e
+    # a table keyed by anatomy builds each distinct product from its key
+    for v in _numbered_products([g, h, g.inverse(), BETA], _product)[2]:
+        yield "table value", v
     for twin in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
         yield "copy", twin
 
