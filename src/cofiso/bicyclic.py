@@ -12,6 +12,7 @@ iso([1,2],1)
 
 from __future__ import annotations
 
+import operator
 from functools import reduce, total_ordering
 from typing import Optional
 
@@ -81,12 +82,12 @@ def parse_word(text: str) -> tuple[str, ...]:
 
 def normalize_word(word: tuple[str, ...]) -> BicyclicNF:
     """Fold the word left to right in normal-form arithmetic."""
-    return reduce(lambda u, v: u * v, (_LETTER_NF[c] for c in word), BicyclicNF(0, 0))
+    return reduce(operator.mul, map(_LETTER_NF.__getitem__, word), BicyclicNF(0, 0))
 
 
 def word_iso(word: tuple[str, ...]) -> PartialIso:
     """Fold the word left to right as partial shifts (an independent route)."""
-    return reduce(lambda g, h: g * h, (_LETTER_ISO[c] for c in word), IDENTITY)
+    return reduce(operator.mul, map(_LETTER_ISO.__getitem__, word), IDENTITY)
 
 
 def reduce_word(word: tuple[str, ...], rightmost: bool = False) -> str:

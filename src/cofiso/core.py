@@ -25,6 +25,7 @@ iso([1],0)
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Optional
 
@@ -302,7 +303,7 @@ class PartialIso:
         return hash((self.dom_min, self.gaps, self.shift))
 
     def __reduce__(self):
-        return from_anatomy, (self.dom_min, self.gaps, self.shift)
+        return from_anatomy, _anatomy(self)
 
     def __lt__(self, other: "PartialIso") -> bool:
         if other.__class__ is not self.__class__:
@@ -336,6 +337,10 @@ def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:
     _set_shift(g, shift)
     _set_tail_start(g, dom_min + gaps.bit_length())
     return g
+
+
+# a map's (dom_min, gaps, shift), the triple _product gives for a product
+_anatomy = operator.attrgetter("dom_min", "gaps", "shift")
 
 
 def _product(a: PartialIso, b: PartialIso) -> tuple[int, int, int]:

@@ -82,3 +82,12 @@ class TestWords:
 
     def test_reduced_words_have_no_cancelling_pair(self):
         assert "ab" not in reduce_word(parse_word("babab"))
+
+    def test_folds_start_at_the_unit_and_refuse_an_unparsed_letter(self):
+        assert normalize_word(()) == BicyclicNF(0, 0)
+        assert word_iso(()) is IDENTITY
+        # a word that skipped parse_word fails at its first foreign letter
+        for fold in (normalize_word, word_iso):
+            with pytest.raises(KeyError) as info:
+                fold(("a", "c", "x"))
+            assert info.value.args == ("c",)

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cofiso import properties, topology
+from cofiso import core, properties, topology
 from cofiso.bicyclic import embed, normalize_word, word_iso
-from cofiso.core import IDENTITY, NoiseParams, OverBudget, PartialIso, _mask, _product
+from cofiso.core import ALPHA, IDENTITY, NoiseParams, OverBudget, PartialIso, _mask, _product
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
@@ -465,6 +465,77 @@ def test_hoisted_suites_still_catch_a_planted_fault(monkeypatch, pid, owner, nam
     report = verify(pid, bounds, params)
     assert report.failures > 0
     assert report.instances == clean.instances
+
+
+# the suites that compare a product they only read as its anatomy
+ANATOMY_SUITES = (
+    "inverse_axioms",
+    "idempotent_iff",
+    "green_relations",
+    "natural_order",
+    "congruence",
+    "retraction",
+    "absorption",
+    "conjugation",
+    "boundary",
+    "bicyclic_hom",
+)
+
+
+def _product_slips_after_tail_identities(real):
+    # a fault only some products meet, as _flips_on plants one in a
+    # predicate: a product whose first factor is a tail identity (noise 0,
+    # shift 0) comes out one step too far.  Each suite above multiplies
+    # such a factor: the identity is in every pool, every noise-0 map's
+    # domain identity is one, and so is BETA*ALPHA
+    def wrong(a, b):
+        dom_min, gaps, shift = real(a, b)
+        return dom_min, gaps, shift + (a.gaps == a.shift == 0)
+
+    return wrong
+
+
+@pytest.mark.parametrize("pid", ANATOMY_SUITES)
+def test_anatomy_comparisons_still_catch_a_planted_fault(monkeypatch, pid):
+    bounds, params = EnumBounds(3, 2), NoiseParams(3)
+    clean = verify(pid, bounds, params)
+    assert clean.passed
+    monkeypatch.setattr(properties, "_product", _product_slips_after_tail_identities(properties._product))
+    report = verify(pid, bounds, params)
+    assert report.failures > 0
+    assert report.instances == clean.instances
+
+
+def test_oracle_equiv_compares_the_built_product(monkeypatch):
+    # compose builds its map through core.from_anatomy, read at call time;
+    # the window oracle builds through PartialIso, so a fault in the one
+    # anatomy of ALPHA^4, a product of the pool but outside it (its shifts
+    # stop at 2), shows on the four pairs that make it: ALPHA^2 times each
+    # map of shift 2 defined on [3, oo)
+    bounds = EnumBounds(3, 2)
+    clean = verify("oracle_equiv", bounds)
+    assert clean.passed
+    real = core.from_anatomy
+
+    def wrong(dom_min, gaps, shift):
+        return real(dom_min, gaps, shift + ((dom_min, gaps, shift) == (1, 0, 4)))
+
+    monkeypatch.setattr(core, "from_anatomy", wrong)
+    report = verify("oracle_equiv", bounds)
+    assert (report.instances, report.failures) == (clean.instances, 4)
+    assert {a for a, _ in report.counterexamples} == {repr(ALPHA**2)}
+
+
+def test_congruence_builds_no_product(monkeypatch):
+    # every product the suite reads is compared as its anatomy
+    clean = verify("congruence", EnumBounds(3, 2))
+
+    def refuse(a, b):
+        raise AssertionError(f"{a!r} * {b!r} built")
+
+    monkeypatch.setattr(PartialIso, "__mul__", refuse)
+    report = verify("congruence", EnumBounds(3, 2))
+    assert report.passed and report.instances == clean.instances > 0
 
 
 def _flips_on(shift, noise):
