@@ -28,7 +28,6 @@ from .core import (
     ALPHA,
     BETA,
     IDENTITY,
-    InvalidShift,
     NoiseParams,
     NotIdempotent,
     OverBudget,
@@ -72,6 +71,7 @@ from .topology import (
     NbhdSpec,
     TailSeqSpec,
     _MemberIndex,
+    _Memo,
     converges,
     empirical_converges,
     nbhd_member,
@@ -335,30 +335,32 @@ def _idempotent_iff(t, bounds, params):
 def _green_relations(t, bounds, params):
     elems = _listed(bounds)
     span = bounds.n + bounds.s + 1
-    # each pair searches the 2*span+1 maps sharing a's domain
+    # an upper bound: it weighs every pair with a search over the 2*span+1
+    # maps sharing a's domain, which runs once per domain
     t.plan(len(elems) * (2 * span + 4) + len(elems) ** 2 * (2 * span + 18))
     inverses = [g.inverse() for g in elems]
-    # each element's domain and range identities
-    dom_ids = [g * gi for g, gi in zip(elems, inverses)]
-    ran_ids = [gi * g for g, gi in zip(elems, inverses)]
-    # the two-sided witnesses of each pair: x reads b and a.tail_start, y
-    # reads a.ran_tail_start and b.ran_min, so a row of each over the b's
-    # is built once per value a takes, not once per pair
-    x_rows, y_rows = {}, {}
+    # each element's domain and range identities, as anatomies
+    dom_ids = [_product(g, gi) for g, gi in zip(elems, inverses)]
+    ran_ids = [_product(gi, g) for g, gi in zip(elems, inverses)]
+    # rows over the b's, one for each value a contributes: the two-sided
+    # witness x reads b and a.tail_start, y reads a.ran_tail_start and
+    # b.ran_min, and the D search reads b and a's domain alone
+    x_rows = _Memo(lambda start: [from_anatomy(b.dom_min, b.gaps, start - b.dom_min) for b in elems])
+    y_rows = _Memo(lambda ran: [from_anatomy(ran, 0, b.ran_min - ran) for b in elems])
+
+    def search(domain):
+        # some element sharing a's domain, one per admissible shift, is
+        # R-related to b
+        u, gaps = domain
+        sharing = [from_anatomy(u, gaps, s) for s in range(max(-span, 1 - u), span + 1)]
+        return [any(green_r(c, b) for c in sharing) for b in elems]
+
+    d_rows = _Memo(search)
     for a, dom_id_a, ran_id_a in zip(elems, dom_ids, ran_ids):
-        start, ran_start = a.tail_start, a.ran_tail_start
-        if start not in x_rows:
-            x_rows[start] = [PartialIso(b.excluded, start - b.dom_min) for b in elems]
-        if ran_start not in y_rows:
-            y_rows[ran_start] = [PartialIso(range(1, ran_start), b.ran_min - ran_start) for b in elems]
-        # the elements that share a's domain, one per admissible shift
-        sharing = []
-        for shift in range(-span, span + 1):
-            try:
-                sharing.append(PartialIso(a.excluded, shift))
-            except InvalidShift:
-                pass
-        for b, dom_id_b, ran_id_b, x, y in zip(elems, dom_ids, ran_ids, x_rows[start], y_rows[ran_start]):
+        rows = zip(
+            elems, dom_ids, ran_ids, x_rows[a.tail_start], y_rows[a.ran_tail_start], d_rows[a.dom_min, a.gaps]
+        )
+        for b, dom_id_b, ran_id_b, x, y, exists in rows:
             is_l = green_l(a, b)
             is_r = green_r(a, b)
             t.check(is_l == (dom_id_a == dom_id_b), a, b)
@@ -369,7 +371,6 @@ def _green_relations(t, bounds, params):
             # some element shares a's domain and b's range iff the
             # domains are translates of one another
             linked = green_d(a, b)
-            exists = any(green_r(c, b) for c in sharing)
             t.check(linked == exists, a, b)
             if linked:
                 w = d_witness(a, b)

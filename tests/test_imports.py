@@ -1,6 +1,7 @@
 """The package and the CLI load only the modules a caller uses."""
 
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -124,3 +125,18 @@ class TestCliLoading:
         loaded = set(proc.stderr.split())
         assert not loaded & {"dataclasses", "inspect"}
         assert loaded == modules
+
+
+class TestSources:
+    @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
+    def test_every_imported_name_is_used(self, path):
+        # a name a module imports and never reads is a leftover
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - used) == []

@@ -11,7 +11,21 @@ from hypothesis import strategies as st
 
 from cofiso import core, properties, topology
 from cofiso.bicyclic import embed, normalize_word, word_iso
-from cofiso.core import ALPHA, IDENTITY, NoiseParams, OverBudget, PartialIso, _mask, _product
+from cofiso.core import (
+    ALPHA,
+    IDENTITY,
+    InvalidShift,
+    NoiseParams,
+    OverBudget,
+    PartialIso,
+    _mask,
+    _product,
+    d_witness,
+    green_d,
+    green_h,
+    green_j,
+    green_l,
+)
 from cofiso.extension import Group, ext_inv, ext_mul
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
@@ -719,6 +733,81 @@ def test_tabled_suites_match_a_check_per_instance(monkeypatch, pid, owner, name,
         tuple(ref.bad),
     )
     assert properties._CAP < report.failures < report.instances
+
+
+def _each_green_relations(t, bounds, green_r):
+    # every witness and every map sharing a's domain built afresh per pair
+    elems = list(enumerate_elements(bounds))
+    span = bounds.n + bounds.s + 1
+    for a in elems:
+        for b in elems:
+            sharing = []
+            for shift in range(-span, span + 1):
+                try:
+                    sharing.append(PartialIso(a.excluded, shift))
+                except InvalidShift:
+                    pass
+            is_l = green_l(a, b)
+            is_r = green_r(a, b)
+            t.check(is_l == (a * a.inverse() == b * b.inverse()), a, b)
+            t.check(is_r == (a.inverse() * a == b.inverse() * b), a, b)
+            is_h = green_h(a, b)
+            t.check(is_h == (is_l and is_r), a, b)
+            t.check(is_h == (a == b), a, b)
+            linked = green_d(a, b)
+            t.check(linked == any(green_r(c, b) for c in sharing), a, b)
+            if linked:
+                w = d_witness(a, b)
+                t.check(
+                    w is not None
+                    and w.excluded == a.excluded
+                    and w.inverse().excluded == b.excluded
+                    and w.noise == a.noise,
+                    a, b, w,
+                )
+            t.check(green_j(a, b), a, b)
+            x = PartialIso(b.excluded, a.tail_start - b.dom_min)
+            y = PartialIso(range(1, a.ran_tail_start), b.shift - (a.tail_start - b.dom_min) - a.shift)
+            t.check(x * a * y == b, a, b, x, y)
+
+
+def test_green_relations_matches_a_check_per_instance(monkeypatch):
+    # the suite reads its witnesses and its D search from rows keyed by
+    # what a contributes; with green_r flipped on the maps of shift 1 and
+    # noise 3, both as a and inside the search, a check per pair must
+    # give the same report
+    bounds = EnumBounds(4, 2)
+    wrong = _flips_on(1, 3)(properties.green_r)
+    monkeypatch.setattr(properties, "green_r", wrong)
+    report = verify("green_relations", bounds)
+    ref = _Tally()
+    _each_green_relations(ref, bounds, wrong)
+    assert (report.instances, report.failures, report.counterexamples) == (
+        ref.instances,
+        ref.failures,
+        tuple(ref.bad),
+    )
+    assert properties._CAP < report.failures < report.instances
+
+
+def test_green_relations_searches_each_domain_once(monkeypatch):
+    # green_r decides each pair once, and the D search once per (domain,
+    # b) over the 2*span+1 maps sharing that domain, not once per pair
+    bounds = EnumBounds(3, 2)
+    calls = []
+    real = properties.green_r
+
+    def spy(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(properties, "green_r", spy)
+    report = verify("green_relations", bounds)
+    elems = list(enumerate_elements(bounds))
+    span = bounds.n + bounds.s + 1
+    domains = len({(g.dom_min, g.gaps) for g in elems})
+    assert report.passed
+    assert len(calls) <= len(elems) ** 2 + domains * len(elems) * (2 * span + 1) == 4020
 
 
 @pytest.mark.parametrize(
