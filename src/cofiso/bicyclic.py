@@ -35,6 +35,15 @@ class BicyclicNF(_Value):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
 
+    # hashed and compared in the product tables, so written out
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k and self.l == other.l
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.l))
+
     def __lt__(self, other: "BicyclicNF") -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

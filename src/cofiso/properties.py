@@ -34,7 +34,6 @@ from .core import (
     PartialIso,
     _anatomy,
     _check_walk,
-    _bits,
     _mask,
     _product,
     _Value,
@@ -68,13 +67,11 @@ from .extension import (
 )
 from .oracle import EnumBounds, compose_via_window, enumerate_elements
 from .topology import (
-    NbhdSpec,
     TailSeqSpec,
     _MemberIndex,
     _Memo,
     converges,
     empirical_converges,
-    nbhd_member,
     nbhd_upset_agreement,
     upset_pool,
 )
@@ -246,8 +243,13 @@ def _numbered_products(univ, mul):
     """
     ids: dict = {}
     table = [[ids.setdefault(mul(x, y), len(ids)) for y in univ] for x in univ]
-    values = [from_anatomy(*key) if key.__class__ is tuple else key for key in ids]
-    return ids, table, values
+    return ids, table, _built(ids)
+
+
+def _built(keys) -> list:
+    """The product each key stands for: an anatomy (dom_min, gaps, shift)
+    is built as its map, any other key is its own value."""
+    return [from_anatomy(*key) if key.__class__ is tuple else key for key in keys]
 
 
 def _ext_product(x, y):
@@ -257,13 +259,22 @@ def _ext_product(x, y):
     return ext_mul(x, y)
 
 
-def _misses(row, cols, outside) -> int:
-    """Bit n set when the product numbered row[cols[n]] is in outside,
-    as _Tally.check_mask reads a row's failures; a row that misses
-    nothing is settled by one disjointness test."""
-    if outside.isdisjoint(map(row.__getitem__, cols)):
-        return 0
-    return _mask([row[c] in outside for c in cols])
+def _misses(cols, *sides) -> int:
+    """The failures of a row that checks each column on every side in
+    turn, as _Tally.check_mask reads them: bit n * len(sides) + s is set
+    when, on the s-th side (row, inside), the product numbered
+    row[cols[n]] is not in inside.  A row that misses nothing is settled
+    by one subset test a side."""
+    for row, inside in sides:
+        if not inside.issuperset(map(row.__getitem__, cols)):
+            return _mask([row[c] not in inside for c in cols for row, inside in sides])
+    return 0
+
+
+def _check_row(t, got: list, want: list, info: Callable) -> None:
+    """One check of got[n] == want[n] for each n, tallied as one row: a
+    row that passes is settled by one list comparison."""
+    t.check_mask(len(got), 0 if got == want else _mask(list(map(operator.ne, got, want))), info)
 
 
 def _check_assoc(t, univ, mul):
@@ -281,12 +292,7 @@ def _check_assoc(t, univ, mul):
     for x, x_prod, x_left in zip(univ, prod, left):
         for y, xy, y_prod in zip(univ, x_prod, prod):
             # one row: (x*y)*z against x*(y*z) for every z
-            xy_z, x_yz = right[xy], list(map(x_left.__getitem__, y_prod))
-            t.check_mask(
-                len(univ),
-                0 if xy_z == x_yz else _mask(list(map(operator.ne, xy_z, x_yz))),
-                lambda n: (x, y, univ[n]),
-            )
+            _check_row(t, right[xy], list(map(x_left.__getitem__, y_prod)), lambda n: (x, y, univ[n]))
 
 
 @register("assoc", "composition is associative on every enumerated triple")
@@ -391,13 +397,14 @@ def _natural_order(t, bounds, params):
     elems = _listed(bounds)
     t.plan(11 * len(elems) ** 2)
     _, table, values = _numbered_products(elems, _product)
-    for ai, (a, a_row) in enumerate(zip(elems, table)):
+    inverses = [g.inverse() for g in elems]
+    for ai, (a, a_inv, a_row) in enumerate(zip(elems, inverses, table)):
         t.check(leq(a, a), a)
-        ran_id_a, a_anatomy = a.inverse() * a, _anatomy(a)
-        for bi, (b, b_row) in enumerate(zip(elems, table)):
+        ran_id_a, a_anatomy = a_inv * a, _anatomy(a)
+        for bi, (b, b_inv, b_row) in enumerate(zip(elems, inverses, table)):
             by_def = leq(a, b)
             dom_incl = a.shift == b.shift and set(b.excluded) <= set(a.excluded)
-            ran_incl = a.shift == b.shift and set(b.inverse().excluded) <= set(a.inverse().excluded)
+            ran_incl = a.shift == b.shift and set(b_inv.excluded) <= set(a_inv.excluded)
             by_restriction = a_anatomy == _product(b, ran_id_a)
             t.check(by_def == dom_incl, a, b)
             t.check(by_def == ran_incl, a, b)
@@ -405,7 +412,7 @@ def _natural_order(t, bounds, params):
             if by_def and leq(b, a):
                 t.check(a == b, a, b)
             if by_def:
-                t.check(leq(a.inverse(), b.inverse()), a, b)
+                t.check(leq(a_inv, b_inv), a, b)
                 t.plan(2 * len(elems))
                 # a*c and b*c from rows a and b, c*a and c*b from row c
                 t.check_mask(
@@ -457,9 +464,12 @@ def _retraction(t, bounds, params):
         ri = r.inverse()
         t.check(_product(g, ri) == _product(r, ri), g)
         t.check(_product(ri, g) == _product(ri, r), g)
-    for a, ta in zip(elems, tails):
-        for b, tb in zip(elems, tails):
-            t.check(_anatomy((a * b).tail()) == _product(ta, tb), a, b)
+    # the tail of each distinct product, taken once
+    _, table, values = _numbered_products(elems, _product)
+    product_tails = [_anatomy(v.tail()) for v in values]
+    for a, ta, row in zip(elems, tails, table):
+        got = [product_tails[n] for n in row]
+        _check_row(t, got, [_product(ta, tb) for tb in tails], lambda n: (a, elems[n]))
 
 
 # -- noise and offset classes ---------------------------------------------
@@ -505,13 +515,13 @@ def _class_closure(t, bounds, params):
         t.check(in_offset_class(IDENTITY, p), p.offsets)
         for g in members:
             t.check(in_offset_class(g.inverse(), p), g, p.offsets)
-        # the numbers of the products outside the class, one membership
+        # the numbers of the products inside the class, one membership
         # test per distinct product
-        outside = {n for n, v in enumerate(values) if not in_offset_class(v, p)}
+        inside = {n for n, v in enumerate(values) if in_offset_class(v, p)}
         cols = [number[b] for b in members]
         for a in members:
             row = table[number[a]]
-            t.check_mask(len(cols), _misses(row, cols, outside), lambda n: (a, members[n], p.offsets))
+            t.check_mask(len(cols), _misses(cols, (row, inside)), lambda n: (a, members[n], p.offsets))
 
 
 @register("noise_one_absent", "no element has noise exactly 1")
@@ -627,12 +637,16 @@ def _ext_assoc(t, bounds, params):
 def _ext_ideal(t, bounds, params):
     univ = _ext_universe(bounds, params)
     t.plan(4 * len(univ) ** 2)
-    for x in univ:
-        for y in univ:
-            prod = ext_mul(x, y)
+    _, table, values = _numbered_products(univ, _ext_product)
+    # each distinct product's level and shift total, read once
+    grouped = [isinstance(v, Group) for v in values]
+    pis = [ext_pi(v) for v in values]
+    for x, row in zip(univ, table):
+        x_pi = ext_pi(x)
+        for y, n in zip(univ, row):
             if isinstance(x, Group) or isinstance(y, Group):
-                t.check(isinstance(prod, Group), x, y)
-            t.check(ext_pi(prod) == ext_pi(x) + ext_pi(y), x, y)
+                t.check(grouped[n], x, y)
+            t.check(pis[n] == x_pi + ext_pi(y), x, y)
 
 
 @register("ext_order", "the extended order is a partial order obeying the level rules", j=2)
@@ -754,16 +768,17 @@ def _nbhd_inversion(t, bounds, params):
 def _nbhd_translation(t, bounds, params):
     j, pool = params.j, _topo_pool(bounds)
     all_p = _all_params(j)
+    movers = list(enumerate_elements(EnumBounds(2, 2)))
     # (mover, reach, base index): each mover at two indices past its reach
     steps = []
-    for gam in enumerate_elements(EnumBounds(2, 2)):
+    for gam in movers:
         head = gam.tail_start - 1
         reach = max(head, head + gam.shift)
         steps.extend((gam, reach, i) for i in range(reach + j + 1, reach + j + 3))
     # movers with the same reach share a base index: split once per i
     per_index = Counter(i for _, _, i in steps)
-    # the splits, and two targets for each step and level, each about
-    # five units to build
+    # the splits, and two targets for each step and level, each weighed
+    # at five units
     t.plan(len(all_p) * (len(per_index) * len(pool) + 5 * 10 * len(steps)))
     index = _MemberIndex(pool)
     splits = [
@@ -773,22 +788,37 @@ def _nbhd_translation(t, bounds, params):
     # a product, a membership and a tally for each side of each member,
     # planned for every split before the first check
     t.plan(sum(6 * per_index[i] * len(xs) for _, split in splits for (i, _), xs in split.items()))
+    # each mover times every member of some split, on either side, as
+    # numbers of the distinct products
+    univ = list(dict.fromkeys(x for _, split in splits for xs in split.values() for x in xs))
+    number = {x: n for n, x in enumerate(univ)}
+    ids: dict = {}
+    left = {gam: [ids.setdefault(_ext_product(gam, x), len(ids)) for x in univ] for gam in movers}
+    right = {gam: [ids.setdefault(_ext_product(x, gam), len(ids)) for x in univ] for gam in movers}
+    products = _MemberIndex(_built(ids))
+    # per step and level: the left target (level, index), and the right
+    # one where it is checked
+    rows = []
+    for gam, reach, i in steps:
+        for k in range(-2, 3):
+            sides = [(left[gam], (gam.pi + k, max(1, i - gam.pi)))]
+            if i > reach + j + max(0, -k):
+                sides.append((right[gam], (k + gam.pi, i)))
+            rows.append((gam, i, k, sides))
     for p, split in splits:
-        for gam, reach, i in steps:
-            for k in range(-2, 3):
-                left_target = NbhdSpec(gam.pi + k, max(1, i - gam.pi), p)
-                right_target = NbhdSpec(k + gam.pi, i, p)
-                check_right = i > reach + j + max(0, -k)
-                for x in split[i, k]:
-                    t.check(
-                        nbhd_member(ext_mul(gam, x), left_target),
-                        gam, x, k, i, p.offsets,
-                    )
-                    if check_right:
-                        t.check(
-                            nbhd_member(ext_mul(x, gam), right_target),
-                            gam, x, k, i, p.offsets,
-                        )
+        # the numbers of the products in each target neighborhood
+        inside = _Memo(lambda key: set(products.numbers(*key, p)))
+        cols = {key: [number[x] for x in xs] for key, xs in split.items()}
+        for gam, i, k, sides in rows:
+            xs = split[i, k]
+            if xs:
+                # bit 2n checks the left product with the n-th member, bit
+                # 2n + 1 the right one
+                t.check_mask(
+                    len(sides) * len(xs),
+                    _misses(cols[i, k], *[(row, inside[key]) for row, key in sides]),
+                    lambda n: (gam, xs[n // len(sides)], k, i, p.offsets),
+                )
 
 
 @register("nbhd_product", "products of same-index members land in the summed-level neighborhood", j=2)
@@ -813,22 +843,18 @@ def _nbhd_product(t, bounds, params):
     _, table, values = _numbered_products(univ, _ext_product)
     products = _MemberIndex(values)
     for p, i, by_k in splits:
-        # per summed level, the numbers of the products outside its
-        # neighborhood: a "0" in the flags of the products' mask
-        outside = {}
-        for k in {k1 + k2 for k1 in levels for k2 in levels}:
-            flags = _bits(products.mask(k, i, p)).ljust(len(values), "0")
-            outside[k] = {n for n, flag in enumerate(flags) if flag == "0"}
+        # per summed level, the numbers of the products in its neighborhood
+        inside = {k: set(products.numbers(k, i, p)) for k in {k1 + k2 for k1 in levels for k2 in levels}}
         for k1 in levels:
             for k2 in levels:
-                out = outside[k1 + k2]
+                target = inside[k1 + k2]
                 ys = by_k[k2]
                 cols = [number[y] for y in ys]
                 for x in by_k[k1]:
                     row = table[number[x]]
                     t.check_mask(
                         len(cols),
-                        _misses(row, cols, out),
+                        _misses(cols, (row, target)),
                         lambda n: (x, ys[n], k1, k2, i, p.offsets),
                     )
 
@@ -907,10 +933,12 @@ def _bicyclic_hom(t, bounds, params):
     elems = _listed(bounds)
     t.plan(3 * len(nfs) + 5 * len(nfs) ** 2 + 4 * len(elems))
     embeds = [embed(u) for u in nfs]
-    for u, eu in zip(nfs, embeds):
+    # each distinct normal-form product embedded once, as its anatomy
+    _, table, values = _numbered_products(nfs, operator.mul)
+    embedded = [_anatomy(embed(w)) for w in values]
+    for u, eu, row in zip(nfs, embeds, table):
         t.check(recognize(eu) == u, u)
-        for v, ev in zip(nfs, embeds):
-            t.check(_anatomy(embed(u * v)) == _product(eu, ev), u, v)
+        _check_row(t, [embedded[n] for n in row], [_product(eu, ev) for ev in embeds], lambda n: (u, nfs[n]))
     for g in elems:
         nf = recognize(g)
         t.check((nf is None) == (g.noise != 0), g)

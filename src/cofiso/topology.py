@@ -101,16 +101,20 @@ class _MemberIndex:
     def mask(self, k: int, i: int, p: NoiseParams) -> int:
         return self._by_level[k] & self._by_tail[i] & self._by_class[p]
 
-    def members(self, k: int, i: int, p: NoiseParams) -> list:
-        """The members of NbhdSpec(k, i, p) in pool order: the pool
-        entries at the set bits of mask(k, i, p), in a new list."""
-        found, pool = [], self.pool
+    def numbers(self, k: int, i: int, p: NoiseParams) -> list:
+        """The pool numbers of the members of NbhdSpec(k, i, p), in
+        ascending order: the set bits of mask(k, i, p)."""
+        found = []
         digits = _bits(self.mask(k, i, p))
         n = digits.find("1")
         while n >= 0:
-            found.append(pool[n])
+            found.append(n)
             n = digits.find("1", n + 1)
         return found
+
+    def members(self, k: int, i: int, p: NoiseParams) -> list:
+        """The members of NbhdSpec(k, i, p) in pool order, in a new list."""
+        return list(map(self.pool.__getitem__, self.numbers(k, i, p)))
 
 
 class TailSeqSpec(_Value):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofiso import core, properties, topology
-from cofiso.bicyclic import embed, normalize_word, word_iso
+from cofiso.bicyclic import BicyclicNF, embed, normalize_word, recognize, word_iso
 from cofiso.core import (
     ALPHA,
     IDENTITY,
@@ -26,7 +26,7 @@ from cofiso.core import (
     green_j,
     green_l,
 )
-from cofiso.extension import Group, ext_inv, ext_mul
+from cofiso.extension import Group, ext_inv, ext_mul, ext_pi
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
 from cofiso.properties import (
     Report,
@@ -435,6 +435,63 @@ def test_a_table_builds_each_distinct_map_product_once(monkeypatch):
     assert len(built) == len(set(built)) == 112
 
 
+def test_nbhd_translation_builds_each_distinct_map_product_once(monkeypatch):
+    built = []
+    real = properties.from_anatomy
+
+    def counted(*key):
+        built.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(properties, "from_anatomy", counted)
+    report = verify("nbhd_translation", EnumBounds(8, 2), NoiseParams(3))
+    assert report.passed and report.instances == 8656
+    # each of the 15 movers times each of the 118 members of some split,
+    # on either side: 258 distinct products, 249 of them maps
+    assert len(built) == len(set(built)) == 249
+
+
+def test_retraction_takes_each_distinct_product_tail_once(monkeypatch):
+    taken = []
+    real = PartialIso.tail
+
+    def spy(x):
+        taken.append(x)
+        return real(x)
+
+    monkeypatch.setattr(PartialIso, "tail", spy)
+    bounds = EnumBounds(4, 2)
+    assert verify("retraction", bounds).passed
+    elems = list(enumerate_elements(bounds))
+    distinct = {a * b for a in elems for b in elems}
+    # three tails per element (its own, its tail's and its inverse's),
+    # then one per distinct product of the 3,600 pairs
+    assert (len(elems), len(distinct)) == (60, 156)
+    assert len(taken) == 3 * len(elems) + len(distinct) == 336
+    assert set(taken[-len(distinct):]) == distinct
+
+
+def test_bicyclic_hom_embeds_each_distinct_product_once(monkeypatch):
+    embedded = []
+    real = properties.embed
+
+    def spy(u):
+        embedded.append(u)
+        return real(u)
+
+    monkeypatch.setattr(properties, "embed", spy)
+    bounds = EnumBounds(4, 2)
+    assert verify("bicyclic_hom", bounds).passed
+    nfs = [BicyclicNF(k, l) for k in range(7) for l in range(7)]
+    distinct = {u * v for u in nfs for v in nfs}
+    recognized = [g for g in enumerate_elements(bounds) if g.noise == 0]
+    # the 49 normal forms, each distinct product of the 2,401 pairs, and
+    # the normal form of each noise-0 map of the pool
+    assert (len(distinct), len(recognized)) == (133, 22)
+    assert len(embedded) == 49 + len(distinct) + len(recognized) == 204
+    assert set(embedded[49 : 49 + len(distinct)]) == distinct
+
+
 def _wrong_inverse(real):
     return lambda x: Group(1) if x == Group(0) else real(x)
 
@@ -650,14 +707,15 @@ def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
 
 
 @pytest.mark.parametrize(
-    "pid", ["nbhd_nesting", "nbhd_inversion", "nbhd_hausdorff", "nbhd_monotone", "nbhd_product"]
+    "pid",
+    ["nbhd_nesting", "nbhd_inversion", "nbhd_hausdorff", "nbhd_monotone", "nbhd_product", "nbhd_translation"],
 )
 def test_indexed_suites_build_no_neighborhood_spec(monkeypatch, pid):
     # these suites read the membership index by (k, i, offset set) alone
-    def refuse(*args):
+    def refuse(self, *args):
         raise AssertionError(f"NbhdSpec{args} built")
 
-    monkeypatch.setattr(properties, "NbhdSpec", refuse)
+    monkeypatch.setattr(topology.NbhdSpec, "__init__", refuse)
     report = verify(pid, EnumBounds(3, 2), NoiseParams(3))
     assert report.passed and report.instances > 0
 
@@ -709,6 +767,91 @@ def _each_product(t, bounds, params, in_offset_class):
                             t.check(nbhd_member(ext_mul(x, y), target), x, y, k1, k2, i, p.offsets)
 
 
+def _each_translation(t, bounds, params, in_offset_class):
+    # every target built and every product taken afresh, left then right
+    # for each member; nbhd_member reads the planted in_offset_class
+    j, pool = params.j, _topo_pool(bounds)
+    for p in properties._all_params(j):
+        for gam in enumerate_elements(EnumBounds(2, 2)):
+            head = gam.tail_start - 1
+            reach = max(head, head + gam.shift)
+            for i in range(reach + j + 1, reach + j + 3):
+                for k in range(-2, 3):
+                    left_target = NbhdSpec(gam.pi + k, max(1, i - gam.pi), p)
+                    right_target = NbhdSpec(k + gam.pi, i, p)
+                    for x in [x for x in pool if nbhd_member(x, NbhdSpec(k, i, p))]:
+                        t.check(nbhd_member(ext_mul(gam, x), left_target), gam, x, k, i, p.offsets)
+                        if i > reach + j + max(0, -k):
+                            t.check(nbhd_member(ext_mul(x, gam), right_target), gam, x, k, i, p.offsets)
+
+
+def _each_retraction(t, bounds, params, tail):
+    # the tail of every pair product taken afresh, each through the
+    # planted PartialIso.tail
+    elems = list(enumerate_elements(bounds))
+    for g in elems:
+        r = g.tail()
+        t.check(r.noise == 0, g)
+        t.check(r == PartialIso(range(1, g.tail_start), g.shift), g)
+        t.check(r.tail() == r, g)
+        if g.noise == 0:
+            t.check(r == g, g)
+        t.check(r.inverse() == g.inverse().tail(), g)
+        t.check(g * r.inverse() == r * r.inverse(), g)
+        t.check(r.inverse() * g == r.inverse() * r, g)
+    for a in elems:
+        for b in elems:
+            t.check((a * b).tail() == a.tail() * b.tail(), a, b)
+
+
+def _wrong_tail(real):
+    # the tail of a map of shift 1 and noise 3 starts one point late
+    def tail(x):
+        r = real(x)
+        return PartialIso(range(1, r.tail_start + 1), r.shift) if (x.shift, x.noise) == (1, 3) else r
+
+    return tail
+
+
+def _each_ext_ideal(t, bounds, params, ext_mul):
+    univ = _ext_universe(bounds, params)
+    for x in univ:
+        for y in univ:
+            prod = ext_mul(x, y)
+            if isinstance(x, Group) or isinstance(y, Group):
+                t.check(isinstance(prod, Group), x, y)
+            t.check(ext_pi(prod) == ext_pi(x) + ext_pi(y), x, y)
+
+
+def _wrong_level(real):
+    # an adjoined integer times a map of shift 1 comes out as the map
+    def ext_mul(x, y):
+        if isinstance(x, Group) and isinstance(y, PartialIso) and y.shift == 1:
+            return y
+        return real(x, y)
+
+    return ext_mul
+
+
+def _each_bicyclic_hom(t, bounds, params, embed):
+    # every normal-form product embedded afresh
+    nfs = [BicyclicNF(k, l) for k in range(7) for l in range(7)]
+    for u in nfs:
+        t.check(recognize(embed(u)) == u, u)
+        for v in nfs:
+            t.check(embed(u * v) == embed(u) * embed(v), u, v)
+    for g in enumerate_elements(bounds):
+        nf = recognize(g)
+        t.check((nf is None) == (g.noise != 0), g)
+        if nf is not None:
+            t.check(embed(nf) == g, g, nf)
+
+
+def _wrong_embed(real):
+    # one normal form embeds as another
+    return lambda u: real(BicyclicNF(3, 2)) if u == BicyclicNF(2, 3) else real(u)
+
+
 @pytest.mark.parametrize(
     "pid,owner,name,wrong,each,bounds",
     [
@@ -716,8 +859,23 @@ def _each_product(t, bounds, params, in_offset_class):
         ("class_closure", properties, "in_offset_class", _flips_on(2, 3), _each_class_closure, EnumBounds(4, 2)),
         # read by the membership index and by nbhd_member alike
         ("nbhd_product", topology, "in_offset_class", _flips_on(2, 3), _each_product, EnumBounds(4, 2)),
+        ("nbhd_translation", topology, "in_offset_class", _flips_on(2, 3), _each_translation, EnumBounds(4, 2)),
+        # at a negative level some rows check the left product alone
+        ("nbhd_translation", topology, "in_offset_class", _flips_on(-1, 3), _each_translation, EnumBounds(4, 2)),
+        ("retraction", PartialIso, "tail", _wrong_tail, _each_retraction, EnumBounds(4, 2)),
+        ("ext_ideal", properties, "ext_mul", _wrong_level, _each_ext_ideal, EnumBounds(4, 2)),
+        ("bicyclic_hom", properties, "embed", _wrong_embed, _each_bicyclic_hom, EnumBounds(4, 2)),
     ],
-    ids=["natural_order", "class_closure", "nbhd_product"],
+    ids=[
+        "natural_order",
+        "class_closure",
+        "nbhd_product",
+        "nbhd_translation",
+        "nbhd_translation_left_only",
+        "retraction",
+        "ext_ideal",
+        "bicyclic_hom",
+    ],
 )
 def test_tabled_suites_match_a_check_per_instance(monkeypatch, pid, owner, name, wrong, each, bounds):
     # the suites read pair products from numbered tables; a check per
@@ -817,6 +975,8 @@ def test_green_relations_searches_each_domain_once(monkeypatch):
         ("class_closure", EnumBounds(5, 2), NoiseParams(4)),
         ("natural_order", EnumBounds(4, 2), None),
         ("ext_assoc", EnumBounds(4, 2), NoiseParams(3)),
+        ("retraction", EnumBounds(4, 2), None),
+        ("nbhd_translation", EnumBounds(8, 2), NoiseParams(3)),
     ],
 )
 def test_product_tables_hold_numbers_not_products(pid, bounds, params):
@@ -866,5 +1026,6 @@ def test_nbhd_translation_is_refused_before_its_first_check(monkeypatch):
         raise AssertionError("checked before the plan")
 
     monkeypatch.setattr(properties, "ext_mul", unchecked)
+    monkeypatch.setattr(properties, "_ext_product", unchecked)
     with pytest.raises(OverBudget):
         verify("nbhd_translation", EnumBounds(0, 0), NoiseParams(14))
