@@ -395,25 +395,28 @@ def _green_relations(t, bounds, params):
 @register("natural_order", "the four formulations of the natural order coincide and order the monoid")
 def _natural_order(t, bounds, params):
     elems = _listed(bounds)
-    t.plan(11 * len(elems) ** 2)
+    t.plan(len(elems) ** 2)
+    # le[a][b] is leq(elems[a], elems[b]); each related pair checks a
+    # row of compatibilities, all planned before the first check
+    le = [[leq(a, b) for b in elems] for a in elems]
+    t.plan(10 * len(elems) ** 2 + 2 * len(elems) * sum(map(sum, le)))
     _, table, values = _numbered_products(elems, _product)
     inverses = [g.inverse() for g in elems]
-    for ai, (a, a_inv, a_row) in enumerate(zip(elems, inverses, table)):
-        t.check(leq(a, a), a)
+    for ai, (a, a_inv, a_row, a_le) in enumerate(zip(elems, inverses, table, le)):
+        t.check(a_le[ai], a)
         ran_id_a, a_anatomy = a_inv * a, _anatomy(a)
-        for bi, (b, b_inv, b_row) in enumerate(zip(elems, inverses, table)):
-            by_def = leq(a, b)
+        for bi, (b, b_inv, b_row, b_le) in enumerate(zip(elems, inverses, table, le)):
+            by_def = a_le[bi]
             dom_incl = a.shift == b.shift and set(b.excluded) <= set(a.excluded)
             ran_incl = a.shift == b.shift and set(b_inv.excluded) <= set(a_inv.excluded)
             by_restriction = a_anatomy == _product(b, ran_id_a)
             t.check(by_def == dom_incl, a, b)
             t.check(by_def == ran_incl, a, b)
             t.check(by_def == by_restriction, a, b)
-            if by_def and leq(b, a):
+            if by_def and b_le[ai]:
                 t.check(a == b, a, b)
             if by_def:
                 t.check(leq(a_inv, b_inv), a, b)
-                t.plan(2 * len(elems))
                 # a*c and b*c from rows a and b, c*a and c*b from row c
                 t.check_mask(
                     len(elems),
@@ -505,23 +508,22 @@ def _class_closure(t, bounds, params):
     elems = _listed(bounds)
     all_p = _all_params(j)
     t.plan(len(all_p) * len(elems))
-    classes = [[g for g in elems if in_offset_class(g, p)] for p in all_p]
-    # one table over every class's members, read by their numbers
-    univ = list(dict.fromkeys(g for members in classes for g in members))
-    t.plan(len(univ) ** 2 + sum((len(members) + 1) ** 2 for members in classes))
-    number = {g: n for n, g in enumerate(univ)}
-    _, table, values = _numbered_products(univ, _product)
+    # each class as the positions of its members in elems
+    classes = [[n for n, g in enumerate(elems) if in_offset_class(g, p)] for p in all_p]
+    # one table over every class's members: row_of[n] is the row of elems[n]
+    row_of = {n: r for r, n in enumerate(dict.fromkeys(n for members in classes for n in members))}
+    t.plan(len(row_of) ** 2 + sum((len(members) + 1) ** 2 for members in classes))
+    _, table, values = _numbered_products([elems[n] for n in row_of], _product)
     for p, members in zip(all_p, classes):
         t.check(in_offset_class(IDENTITY, p), p.offsets)
-        for g in members:
+        for g in map(elems.__getitem__, members):
             t.check(in_offset_class(g.inverse(), p), g, p.offsets)
         # the numbers of the products inside the class, one membership
         # test per distinct product
         inside = {n for n, v in enumerate(values) if in_offset_class(v, p)}
-        cols = [number[b] for b in members]
-        for a in members:
-            row = table[number[a]]
-            t.check_mask(len(cols), _misses(cols, (row, inside)), lambda n: (a, members[n], p.offsets))
+        cols = [row_of[n] for n in members]
+        for a, r in zip(map(elems.__getitem__, members), cols):
+            t.check_mask(len(cols), _misses(cols, (table[r], inside)), lambda n: (a, elems[members[n]], p.offsets))
 
 
 @register("noise_one_absent", "no element has noise exactly 1")
@@ -652,25 +654,27 @@ def _ext_ideal(t, bounds, params):
 @register("ext_order", "the extended order is a partial order obeying the level rules", j=2)
 def _ext_order(t, bounds, params):
     univ = _ext_universe(bounds, params)
-    t.plan(len(univ) + 6 * len(univ) ** 2)
-    for x in univ:
-        t.check(ext_leq(x, x), x)
-        for y in univ:
-            le = ext_leq(x, y)
-            if le and ext_leq(y, x):
+    t.plan(len(univ) ** 2)
+    # ext_le[x][y] is ext_leq(univ[x], univ[y]); each related pair checks
+    # transitivity over a row, all planned before the first check
+    ext_le = [[ext_leq(x, y) for y in univ] for x in univ]
+    t.plan(len(univ) + 5 * len(univ) ** 2 + 2 * len(univ) * sum(map(sum, ext_le)))
+    for xi, (x, x_le) in enumerate(zip(univ, ext_le)):
+        t.check(x_le[xi], x)
+        for y, le, y_le in zip(univ, x_le, ext_le):
+            if le and y_le[xi]:
                 t.check(x == y, x, y)
             if isinstance(x, PartialIso) and isinstance(y, PartialIso):
                 t.check(le == leq(x, y), x, y)
             if isinstance(x, Group) and isinstance(y, PartialIso):
                 t.check(le == (y.pi == x.k), x, y)
-                t.check(not ext_leq(y, x), x, y)
+                t.check(not y_le[xi], x, y)
             if isinstance(x, Group) and isinstance(y, Group) and x != y:
                 t.check(not le, x, y)
             if le:
-                t.plan(2 * len(univ))
-                for z in univ:
-                    if ext_leq(y, z):
-                        t.check(ext_leq(x, z), x, y, z)
+                for z, yz, xz in zip(univ, y_le, x_le):
+                    if yz:
+                        t.check(xz, x, y, z)
 
 
 @register("ext_commute", "adjoined integers commute with every element", j=2)
@@ -781,20 +785,21 @@ def _nbhd_translation(t, bounds, params):
     # at five units
     t.plan(len(all_p) * (len(per_index) * len(pool) + 5 * 10 * len(steps)))
     index = _MemberIndex(pool)
+    # each split's members as their positions in the pool
     splits = [
-        (p, {(i, k): index.members(k, i, p) for i in per_index for k in range(-2, 3)})
+        (p, {(i, k): index.numbers(k, i, p) for i in per_index for k in range(-2, 3)})
         for p in all_p
     ]
     # a product, a membership and a tally for each side of each member,
     # planned for every split before the first check
     t.plan(sum(6 * per_index[i] * len(xs) for _, split in splits for (i, _), xs in split.items()))
     # each mover times every member of some split, on either side, as
-    # numbers of the distinct products
-    univ = list(dict.fromkeys(x for _, split in splits for xs in split.values() for x in xs))
-    number = {x: n for n, x in enumerate(univ)}
+    # numbers of the distinct products: row_of[n] is the column of pool[n]
+    positions = list(dict.fromkeys(n for _, split in splits for xs in split.values() for n in xs))
+    row_of = {n: r for r, n in enumerate(positions)}
     ids: dict = {}
-    left = {gam: [ids.setdefault(_ext_product(gam, x), len(ids)) for x in univ] for gam in movers}
-    right = {gam: [ids.setdefault(_ext_product(x, gam), len(ids)) for x in univ] for gam in movers}
+    left = {gam: [ids.setdefault(_ext_product(gam, pool[n]), len(ids)) for n in positions] for gam in movers}
+    right = {gam: [ids.setdefault(_ext_product(pool[n], gam), len(ids)) for n in positions] for gam in movers}
     products = _MemberIndex(_built(ids))
     # per step and level: the left target (level, index), and the right
     # one where it is checked
@@ -808,7 +813,7 @@ def _nbhd_translation(t, bounds, params):
     for p, split in splits:
         # the numbers of the products in each target neighborhood
         inside = _Memo(lambda key: set(products.numbers(*key, p)))
-        cols = {key: [number[x] for x in xs] for key, xs in split.items()}
+        cols = {key: [row_of[n] for n in xs] for key, xs in split.items()}
         for gam, i, k, sides in rows:
             xs = split[i, k]
             if xs:
@@ -817,7 +822,7 @@ def _nbhd_translation(t, bounds, params):
                 t.check_mask(
                     len(sides) * len(xs),
                     _misses(cols[i, k], *[(row, inside[key]) for row, key in sides]),
-                    lambda n: (gam, xs[n // len(sides)], k, i, p.offsets),
+                    lambda n: (gam, pool[xs[n // len(sides)]], k, i, p.offsets),
                 )
 
 
@@ -828,34 +833,35 @@ def _nbhd_product(t, bounds, params):
     all_p = _all_params(j)
     t.plan(len(all_p) * 2 * len(pool))
     index = _MemberIndex(pool)
+    # each level's members as their positions in the pool
     splits = [
-        (p, i, {k: index.members(k, i, p) for k in levels})
+        (p, i, {k: index.numbers(k, i, p) for k in levels})
         for p in all_p
         for i in range(j + 1, j + 3)
     ]
     # every pair of members at the checked levels is checked in some split
-    univ = list(dict.fromkeys(x for _, _, by_k in splits for xs in by_k.values() for x in xs))
+    positions = list(dict.fromkeys(n for _, _, by_k in splits for ns in by_k.values() for n in ns))
     sizes = [sum(map(len, by_k.values())) for _, _, by_k in splits]
     # each split reads 25 level pairs, about five units each, and tallies
     # a row of memberships for each member and level
-    t.plan(len(univ) ** 2 + sum(size ** 2 + 15 * size + 125 for size in sizes))
-    number = {x: n for n, x in enumerate(univ)}
-    _, table, values = _numbered_products(univ, _ext_product)
+    t.plan(len(positions) ** 2 + sum(size ** 2 + 15 * size + 125 for size in sizes))
+    # row_of[n] is the table row of pool[n]
+    row_of = {n: r for r, n in enumerate(positions)}
+    _, table, values = _numbered_products([pool[n] for n in positions], _ext_product)
     products = _MemberIndex(values)
     for p, i, by_k in splits:
         # per summed level, the numbers of the products in its neighborhood
         inside = {k: set(products.numbers(k, i, p)) for k in {k1 + k2 for k1 in levels for k2 in levels}}
+        rows = {k: [row_of[n] for n in ns] for k, ns in by_k.items()}
         for k1 in levels:
             for k2 in levels:
                 target = inside[k1 + k2]
-                ys = by_k[k2]
-                cols = [number[y] for y in ys]
-                for x in by_k[k1]:
-                    row = table[number[x]]
+                ys, cols = by_k[k2], rows[k2]
+                for x, r in zip(by_k[k1], rows[k1]):
                     t.check_mask(
                         len(cols),
-                        _misses(cols, (row, target)),
-                        lambda n: (x, ys[n], k1, k2, i, p.offsets),
+                        _misses(cols, (table[r], target)),
+                        lambda n: (pool[x], pool[ys[n]], k1, k2, i, p.offsets),
                     )
 
 

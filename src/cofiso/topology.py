@@ -112,10 +112,6 @@ class _MemberIndex:
             n = digits.find("1", n + 1)
         return found
 
-    def members(self, k: int, i: int, p: NoiseParams) -> list:
-        """The members of NbhdSpec(k, i, p) in pool order, in a new list."""
-        return list(map(self.pool.__getitem__, self.numbers(k, i, p)))
-
 
 class TailSeqSpec(_Value):
     """Closed-form element sequence: at index n the domain is

@@ -140,3 +140,33 @@ class TestSources:
                 imported |= {alias.asname or alias.name for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert sorted(imported - used) == []
+
+    def test_every_private_function_is_read(self):
+        # a private function, or a method of a private class, that no
+        # source reads is a leftover; dunders are called by Python, an
+        # override by its base class and registered suites by verify()
+        functions, methods, names, attributes = set(), set(), set(), set()
+        for path in sorted((ROOT / "src" / "cofiso").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    attributes.add(node.attr)
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                    suite = any(ast.unparse(d).startswith("register(") for d in node.decorator_list)
+                    if not node.name.startswith("__") and not suite:
+                        functions.add(node.name)
+                elif isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                    bases = getattr(importlib.import_module(f"cofiso.{path.stem}"), node.name).__mro__[1:]
+                    methods |= {
+                        f.name
+                        for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("__")
+                        and not any(hasattr(base, f.name) for base in bases)
+                    }
+        # a method is read as an attribute; a bare name may be a local
+        assert sorted(functions - names - attributes) == []
+        assert sorted(methods - attributes) == []

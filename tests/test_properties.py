@@ -508,13 +508,17 @@ def _wrong_product(real):
     return lambda x, y: Group(1) if (x, y) == (Group(0), Group(0)) else real(x, y)
 
 
-def _wrong_members(real):
-    # level 0's first member swapped for a base point of level 1
-    def members(index, k, i, p):
-        found = real(index, k, i, p)
-        return [Group(1)] + found[1:] if k == 0 else found
+def _wrong_numbers(real):
+    # level 0's first member swapped for the base point of level 1 in
+    # the index over the suite's pool, and only there: the index over the
+    # products is left as it is
+    pool = _topo_pool(EnumBounds(3, 2))
 
-    return members
+    def numbers(index, k, i, p):
+        found = real(index, k, i, p)
+        return [pool.index(Group(1))] + found[1:] if k == 0 and index.pool == pool else found
+
+    return numbers
 
 
 @pytest.mark.parametrize(
@@ -522,7 +526,7 @@ def _wrong_members(real):
     [
         ("nbhd_inversion", properties, "ext_inv", _wrong_inverse),
         ("green_relations", properties, "green_r", _wrong_green_r),
-        ("nbhd_translation", _MemberIndex, "members", _wrong_members),
+        ("nbhd_translation", _MemberIndex, "numbers", _wrong_numbers),
         ("nbhd_product", properties, "ext_mul", _wrong_product),
     ],
     ids=["nbhd_inversion", "green_relations", "nbhd_translation", "nbhd_product"],
@@ -823,6 +827,28 @@ def _each_ext_ideal(t, bounds, params, ext_mul):
             t.check(ext_pi(prod) == ext_pi(x) + ext_pi(y), x, y)
 
 
+def _each_ext_order(t, bounds, params, ext_leq):
+    # every order relation decided afresh each time it is read
+    univ = _ext_universe(bounds, params)
+    for x in univ:
+        t.check(ext_leq(x, x), x)
+        for y in univ:
+            le = ext_leq(x, y)
+            if le and ext_leq(y, x):
+                t.check(x == y, x, y)
+            if isinstance(x, PartialIso) and isinstance(y, PartialIso):
+                t.check(le == core.leq(x, y), x, y)
+            if isinstance(x, Group) and isinstance(y, PartialIso):
+                t.check(le == (y.pi == x.k), x, y)
+                t.check(not ext_leq(y, x), x, y)
+            if isinstance(x, Group) and isinstance(y, Group) and x != y:
+                t.check(not le, x, y)
+            if le:
+                for z in univ:
+                    if ext_leq(y, z):
+                        t.check(ext_leq(x, z), x, y, z)
+
+
 def _wrong_level(real):
     # an adjoined integer times a map of shift 1 comes out as the map
     def ext_mul(x, y):
@@ -864,6 +890,7 @@ def _wrong_embed(real):
         ("nbhd_translation", topology, "in_offset_class", _flips_on(-1, 3), _each_translation, EnumBounds(4, 2)),
         ("retraction", PartialIso, "tail", _wrong_tail, _each_retraction, EnumBounds(4, 2)),
         ("ext_ideal", properties, "ext_mul", _wrong_level, _each_ext_ideal, EnumBounds(4, 2)),
+        ("ext_order", properties, "ext_leq", _flips_on(1, 3), _each_ext_order, EnumBounds(4, 2)),
         ("bicyclic_hom", properties, "embed", _wrong_embed, _each_bicyclic_hom, EnumBounds(4, 2)),
     ],
     ids=[
@@ -874,6 +901,7 @@ def _wrong_embed(real):
         "nbhd_translation_left_only",
         "retraction",
         "ext_ideal",
+        "ext_order",
         "bicyclic_hom",
     ],
 )
@@ -1029,3 +1057,51 @@ def test_nbhd_translation_is_refused_before_its_first_check(monkeypatch):
     monkeypatch.setattr(properties, "_ext_product", unchecked)
     with pytest.raises(OverBudget):
         verify("nbhd_translation", EnumBounds(0, 0), NoiseParams(14))
+
+
+@pytest.mark.parametrize(
+    "pid,bounds,params,units",
+    [
+        ("natural_order", EnumBounds(9, 0), None, 23038976),
+        ("natural_order", EnumBounds(10, 0), None, 132466688),
+        ("ext_order", EnumBounds(9, 0), NoiseParams(9), 22395805),
+        ("ext_order", EnumBounds(8, 2), NoiseParams(8), 51188145),
+    ],
+)
+def test_order_suites_are_refused_before_their_first_check(monkeypatch, pid, bounds, params, units):
+    # the relation table is built and each related pair's row planned
+    # before the first check, so a call past the budget checks nothing
+    def unchecked(self, *args):
+        raise AssertionError("checked before the plan")
+
+    monkeypatch.setattr(_Tally, "check", unchecked)
+    monkeypatch.setattr(_Tally, "check_mask", unchecked)
+    with pytest.raises(OverBudget) as info:
+        verify(pid, bounds, params)
+    assert str(info.value) == f"verify {pid} plans {units} units, above the budget of 16777216"
+
+
+@pytest.mark.parametrize(
+    "pid,bounds,params,cls,hashes",
+    [
+        ("nbhd_product", EnumBounds(8, 2), NoiseParams(3), PartialIso, 0),
+        ("class_closure", EnumBounds(5, 2), NoiseParams(4), PartialIso, 0),
+        # a member pool of base points alone: one hash per product of two
+        # of the five levels, as the table numbers it
+        ("nbhd_product", EnumBounds(0, 0), NoiseParams(8), Group, 25),
+    ],
+)
+def test_split_members_are_named_by_position(monkeypatch, pid, bounds, params, cls, hashes):
+    # a member is read by its position in the pool, never looked up by
+    # itself; only the product keys the table numbers are hashed
+    calls = count()
+    real = cls.__hash__
+
+    def spy(x):
+        next(calls)
+        return real(x)
+
+    monkeypatch.setattr(cls, "__hash__", spy)
+    report = verify(pid, bounds, params)
+    assert report.passed and report.instances > 0
+    assert next(calls) == hashes
