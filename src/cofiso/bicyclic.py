@@ -35,27 +35,26 @@ class BicyclicNF(_Value):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
 
-    # hashed and compared in the product tables, so written out
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k and self.l == other.l
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.l))
-
     def __lt__(self, other: "BicyclicNF") -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.k, self.l) < (other.k, other.l)
 
     def __mul__(self, other: "BicyclicNF") -> "BicyclicNF":
-        # q^k p^l * q^m p^n = q^(k+m-d) p^(l+n-d) with d = min(l, m)
+        # q^k p^l * q^m p^n = q^(k+m-d) p^(l+n-d) with d = min(l, m): both
+        # exponents stay non-negative, so the product skips __init__'s check
         d = min(self.l, other.k)
-        return BicyclicNF(self.k + other.k - d, self.l + other.l - d)
+        nf = object.__new__(BicyclicNF)
+        _set_k(nf, self.k + other.k - d)
+        _set_l(nf, self.l + other.l - d)
+        return nf
 
     def __repr__(self) -> str:
         return f"BicyclicNF({self.k},{self.l})"
+
+
+_set_k = BicyclicNF.k.__set__
+_set_l = BicyclicNF.l.__set__
 
 
 def embed(u: BicyclicNF) -> PartialIso:

@@ -153,6 +153,14 @@ def _params(args) -> NoiseParams:
 
 def _value(text: str, label: Optional[str] = None, params: Optional[NoiseParams] = None):
     value = evaluate(parse(text), params)
+    # every number a command prints of a value, or of a map derived from
+    # it, is at most |k| or the larger tail start, so one check up front
+    # keeps each printable; str() refuses more digits than its limit
+    n = abs(value.k) if isinstance(value, Group) else max(value.tail_start, value.ran_tail_start)
+    limit = sys.get_int_max_str_digits()
+    if limit and n >= 10**limit:
+        size = f"an integer of at least 2^{n.bit_length() - 1}"
+        raise OverBudget(f"the value holds {size}, above the print limit of {limit} digits")
     if label is not None and not isinstance(value, PartialIso):
         raise EvalError(f"{label} must denote a map, not the adjoined integer {value!r}")
     return value

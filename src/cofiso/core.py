@@ -103,26 +103,25 @@ def elements(
 
 class _Value:
     """Base of the small immutable value classes: the fields are the names
-    in ``__slots__``, written once by ``__init__`` in that order.  A class
-    built on a hot path writes them itself with object.__setattr__, which
-    takes half the time.  Values are equal, and hash equal, when their
-    class and fields are, and print as ``Name(field=value, ...)``.
+    in ``__slots__``, or in ``_fields`` when memo slots follow them,
+    written once by ``__init__`` in that order.  A class built on a hot
+    path writes them itself with object.__setattr__, which takes half the
+    time.  Values are equal, and hash equal, when their class and fields
+    are, and print as ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
 
-    @property
-    def _fields(self) -> tuple[str, ...]:
-        return self.__slots__
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        # reads the fields in one C call: a tuple of them, or the one field
+        cls._key = operator.attrgetter(*cls._fields)
 
     def __init__(self, *values) -> None:
         if len(values) != len(self._fields):
             raise TypeError(f"{self.__class__.__name__} takes the fields {self._fields}, got {len(values)} values")
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -133,13 +132,14 @@ class _Value:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key(self))
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -390,9 +390,8 @@ class NoiseParams(_Value):
     """
 
     _fields = ("j", "offsets")
-    # the offset_mask memo, (width built, mask), and the hash sit beside
-    # the fields
-    __slots__ = (*_fields, "_offset_mask", "_hash")
+    # the offset_mask memo, (width built, mask), sits beside the fields
+    __slots__ = (*_fields, "_offset_mask")
 
     def __init__(self, j: int, offsets: Iterable[int] = frozenset()) -> None:
         offsets = frozenset(offsets)
@@ -404,16 +403,11 @@ class NoiseParams(_Value):
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "_offset_mask", (0, 0))
-        object.__setattr__(self, "_hash", hash((j, offsets)))
 
     @classmethod
     def full(cls, j: int) -> "NoiseParams":
         """Widest offset set {2, ..., j}."""
         return cls(j, frozenset(range(2, j + 1)))
-
-    # the key of each offset class a neighborhood index keeps, so hashed once
-    def __hash__(self) -> int:
-        return self._hash
 
     def offset_mask(self, width: int) -> tuple[int, int]:
         """(w, mask) with w >= width and bit w - o of mask set for each

@@ -41,15 +41,6 @@ class Group(_Value):
     def __init__(self, k: int) -> None:
         object.__setattr__(self, "k", k)
 
-    # hashed and compared in the product tables, so written out
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.k,))
-
     def __lt__(self, other: "Group") -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented

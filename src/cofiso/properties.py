@@ -161,12 +161,6 @@ def known_properties() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def suite_level(property_id: str) -> Optional[int]:
-    """The level a suite runs at when given no params; None for a suite
-    that reads no params or an id that is not registered."""
-    return _REGISTRY.get(property_id, (None, None, None))[1]
-
-
 def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
     if property_id not in _REGISTRY:
         raise UnknownProperty(

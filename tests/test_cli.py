@@ -25,6 +25,16 @@ def cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
 
+@pytest.fixture
+def print_limit():
+    """str() at its default limit of 4,300 digits for the test, whatever
+    the interpreter was started with."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
 def run_cli(*args, timeout=None, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
@@ -343,6 +353,42 @@ class TestBudget:
     def test_budget_sized_value_is_printed(self):
         code, doc = invoke(["eval", "b^65536"])
         assert (code, doc["value"]) == (0, {"excluded": list(range(1, 65537)), "shift": -65536})
+
+    # N has 4,000 digits, so a^N^N shifts by N^2, about 2^26574, which has
+    # 7,999 digits: more than str() writes at its default limit of 4,300
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "a^N^N"],
+            ["eval", "b^N^N"],
+            ["order", "a^N^N", "I"],
+            ["green", "L", "a", "b^N^N"],
+            ["arrow", "b^N^N*a^N^N"],
+            ["nbhd", "a^N^N", "--k", "0", "--i", "2", "--j", "2"],
+            ["classify", "b^N^N", "--j", "2"],
+            ["classify", "grp(0)*a^N^N", "--j", "2"],
+            ["pi", "a^N^N"],
+            ["pi", "grp(1)*b^N^N"],
+        ],
+        ids=["eval a", "eval b", "order", "green", "arrow", "nbhd", "classify", "classify group", "pi", "pi group"],
+    )
+    def test_value_too_long_to_print_is_refused(self, argv, capsys, print_limit):
+        argv = [arg.replace("N", "7" * 4000) for arg in argv]
+        message = "the value holds an integer of at least 2^26574, above the print limit of 4300 digits"
+        doc = {"schema": 1, "error": {"type": "OverBudget", "message": message}}
+        assert main(argv) == 2
+        assert capsys.readouterr().out == json.dumps(doc) + "\n"
+        assert invoke(argv) == (2, doc)
+
+    def test_value_at_the_print_limit_is_printed(self, capsys, print_limit):
+        # a^n prints n and its range minimum n + 1, which reaches 4,301
+        # digits one step past n = 10^4300 - 2
+        n = "9" * 4299 + "8"
+        assert main(["classify", "a^" + n, "--j", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["pi"], doc["unr"]) == (10**4300 - 2, 10**4300 - 1)
+        assert main(["pi", "a^" + n + "*a"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "OverBudget"
 
     def test_walks_at_the_budget_run(self, monkeypatch):
         monkeypatch.setattr(core, "_BUDGET", 8)

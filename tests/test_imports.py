@@ -170,3 +170,15 @@ class TestSources:
         # a method is read as an attribute; a bare name may be a local
         assert sorted(functions - names - attributes) == []
         assert sorted(methods - attributes) == []
+
+    def test_value_classes_share_one_equality_and_hash(self):
+        # _Value's __eq__ and __hash__ read each class's fields through
+        # its getter; a class that writes its own forks the protocol.
+        # PartialIso is no _Value: it compares and hashes its anatomy
+        from cofiso.core import _Value
+
+        for path in sorted((ROOT / "src" / "cofiso").glob("[!_]*.py")):
+            importlib.import_module(f"cofiso.{path.stem}")
+        classes = [c for c in _Value.__subclasses__() if c.__module__.startswith("cofiso.")]
+        assert len(classes) == 14
+        assert [c.__name__ for c in classes if {"__eq__", "__hash__"} & vars(c).keys()] == []

@@ -39,7 +39,6 @@ from cofiso.properties import (
     _numbered_products,
     _topo_pool,
     known_properties,
-    suite_level,
     verify,
 )
 from cofiso.topology import NbhdSpec, _MemberIndex, nbhd_member
@@ -221,51 +220,6 @@ def test_upset_char_plans_before_it_lists(monkeypatch):
     assert str(info.value) == "verify upset_char plans 338235555840 units, above the budget of 16777216"
 
 
-# every suite call of tests/test_acceptance.py: (suite, N, S, j)
-ACCEPTANCE_CALLS = [
-    *(
-        (pid, 4, 2, None)
-        for pid in (
-            "oracle_equiv",
-            "inverse_axioms",
-            "idempotent_iff",
-            "green_relations",
-            "natural_order",
-            "congruence",
-            "retraction",
-            "absorption",
-            "tail_chain",
-            "conjugation",
-            "bicyclic_hom",
-        )
-    ),
-    ("assoc", 3, 2, None),
-    *((pid, 5, 2, j) for pid in ("offset_classes", "class_closure") for j in (2, 3, 4)),
-    *((pid, 6, 3, None) for pid in ("noise_one_absent", "series_strict")),
-    *(("boundary", 6, 2, j) for j in (2, 3, 4, 5, 6)),
-    *(
-        (pid, 4, 2, j)
-        for pid in ("ext_assoc", "ext_ideal", "ext_order", "ext_commute", "ext_surjective", "ext_translation")
-        for j in (2, 3)
-    ),
-    *(
-        (pid, 8, 2, j)
-        for pid in (
-            "nbhd_product",
-            "nbhd_translation",
-            "nbhd_inversion",
-            "upset_char",
-            "nbhd_nesting",
-            "nbhd_hausdorff",
-            "nbhd_monotone",
-        )
-        for j in (2, 3)
-    ),
-    *(("convergence_probe", 3, 2, j) for j in (2, 3, 4)),
-    ("word_soundness", 3, 2, None),
-]
-
-
 def _verify_planned(monkeypatch, pid, bounds, params):
     """verify's report and the units its suite planned."""
     tallies = []
@@ -280,12 +234,13 @@ def _verify_planned(monkeypatch, pid, bounds, params):
     return report, tallies[-1].planned
 
 
-# the benchmark's sweep plan and instance counts, run from its source
-# file, which writes no bytecode beside it
+# the benchmark's sweep plan, (suite, N, S, j) for every suite at its
+# acceptance bounds, and its instance counts, run from its source file,
+# which writes no bytecode beside it
 SWEEP = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "sweep.py"))
 
 
-@pytest.mark.parametrize("pid,n,s,j", ACCEPTANCE_CALLS)
+@pytest.mark.parametrize("pid,n,s,j", SWEEP["PLAN"])
 def test_acceptance_plans_cover_the_instances_well_inside_the_budget(monkeypatch, pid, n, s, j):
     params = None if j is None else NoiseParams(j)
     report, planned = _verify_planned(monkeypatch, pid, EnumBounds(n, s), params)
@@ -294,12 +249,8 @@ def test_acceptance_plans_cover_the_instances_well_inside_the_budget(monkeypatch
 
 
 def test_acceptance_calls_cover_every_suite():
-    assert len(ACCEPTANCE_CALLS) == 55
-    assert {pid for pid, *_ in ACCEPTANCE_CALLS} == set(known_properties())
-
-
-def test_acceptance_calls_match_the_benchmark_sweep():
-    assert set(ACCEPTANCE_CALLS) == set(SWEEP["PLAN"])
+    assert len(SWEEP["PLAN"]) == 55
+    assert {pid for pid, *_ in SWEEP["PLAN"]} == set(known_properties())
 
 
 @pytest.mark.parametrize("pid", known_properties())
@@ -315,7 +266,7 @@ def test_plans_bound_the_instances_and_the_calls(monkeypatch, pid):
         if event == "call" and frame.f_code.co_filename.startswith(home):
             calls += 1
 
-    levels = (None,) if suite_level(pid) is None else (2, 4)
+    levels = (None,) if _REGISTRY[pid][1] is None else (2, 4)
     for (n, s), j in product(((0, 0), (3, 2)), levels):
         calls = 0
         sys.setprofile(count_calls)
@@ -337,7 +288,7 @@ def test_a_suite_given_no_params_runs_at_its_own_level(pid, j):
     assert verify(pid, bounds) == verify(pid, bounds, NoiseParams(j))
 
 
-@pytest.mark.parametrize("pid", [pid for pid in known_properties() if suite_level(pid) is None])
+@pytest.mark.parametrize("pid", [pid for pid in known_properties() if _REGISTRY[pid][1] is None])
 def test_a_suite_with_no_level_reads_no_params(pid):
     # so verify --j lists nothing for it
     bounds = SMOKE_BOUNDS.get(pid, EnumBounds(3, 2))
