@@ -88,17 +88,32 @@ def elements(
     shift from ``shifts`` and noise at most j (no cap when j is None):
     subsets in lexicographic order, shifts in the given order within each.
 
+    The walk carries each subset's (dom_min, gaps) on its stack.  Adding
+    a point never lowers the noise, and the later siblings of a subset
+    too noisy to keep are noisier still, so the walk cuts there.
+
     >>> list(elements([1, 2], (-1, 0)))
     [iso([],0), iso([1],-1), iso([1],0), iso([1,2],-1), iso([1,2],0), iso([2],0)]
     """
-    shifts = tuple(shifts)
-    for ex in subsets(points):
-        g = PartialIso(ex)  # shift 0 is always admissible
-        if j is not None and g.noise > j:
-            continue
+    pts, shifts = tuple(points), tuple(shifts)
+    largest = PartialIso(pts).tail_start - 1  # one walk checks the points
+    # no subset of the points is noisier than the largest of them
+    cap = largest if j is None else j
+    path = []  # (index past the point, dom_min, gaps) before each chosen point
+    i, u, gaps = 0, 1, 0
+    while cap >= 0:  # a negative cap keeps nothing
         for s in shifts:
-            if s >= 1 - g.dom_min:
-                yield from_anatomy(g.dom_min, g.gaps, s)
+            if s >= 1 - u:
+                yield from_anatomy(u, gaps, s)
+        # adding the point p past the leading run makes noise p - u + 1
+        while i == len(pts) or pts[i] != u and pts[i] - u >= cap:
+            if not path:
+                return
+            i, u, gaps = path.pop()
+        p = pts[i]
+        i += 1
+        path.append((i, u, gaps))
+        u, gaps = (u + 1, 0) if p == u else (u, gaps | 1 << (p - u))
 
 
 class _Value:

@@ -4,7 +4,10 @@ The enumeration lists every element within an exclusion/shift budget.
 The window oracle composes maps pointwise on an initial segment of the
 naturals, long enough that the element can be reconstructed from the
 table alone; agreement with the algebraic composition is what the main
-equivalence property verifies.
+equivalence property verifies.  It reads only each map's ``excluded``
+set and ``shift``, never its anatomy, so it stays an independent route.
+What it reads of an element, its hole set, shift and reach, is built
+once per element (``_view``); a pair then costs one window and one table.
 """
 
 from __future__ import annotations
@@ -34,42 +37,47 @@ def enumerate_elements(bounds: EnumBounds) -> Iterator[PartialIso]:
     yield from elements(range(1, bounds.n + 1), range(-bounds.s, bounds.s + 1), bounds.j)
 
 
-def _reach(g: PartialIso) -> int:
-    return (max(g.excluded) if g.excluded else 0) + abs(g.shift)
+def _view(g: PartialIso) -> tuple[frozenset, int, int]:
+    """What the window reads of g, built once per element: its holes (the
+    excluded set), its shift and its reach, the last hole plus |shift|."""
+    ex = g.excluded
+    return frozenset(ex), g.shift, (ex[-1] if ex else 0) + abs(g.shift)
 
 
-def _window(a: PartialIso, b: PartialIso) -> int:
+def _table(va: tuple, vb: tuple) -> tuple[int, dict, list]:
+    """The window, the table of (a then b) on it and the points of the
+    window the table omits, from a's and b's views."""
+    (holes_a, shift_a, reach_a), (holes_b, shift_b, reach_b) = va, vb
     # one spare column past every irregularity, after a's shift is applied
-    return max(_reach(a), _reach(b)) + abs(a.shift) + 2
+    window = max(reach_a, reach_b) + abs(shift_a) + 2
+    table, undefined = {}, []
+    for x in range(1, window + 1):
+        y = x + shift_a
+        if x in holes_a or y < 1 or y in holes_b:
+            undefined.append(x)
+        else:
+            table[x] = y + shift_b
+    return window, table, undefined
 
 
 def window_compose(a: PartialIso, b: PartialIso) -> dict:
-    """Pointwise table of (a then b) on 1.._window(a, b): x -> b(a(x)),
-    with undefined points omitted."""
-    window = _window(a, b)
-    # membership is read off the excluded sets, not off the maps' own
-    # arithmetic, so the table stays an independent route
-    holes_a, holes_b = set(a.excluded), set(b.excluded)
-    table = {}
-    for x in range(1, window + 1):
-        if x in holes_a:
-            continue
-        y = x + a.shift
-        if y < 1 or y in holes_b:
-            continue
-        table[x] = y + b.shift
-    return table
+    """Pointwise table of (a then b) on 1..window: x -> b(a(x)), with
+    undefined points omitted."""
+    return _table(_view(a), _view(b))[1]
+
+
+def _compose_views(va: tuple, vb: tuple) -> PartialIso:
+    """Rebuild the composite of the viewed maps from their window table:
+    its one shift and the points it omits."""
+    window, table, undefined = _table(va, vb)
+    shifts = {z - x for x, z in table.items()}
+    assert len(shifts) == 1, "window table is not a single translation off its holes"
+    # undefined points must not run into the window edge, or the tail
+    # start would be misread
+    assert not undefined or undefined[-1] < window, "window too small to see the tail"
+    return PartialIso(undefined, shifts.pop())
 
 
 def compose_via_window(a: PartialIso, b: PartialIso) -> PartialIso:
     """Rebuild the composite element from its window table alone."""
-    window = _window(a, b)
-    table = window_compose(a, b)
-    shifts = {z - x for x, z in table.items()}
-    assert len(shifts) == 1, "window table is not a single translation off its holes"
-    shift = shifts.pop()
-    excluded = tuple(x for x in range(1, window + 1) if x not in table)
-    # undefined points must not run into the window edge, or the tail
-    # start would be misread
-    assert not excluded or excluded[-1] < window, "window too small to see the tail"
-    return PartialIso(excluded, shift)
+    return _compose_views(_view(a), _view(b))

@@ -9,6 +9,7 @@ converge.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable
 
 from . import core
@@ -207,6 +208,11 @@ def empirical_converges(
     _require_inside(spec, params)
     start = min_index(spec)
     if horizon < start:
+        limit = sys.get_int_max_str_digits()
+        if limit and start >= 10**limit:  # named by its digit count, as str() refuses it
+            from decimal import Decimal
+
+            start = f"of {Decimal(start).adjusted() + 1} digits"
         raise ValueError(f"horizon {horizon} is below the first index {start}")
     if spec.max_offset > MAX_POINT:
         raise OverBudget(f"kept offset {spec.max_offset} is above the cap of {MAX_POINT}")

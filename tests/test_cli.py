@@ -693,6 +693,17 @@ class TestBudget:
         error = {"type": "ValueError", "message": f"horizon 60 is below the first index {int(far) + 1}"}
         assert json.loads(proc.stdout) == {"schema": 1, "error": error}
 
+    def test_first_index_too_long_to_print_is_named_by_its_digits(self, capsys, print_limit):
+        # the first index is 3 - shift = 10^4300 + 2, one digit past what
+        # str() writes at its default limit
+        n = "9" * 4300
+        argv = ["converge", "--offsets", "2", "--shift", "-" + n, "--k", n, "--j", "2"]
+        message = "horizon 60 is below the first index of 4301 digits"
+        doc = {"schema": 1, "error": {"type": "ValueError", "message": message}}
+        assert main(argv) == 2
+        assert capsys.readouterr().out == json.dumps(doc) + "\n"
+        assert invoke(argv) == (2, doc)
+
 
 class TestVerify:
     def test_passing_suite(self):

@@ -182,3 +182,51 @@ class TestSources:
         classes = [c for c in _Value.__subclasses__() if c.__module__.startswith("cofiso.")]
         assert len(classes) == 14
         assert [c.__name__ for c in classes if {"__eq__", "__hash__"} & vars(c).keys()] == []
+
+
+# what the window oracle must never read: core's product and anatomy
+# helpers, and a map's anatomy fields, so it stays an independent route
+_ORACLE_FORBIDDEN_NAMES = {"_product", "compose", "from_anatomy", "_anatomy", "_mask", "_bits"}
+_ORACLE_FORBIDDEN_FIELDS = {"gaps", "dom_min", "tail_start"}
+
+
+def _anatomy_reads(source: str) -> list[str]:
+    """The forbidden names, attributes and products the source reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in _ORACLE_FORBIDDEN_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name in _ORACLE_FORBIDDEN_NAMES:
+            found.append(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr in _ORACLE_FORBIDDEN_NAMES | _ORACLE_FORBIDDEN_FIELDS:
+            found.append("." + node.attr)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            # a * b of two maps is compose
+            found.append("*")
+    return found
+
+
+class TestOracleIndependence:
+    SOURCE = (ROOT / "src" / "cofiso" / "oracle.py").read_text()
+
+    def test_oracle_reads_no_anatomy(self):
+        assert _anatomy_reads(self.SOURCE) == []
+
+    @pytest.mark.parametrize(
+        "old,new,read",
+        [
+            ("g.shift, (ex", "g.shift, (g.tail_start", ".tail_start"),
+            ("ex = g.excluded", "ex = g.excluded, g.gaps", ".gaps"),
+            ("ex = g.excluded", "ex = g.excluded, g.dom_min", ".dom_min"),
+            ("from .core import PartialIso,", "from .core import _product, PartialIso,", "_product"),
+            ("from .core import PartialIso,", "from .core import from_anatomy, PartialIso,", "from_anatomy"),
+            ("return PartialIso(", "return core._anatomy(va) and PartialIso(", "._anatomy"),
+            ("return PartialIso(", "return _mask(_bits(0)) and PartialIso(", "_mask"),
+            ("return _compose_views(_view(a), _view(b))", "return a.compose(b)", ".compose"),
+            ("return _compose_views(_view(a), _view(b))", "return a * b", "*"),
+        ],
+        ids=["tail_start", "gaps", "dom_min", "_product", "from_anatomy", "_anatomy", "_mask", "compose", "product"],
+    )
+    def test_a_planted_read_fails_the_guard(self, old, new, read):
+        assert old in self.SOURCE
+        assert read in _anatomy_reads(self.SOURCE.replace(old, new, 1))

@@ -1,5 +1,6 @@
 import operator
 import os
+import random
 import runpy
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cofiso import core, properties, topology
-from cofiso.bicyclic import BicyclicNF, embed, normalize_word, recognize, word_iso
+from cofiso.bicyclic import BicyclicNF, embed, normalize_word, parse_word, recognize, reduce_word, word_iso
 from cofiso.core import (
     ALPHA,
     IDENTITY,
@@ -945,6 +946,48 @@ def test_green_relations_searches_each_domain_once(monkeypatch):
     domains = len({(g.dom_min, g.gaps) for g in elems})
     assert report.passed
     assert len(calls) <= len(elems) ** 2 + domains * len(elems) * (2 * span + 1) == 4020
+
+
+def _each_word_soundness(t):
+    # the suite's words, each normalized and folded whole
+    rng = random.Random(90125)
+    t.check(normalize_word(parse_word("ab")) == BicyclicNF(0, 0), "ab")
+    for _ in range(1000):
+        word = tuple(rng.choice("ab") for _ in range(rng.randint(0, 20)))
+        nf = normalize_word(word)
+        t.check(word_iso(word) == embed(nf), "".join(word), nf)
+        first = reduce_word(word)
+        last = reduce_word(word, rightmost=True)
+        t.check(first == last, "".join(word), first, last)
+        t.check(first == "b" * nf.k + "a" * nf.l, "".join(word), first, nf)
+
+
+@pytest.mark.parametrize("pair", [None, (0, 3, 0, 1), (1, 0, 1, 0), (0, 9, 1, 0)], ids=str)
+def test_word_soundness_with_shared_heads_matches_a_check_per_word(monkeypatch, pair):
+    # the suite folds each distinct head of up to 8 letters once; with the
+    # normal-form product wrong on one exponent pair, inside heads, inside
+    # the rest of words or both, every word whose fold makes that product
+    # must fail as it does when each word is folded whole
+    if pair is not None:
+        real = BicyclicNF.__mul__
+
+        def wrong(u, v):
+            w = real(u, v)
+            return BicyclicNF(w.k, w.l + 1) if (u.k, u.l, v.k, v.l) == pair else w
+
+        monkeypatch.setattr(BicyclicNF, "__mul__", wrong)
+    report = verify("word_soundness", EnumBounds(3, 2))
+    ref = _Tally()
+    _each_word_soundness(ref)
+    assert (report.instances, report.failures, report.counterexamples) == (
+        ref.instances,
+        ref.failures,
+        tuple(ref.bad),
+    )
+    if pair is None:
+        assert report.passed and report.instances == 3001
+    else:
+        assert properties._CAP < report.failures < report.instances
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,14 @@ from cofiso.core import (
 )
 from cofiso import topology
 from cofiso.extension import Group, UpSet, up_set_truncated
-from cofiso.oracle import EnumBounds, enumerate_elements
+from cofiso.oracle import (
+    EnumBounds,
+    _compose_views,
+    _view,
+    compose_via_window,
+    enumerate_elements,
+    window_compose,
+)
 from cofiso.topology import NbhdSpec, cutoff_witness, nbhd_member, nbhd_upset_agreement, upset_pool
 
 
@@ -149,8 +156,8 @@ def test_walker_needs_no_recursion():
 )
 @pytest.mark.parametrize("j", [None, 0, 2, 3])
 def test_elements_match_combinations_route(shifts, j):
-    for n in range(7):
-        for points in (range(1, n + 1), range(2, n + 2), (1, 3, 4, 7, 9)[:n]):
+    for n in range(10):
+        for points in (range(1, n + 1), range(2, n + 2), (1, 3, 4, 7, 9, 10, 12, 15, 16)[:n]):
             got = list(elements(points, shifts, j))
             assert got == _old_elements(points, shifts, j), (points, shifts)
 
@@ -180,3 +187,46 @@ def test_nbhd_agreement_matches_old_candidate_loop(monkeypatch):
 def test_elements_stream():
     first = list(islice(elements(range(1, 65), (0,)), 3))
     assert first == [PartialIso((), 0), PartialIso((1,), 0), PartialIso((1, 2), 0)]
+
+
+def test_noisy_subtrees_are_cut():
+    # noise at most 2 keeps the runs {1..r} and the runs with one gap,
+    # {1..r, r+2}; the 2^40 subsets past them are never walked
+    got = list(elements(range(1, 41), (0,), 2))
+    runs = [PartialIso(range(1, r + 1)) for r in range(41)]
+    gapped = [PartialIso((*range(1, r + 1), r + 2)) for r in range(39)]
+    assert len(got) == 80
+    assert got == sorted(runs + gapped, key=lambda g: g.excluded)
+
+
+@pytest.mark.parametrize("points", [(2, 1), (1, 1), (0, 1), (1, "2"), (1, 2.0)], ids=str)
+def test_bad_points_are_refused_before_the_first_yield(points):
+    walk = elements(points, (0,))
+    with pytest.raises(ValueError):
+        next(walk)
+
+
+def _old_window_compose(a, b):
+    # the window table as it was built per pair, from the maps themselves
+    def reach(g):
+        return (max(g.excluded) if g.excluded else 0) + abs(g.shift)
+
+    window = max(reach(a), reach(b)) + abs(a.shift) + 2
+    holes_a, holes_b = set(a.excluded), set(b.excluded)
+    table = {}
+    for x in range(1, window + 1):
+        y = x + a.shift
+        if x not in holes_a and y >= 1 and y not in holes_b:
+            table[x] = y + b.shift
+    return table
+
+
+def test_window_views_built_once_match_the_pair_route():
+    # the views are shared by every pair, so no pair may change one
+    pool = list(enumerate_elements(EnumBounds(4, 2)))
+    views = [_view(g) for g in pool]
+    for a, va in zip(pool, views):
+        for b, vb in zip(pool, views):
+            assert _compose_views(va, vb) == compose_via_window(a, b) == a * b, (a, b)
+            assert window_compose(a, b) == _old_window_compose(a, b), (a, b)
+    assert views == [_view(g) for g in pool]
