@@ -57,30 +57,6 @@ def _check_walk(exponent: int, what: str, items: str) -> None:
         raise OverBudget(f"{what} 2^{exponent} {items}, above the budget of {_BUDGET}")
 
 
-def subsets(points: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Subsets of the ascending points in lexicographic order, by index stack.
-
-    >>> list(subsets([1, 2, 3]))
-    [(), (1,), (1, 2), (1, 2, 3), (1, 3), (2,), (2, 3), (3,)]
-    """
-    pts = tuple(points)
-    stack: list[int] = []  # indices of the chosen points, ascending
-    chosen: list[int] = []  # the points themselves, kept in step
-    while True:
-        yield tuple(chosen)
-        i = stack[-1] + 1 if stack else 0
-        if i < len(pts):
-            stack.append(i)
-            chosen.append(pts[i])
-        elif len(stack) > 1:
-            stack.pop()
-            chosen.pop()
-            stack[-1] += 1
-            chosen[-1] = pts[stack[-1]]
-        else:
-            return
-
-
 def elements(
     points: Iterable[int], shifts: Iterable[int], j: Optional[int] = None
 ) -> Iterator["PartialIso"]:
@@ -170,6 +146,17 @@ def _bits(gaps: int) -> str:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
+def _ones(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    found = []
+    digits = _bits(mask)
+    n = digits.find("1")
+    while n >= 0:
+        found.append(n)
+        n = digits.find("1", n + 1)
+    return found
+
+
 def _mask(flags: list) -> int:
     """The int whose bit n is set when flags[n] is true, the inverse of
     _bits, built in one pass: a bit at a time would copy the growing int
@@ -195,6 +182,7 @@ class PartialIso:
     __slots__ = ("dom_min", "gaps", "shift", "tail_start", "__dict__")
 
     def __init__(self, excluded: Iterable[int] = (), shift: int = 0, *, _run: int = 0) -> None:
+        shift = operator.index(shift)  # a float shift raises TypeError
         # _run > 0 stands for the points 1, ..., _run ahead of ``excluded``,
         # already known to be there: the walk starts past them
         u, gaps, prev = _run + 1, 0, _run
@@ -225,7 +213,7 @@ class PartialIso:
     def excluded(self) -> tuple[int, ...]:
         """The finite set off which the map is defined, ascending."""
         u = self.dom_min
-        return (*range(1, u), *(u + i for i, b in enumerate(_bits(self.gaps)) if b == "1"))
+        return (*range(1, u), *(u + i for i in _ones(self.gaps)))
 
     @property
     def ran_min(self) -> int:
@@ -282,6 +270,7 @@ class PartialIso:
         so it costs O(1) whatever n.  Any other map squares and
         multiplies: O(log |n|) compositions.
         """
+        n = operator.index(n)
         base = self if n >= 0 else self.inverse()
         n = abs(n)
         if n and not base.gaps:
@@ -338,7 +327,8 @@ _set_tail_start = PartialIso.tail_start.__set__
 
 def from_anatomy(dom_min: int, gaps: int, shift: int) -> PartialIso:
     """The element with least domain point dom_min, gap mask gaps (bit i
-    marks dom_min + i as excluded, bit 0 clear) and the given shift."""
+    marks dom_min + i as excluded, bit 0 clear) and the given shift, all
+    trusted to be ints: every product comes through here unchecked."""
     if dom_min < 1 or gaps < 0 or gaps & 1:
         raise ValueError(f"no element has dom_min {dom_min} and gap mask {gaps}")
     # built without PartialIso.__init__'s walk over the excluded points:
@@ -397,6 +387,12 @@ def punctured_identity(i: int) -> PartialIso:
     return PartialIso((i,), 0)
 
 
+def _offset_bits(offsets: Iterable[int], width: int) -> int:
+    """Bit width - o for each offset o up to width: the offsets reversed
+    against width, as the head of a noise-width gap mask holds them."""
+    return sum(1 << (width - o) for o in offsets if o <= width)
+
+
 class NoiseParams(_Value):
     """Ambient noise bound j plus the offset set selecting a subsemigroup.
 
@@ -409,7 +405,7 @@ class NoiseParams(_Value):
     __slots__ = (*_fields, "_offset_mask")
 
     def __init__(self, j: int, offsets: Iterable[int] = frozenset()) -> None:
-        offsets = frozenset(offsets)
+        j, offsets = operator.index(j), frozenset(map(operator.index, offsets))
         if j < 0:
             raise ValueError("noise bound must be >= 0")
         for m in sorted(offsets):
@@ -425,9 +421,7 @@ class NoiseParams(_Value):
         return cls(j, frozenset(range(2, j + 1)))
 
     def offset_mask(self, width: int) -> tuple[int, int]:
-        """(w, mask) with w >= width and bit w - o of mask set for each
-        allowed offset o up to w: the offsets reversed against w, as the
-        head of a noise-w gap mask holds them.
+        """(w, _offset_bits(offsets, w)) for some w >= width.
 
         Built once and widened only when a wider head asks, so the mask
         grows with the heads checked, not with the largest offset: an
@@ -435,7 +429,7 @@ class NoiseParams(_Value):
         """
         w, mask = self._offset_mask
         if w < width:
-            w, mask = width, sum(1 << (width - o) for o in self.offsets if o <= width)
+            w, mask = width, _offset_bits(self.offsets, width)
             object.__setattr__(self, "_offset_mask", (w, mask))
         return w, mask
 

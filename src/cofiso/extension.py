@@ -19,8 +19,8 @@ from .core import (
     BETA,
     NoiseParams,
     PartialIso,
-    _bits,
     _check_walk,
+    _ones,
     _Value,
     elements,
     leq,
@@ -90,13 +90,18 @@ class UpSet(_Value):
     __slots__ = ("elements", "complete")
 
 
+def _gaps_upto(x: PartialIso, bound: int) -> int:
+    """x's gap mask cut to the points up to bound; a far bound cuts nothing."""
+    width = min(max(bound + 1 - x.dom_min, 0), x.noise)
+    return x.gaps & ((1 << width) - 1)
+
+
 def _walked_points(x: ExtElem, bound: int) -> int:
     """How many points the up-set of x walks up to bound, read off the
     anatomy: the points below dom_min plus the gaps up to bound."""
     if isinstance(x, Group):
         return max(bound, 0)
-    width = min(max(bound + 1 - x.dom_min, 0), x.noise)
-    return min(x.dom_min - 1, max(bound, 0)) + (x.gaps & ((1 << width) - 1)).bit_count()
+    return min(x.dom_min - 1, max(bound, 0)) + _gaps_upto(x, bound).bit_count()
 
 
 def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
@@ -119,9 +124,10 @@ def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
         )
     else:
         # the excluded points up to bound, read off the anatomy, so a far
-        # dom_min costs nothing past bound
-        u, head = x.dom_min, _bits(x.gaps)[: max(bound + 1 - x.dom_min, 0)]
-        points = [*range(1, min(u, bound + 1)), *(u + i for i, b in enumerate(head) if b == "1")]
+        # dom_min costs nothing past bound and a far bound nothing past
+        # the noise
+        u = x.dom_min
+        points = [*range(1, min(u, bound + 1)), *(u + i for i in _ones(_gaps_upto(x, bound)))]
         shift, members = x.shift, []
         complete = len(points) == u - 1 + x.gaps.bit_count()
     # the subsets come in lexicographic order, which is the maps' order

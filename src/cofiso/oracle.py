@@ -12,6 +12,7 @@ once per element (``_view``); a pair then costs one window and one table.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Optional
 
 from .core import PartialIso, _Value, elements
@@ -24,6 +25,7 @@ class EnumBounds(_Value):
     __slots__ = ("n", "s", "j")
 
     def __init__(self, n: int, s: int, j: Optional[int] = None) -> None:
+        n, s, j = operator.index(n), operator.index(s), None if j is None else operator.index(j)
         if n < 0 or s < 0:
             raise ValueError("bounds must be non-negative")
         if j is not None and j < 0:

@@ -39,6 +39,7 @@ from .core import (
     _Value,
     boundary_set,
     d_witness,
+    elements,
     from_anatomy,
     green_d,
     green_h,
@@ -51,7 +52,6 @@ from .core import (
     in_offset_class_range,
     leq,
     noise_bounded,
-    subsets,
     tail_chain,
 )
 from .extension import (
@@ -217,7 +217,7 @@ def _all_params(j: int) -> list[NoiseParams]:
     """Noise bound j with each offset set inside {2..j}, refused past the
     listing budget before any is built."""
     _check_walk(j - 1, "verify lists", "offset sets")
-    return [NoiseParams(j, c) for c in subsets(range(2, j + 1))]
+    return [NoiseParams(j, g.excluded) for g in elements(range(2, j + 1), (0,))]
 
 
 # -- element algebra ------------------------------------------------------

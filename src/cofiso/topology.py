@@ -1,14 +1,16 @@
 """Neighborhood filters, convergence, and topology separation.
 
-Every map is isolated; a basic neighborhood of the adjoined integer k
-consists of k itself plus the offset-class members with shift k whose
-irregular head has moved out beyond i.  Varying the offset set yields
-pairwise distinct topologies, told apart by which tail sequences still
-converge.
+That every map is isolated is the paper's discreteness claim; no suite
+checks it yet (ROADMAP item 3a).  A basic neighborhood of the adjoined
+integer k consists of k itself plus the offset-class members with shift
+k whose irregular head has moved out beyond i.  Varying the offset set
+yields pairwise distinct topologies, told apart by which tail sequences
+still converge.
 """
 
 from __future__ import annotations
 
+import operator
 import sys
 from typing import Iterable
 
@@ -19,8 +21,9 @@ from .core import (
     NoiseParams,
     OverBudget,
     PartialIso,
-    _bits,
     _mask,
+    _offset_bits,
+    _ones,
     _Value,
     elements,
     from_anatomy,
@@ -105,13 +108,7 @@ class _MemberIndex:
     def numbers(self, k: int, i: int, p: NoiseParams) -> list:
         """The pool numbers of the members of NbhdSpec(k, i, p), in
         ascending order: the set bits of mask(k, i, p)."""
-        found = []
-        digits = _bits(self.mask(k, i, p))
-        n = digits.find("1")
-        while n >= 0:
-            found.append(n)
-            n = digits.find("1", n + 1)
-        return found
+        return _ones(self.mask(k, i, p))
 
 
 class TailSeqSpec(_Value):
@@ -125,7 +122,7 @@ class TailSeqSpec(_Value):
     __slots__ = (*_fields, "max_offset", "first_index", "_head_gaps")
 
     def __init__(self, kept_offsets: Iterable[int] = frozenset(), shift: int = 0) -> None:
-        kept_offsets = frozenset(kept_offsets)
+        kept_offsets, shift = frozenset(map(operator.index, kept_offsets)), operator.index(shift)
         for m in sorted(kept_offsets):
             if m < 2:
                 raise ValueError(f"kept offset {m} must be >= 2")
@@ -148,9 +145,7 @@ class TailSeqSpec(_Value):
         gaps = self._head_gaps
         if gaps is None:
             width = self.max_offset
-            gaps = (1 << width) - 1
-            for m in self.kept_offsets:
-                gaps &= ~(1 << (width - m))
+            gaps = (1 << width) - 1 ^ _offset_bits(self.kept_offsets, width)
             object.__setattr__(self, "_head_gaps", gaps)
         return gaps
 

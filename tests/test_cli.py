@@ -684,6 +684,12 @@ class TestBudget:
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"schema": 1, "elements": [], "count": 0, "complete": False}
 
+    def test_far_bound_walks_only_the_noise(self):
+        proc = run_cli("upset", "iso([2],0)", "--j", "2", "--bound", "10000000000", timeout=30, preexec_fn=cap_memory)
+        assert proc.returncode == 0, proc.stderr
+        elements = [{"excluded": [], "shift": 0}, {"excluded": [2], "shift": 0}]
+        assert json.loads(proc.stdout) == {"schema": 1, "elements": elements, "count": 2, "complete": True}
+
     def test_far_kept_offset_builds_no_head_mask(self):
         # the probe's first index lies past the horizon, so no element and
         # no 10^12-bit head mask is built

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,19 @@ class TestUpSet:
     def test_noise_gate(self):
         with pytest.raises(ValueError):
             up_set_truncated(make([3], 0), NoiseParams(2), 4)
+
+    def test_far_bound_walks_only_the_noise(self):
+        # the head is cut to the noise, not to the bound: a mask as wide
+        # as 10^8 bits would take 12 MiB
+        tracemalloc.start()
+        try:
+            view = up_set_truncated(make([2], 0), NoiseParams(2), 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert view.elements == (IDENTITY, make([2], 0))
+        assert view.complete
+        assert peak < 1 << 20
 
     def test_walks_refuse_themselves_outside_the_cli(self, monkeypatch):
         # the messages the CLI prints, from a Python call

@@ -127,6 +127,30 @@ class TestCliLoading:
         assert loaded == modules
 
 
+def _names_read(source: str) -> set[str]:
+    """The names, imported names and attributes the source reads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+# a set-bit walk copied by hand into topology: numbers() as it was before
+# core._ones took its find loop
+_COPIED_FIND_LOOP = """        found = []
+        digits = _bits(self.mask(k, i, p))
+        n = digits.find("1")
+        while n >= 0:
+            found.append(n)
+            n = digits.find("1", n + 1)
+        return found"""
+
+
 class TestSources:
     @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
     def test_every_imported_name_is_used(self, path):
@@ -182,6 +206,30 @@ class TestSources:
         classes = [c for c in _Value.__subclasses__() if c.__module__.startswith("cofiso.")]
         assert len(classes) == 14
         assert [c.__name__ for c in classes if {"__eq__", "__hash__"} & vars(c).keys()] == []
+
+    # core holds the one subset walk (elements) and the one set-bit walk
+    # (_ones): no other module reads the digit string _bits
+    @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
+    def test_only_core_reads_the_digits(self, path):
+        if path.name != "core.py":
+            assert "_bits" not in _names_read(path.read_text())
+
+    def test_core_has_no_second_subset_walk(self):
+        from cofiso import core
+
+        tree = ast.parse((ROOT / "src" / "cofiso" / "core.py").read_text())
+        assert "subsets" not in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert not hasattr(core, "subsets")
+
+    def test_a_planted_find_loop_fails_the_guard(self):
+        source = (ROOT / "src" / "cofiso" / "topology.py").read_text()
+        planted = source.replace("    _mask,\n", "    _bits,\n    _mask,\n", 1).replace(
+            "        return _ones(self.mask(k, i, p))", _COPIED_FIND_LOOP, 1
+        )
+        assert "    _bits,\n" in planted and _COPIED_FIND_LOOP in planted
+        compile(planted, "topology.py", "exec")
+        assert "_bits" not in _names_read(source)
+        assert "_bits" in _names_read(planted)
 
 
 # what the window oracle must never read: core's product and anatomy

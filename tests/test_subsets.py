@@ -1,6 +1,8 @@
-"""The subset walker and the element generator against the routes they
-replaced: sorted combinations, built through the checked constructor."""
+"""The element generator and the walks core shares against the routes
+they replaced: sorted combinations, built through the checked
+constructor, and the hand-written bit loops."""
 
+import random
 from itertools import chain, combinations, islice
 
 import pytest
@@ -9,12 +11,15 @@ from cofiso.core import (
     InvalidShift,
     NoiseParams,
     PartialIso,
+    _bits,
+    _offset_bits,
+    _ones,
     boundary_set,
     elements,
+    from_anatomy,
     in_offset_class,
     leq,
     noise_bounded,
-    subsets,
 )
 from cofiso import topology
 from cofiso.extension import Group, UpSet, up_set_truncated
@@ -26,6 +31,7 @@ from cofiso.oracle import (
     enumerate_elements,
     window_compose,
 )
+from cofiso.properties import _all_params
 from cofiso.topology import NbhdSpec, cutoff_witness, nbhd_member, nbhd_upset_agreement, upset_pool
 
 
@@ -109,11 +115,6 @@ def _old_up_set(x, params, bound):
     return UpSet(tuple(sorted(members, key=_sort_key)), complete)
 
 
-@pytest.mark.parametrize("n", range(11))
-def test_walker_matches_sorted_combinations(n):
-    assert list(subsets(range(1, n + 1))) == _combos(range(1, n + 1))
-
-
 @pytest.mark.parametrize("j", [None, 0, 2, 3])
 def test_enumeration_matches_combinations_route(j):
     for n in range(7):
@@ -145,12 +146,6 @@ def test_enumeration_streams():
     assert first == [PartialIso((), 0), PartialIso((1,), 0), PartialIso((1, 2), 0)]
 
 
-def test_walker_needs_no_recursion():
-    head = list(islice(subsets(range(2000)), 2001))
-    assert head[0] == ()
-    assert head[-1] == tuple(range(2000))
-
-
 @pytest.mark.parametrize(
     "shifts", [(-1, 0, 2), (1,), (), (2, 0, -1, -3)], ids=["asymmetric", "single", "empty", "descending"]
 )
@@ -172,7 +167,7 @@ def test_nbhd_agreement_matches_old_candidate_loop(monkeypatch):
         return nbhd_member(x, spec)
 
     monkeypatch.setattr(topology, "nbhd_member", member)
-    offset_sets = [NoiseParams(j, c) for j in range(4) for c in subsets(range(2, j + 1))]
+    offset_sets = [NoiseParams(j, c) for j in range(4) for c in _combos(range(2, j + 1))]
     for n_max in range(7):
         for k in range(-2, 3):
             pool = _old_candidates(k, n_max)
@@ -230,3 +225,83 @@ def test_window_views_built_once_match_the_pair_route():
             assert _compose_views(va, vb) == compose_via_window(a, b) == a * b, (a, b)
             assert window_compose(a, b) == _old_window_compose(a, b), (a, b)
     assert views == [_view(g) for g in pool]
+
+
+def _old_ones(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _masks():
+    rng = random.Random(33)
+    yield 0
+    for width in (1, 2, 3, 8, 63, 64, 65, 1000):
+        yield (1 << width) - 1  # dense
+        yield (1 << width) - 1 ^ 1  # dense above bit 0
+        for _ in range(5):
+            yield rng.getrandbits(width)
+    for _ in range(5):
+        # a few set bits spread over thousands of clear ones
+        yield sum(1 << rng.randrange(5000) for _ in range(4))
+    yield 1 << 2000
+    yield 1 << 2000 | 1
+
+
+def test_ones_match_the_bit_loop():
+    for mask in _masks():
+        assert _ones(mask) == _old_ones(mask), mask
+
+
+def _old_excluded(g):
+    # the digit walk excluded made before the set bits had one helper
+    u = g.dom_min
+    return (*range(1, u), *(u + i for i, b in enumerate(_bits(g.gaps)) if b == "1"))
+
+
+def test_excluded_matches_the_digit_walk():
+    pool = list(enumerate_elements(EnumBounds(8, 2)))
+    # wide sparse maps: a far dom_min and gaps thousands of points apart
+    wide = [
+        from_anatomy(u, mask & ~1, s)
+        for mask in _masks()
+        for u in (1, 4, 1000)
+        for s in (1 - u, 0, 3)
+    ]
+    for g in pool + wide:
+        fresh = from_anatomy(g.dom_min, g.gaps, g.shift)  # excluded not yet cached
+        assert fresh.excluded == _old_excluded(g), g
+
+
+@pytest.mark.parametrize("j", range(10))
+def test_offset_sets_come_in_sorted_combination_order(j):
+    listed = _all_params(j)
+    assert [p.j for p in listed] == [j] * 2 ** max(j - 1, 0)
+    assert [tuple(sorted(p.offsets)) for p in listed] == _combos(range(2, j + 1))
+
+
+def _old_offset_mask(offsets, width):
+    return sum(1 << (width - o) for o in offsets if o <= width)
+
+
+def _old_head_gaps(kept):
+    width = max(kept, default=0)
+    gaps = (1 << width) - 1
+    for m in kept:
+        gaps &= ~(1 << (width - m))
+    return gaps
+
+
+def test_offset_masks_match_the_old_loops():
+    grid = [*_combos(range(2, 8)), (2, 500), (3, 64, 2000)]
+    for offsets in grid:
+        for width in (*range(10), 64, 499, 500, 2001):
+            assert _offset_bits(offsets, width) == _old_offset_mask(offsets, width), (offsets, width)
+            # a fresh memo is built at the width asked for
+            fresh = NoiseParams(max(offsets, default=0), offsets)
+            assert fresh.offset_mask(width) == (width, _old_offset_mask(offsets, width)), (offsets, width)
+        # one memo widened step by step answers as a fresh one would
+        p = NoiseParams(max(offsets, default=0), offsets)
+        for width in range(12):
+            w, mask = p.offset_mask(width)
+            assert w >= width and mask == _old_offset_mask(offsets, w), (offsets, width)
+        for shift in (-1, 0, 2):
+            assert topology.TailSeqSpec(offsets, shift).head_gaps() == _old_head_gaps(offsets), offsets

@@ -106,6 +106,47 @@ def test_constructors_keep_their_defaults_and_checks():
         Gen()
 
 
+class TestNumbersAreIntegers:
+    """The public constructors pass each number through operator.index:
+    a float is refused with TypeError, an int or a bool is kept as its
+    int."""
+
+    def test_map_shift(self):
+        with pytest.raises(TypeError):
+            PartialIso((1,), 0.5)
+        assert PartialIso((1,), True) == PartialIso((1,), 1)
+        assert repr(PartialIso((1,), True)) == "iso([1],1)"
+
+    def test_power_exponent(self):
+        with pytest.raises(TypeError):
+            PartialIso((1,), 0) ** 2.0
+        assert PartialIso((1,), 1) ** True == PartialIso((1,), 1)
+        assert repr(BETA ** 3) == "iso([1,2,3],-3)"
+
+    def test_noise_params(self):
+        for build in (lambda: NoiseParams(2.5), lambda: NoiseParams(3, [2.0]), lambda: NoiseParams(3, [2, 3.5])):
+            with pytest.raises(TypeError):
+                build()
+        assert NoiseParams(True) == NoiseParams(1)
+        assert repr(NoiseParams(3, [True + 1])) == "NoiseParams(j=3, offsets=frozenset({2}))"
+        # an int offset still reaches the shift in_offset_class makes
+        assert in_offset_class(PartialIso((2,)), NoiseParams(3, [2]))
+
+    def test_tail_sequence_spec(self):
+        for build in (lambda: TailSeqSpec([2.0]), lambda: TailSeqSpec([2], 0.5)):
+            with pytest.raises(TypeError):
+                build()
+        assert TailSeqSpec([2], True) == TailSeqSpec([2], 1)
+        assert repr(TailSeqSpec([True + 1], True)) == "TailSeqSpec(kept_offsets=frozenset({2}), shift=1)"
+
+    def test_enumeration_bounds(self):
+        for build in (lambda: EnumBounds(2.5, 1), lambda: EnumBounds(2, 1.0), lambda: EnumBounds(2, 1, 2.0)):
+            with pytest.raises(TypeError):
+                build()
+        assert EnumBounds(True, False, True) == EnumBounds(1, 0, 1)
+        assert repr(EnumBounds(True, False)) == "EnumBounds(n=1, s=0, j=None)"
+
+
 def test_a_map_keeps_its_fields_in_slots():
     g = PartialIso((2, 4), 1)
     assert {"dom_min", "gaps", "shift"} <= set(PartialIso.__slots__)
