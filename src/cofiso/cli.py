@@ -11,11 +11,11 @@ import json
 import sys
 from typing import Optional
 
-from . import core
 from .core import (
     NoiseParams,
     OverBudget,
     PartialIso,
+    _check_budget,
     boundary_set,
     d_witness,
     green_d,
@@ -119,8 +119,7 @@ def _elem_doc(x) -> dict:
     if isinstance(x, Group):
         return {"group": x.k}
     count = x.dom_min - 1 + x.gaps.bit_count()
-    if count > core._BUDGET:
-        raise OverBudget(f"the value excludes {count} points, above the budget of {core._BUDGET}")
+    _check_budget(lambda: f"the value excludes {count} points", count)
     return {"excluded": list(x.excluded), "shift": x.shift}
 
 
@@ -130,9 +129,7 @@ def _offsets(text: Optional[str], j: int, name: str) -> frozenset:
     if text is None or text.strip() in ("", "none", "-"):
         return frozenset()
     if text.strip() == "all":
-        if j - 1 > core._BUDGET:
-            message = f"all lists {j - 1} offsets, above the budget of {core._BUDGET}"
-            raise OverBudget(f"argument {name}: {message}")
+        _check_budget(lambda: f"argument {name}: all lists {j - 1} offsets", j - 1)
         return frozenset(range(2, j + 1))
     offsets = set()
     for part in text.split(","):

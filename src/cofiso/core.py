@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 
 class InvalidShift(ValueError):
@@ -51,10 +51,19 @@ _BUDGET = 1 << 16
 MAX_POINT = 1 << 20
 
 
+def _check_budget(listing: Callable[[], str], count: int, exponent: int = 0, extra: int = 0) -> None:
+    """Refuse a listing of count * 2^exponent + extra items past _BUDGET,
+    without building 2^exponent; listing() names the items only then."""
+    # exact for count, extra >= 0 and for exponent 0: a positive count
+    # doubled bit_length() times is past the budget.  A negative
+    # exponent, a walk over no points, counts as 0
+    if (count << min(max(exponent, 0), _BUDGET.bit_length())) + extra > _BUDGET:
+        raise OverBudget(f"{listing()}, above the budget of {_BUDGET}")
+
+
 def _check_walk(exponent: int, what: str, items: str) -> None:
-    # 2^exponent > _BUDGET, decided without building 2^exponent
-    if exponent >= _BUDGET.bit_length():
-        raise OverBudget(f"{what} 2^{exponent} {items}, above the budget of {_BUDGET}")
+    # a walk that lists 2^exponent items
+    _check_budget(lambda: f"{what} 2^{exponent} {items}", 1, exponent)
 
 
 def elements(

@@ -129,7 +129,7 @@ def up_set_truncated(x: ExtElem, params: NoiseParams, bound: int) -> UpSet:
         u = x.dom_min
         points = [*range(1, min(u, bound + 1)), *(u + i for i in _ones(_gaps_upto(x, bound)))]
         shift, members = x.shift, []
-        complete = len(points) == u - 1 + x.gaps.bit_count()
+        complete = max(bound, 0) >= x.tail_start - 1
     # the subsets come in lexicographic order, which is the maps' order
     members.extend(elements(points, (shift,), params.j))
     return UpSet(tuple(members), complete)

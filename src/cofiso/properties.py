@@ -6,7 +6,7 @@ single entry point; the bounds pick the enumeration budget and params
 carries the noise bound for the suites that need one.
 
 Every call is bounded.  Each pool refuses itself before it is built
-once it would hold more than the listing budget (core._BUDGET)
+once it would hold more than the listing budget (core._check_budget)
 elements, as the offset-set lists refuse a level past it.  Each suite
 then plans its work in units (one predicate, product or comparison,
 weighted where one check hides a loop) from the lengths of what it has
@@ -22,7 +22,7 @@ import random
 from collections import Counter
 from typing import Callable, Optional
 
-from . import bicyclic, core
+from . import bicyclic
 from .bicyclic import BicyclicNF, embed, normalize_word, parse_word, recognize, reduce_word, word_iso
 from .core import (
     ALPHA,
@@ -33,8 +33,10 @@ from .core import (
     OverBudget,
     PartialIso,
     _anatomy,
+    _check_budget,
     _check_walk,
     _mask,
+    _ones,
     _product,
     _Value,
     boundary_set,
@@ -134,11 +136,10 @@ class _Tally:
         counterexample and is called only for the lowest failures, in
         order, while fewer than _CAP are kept."""
         self.instances += count
-        self.failures += bad.bit_count()
-        while bad and len(self.bad) < _CAP:
-            low = bad & -bad
-            self.bad.append(tuple(repr(x) for x in info(low.bit_length() - 1)))
-            bad ^= low
+        if bad:
+            self.failures += bad.bit_count()
+            for n in _ones(bad)[: _CAP - len(self.bad)]:
+                self.bad.append(tuple(repr(x) for x in info(n)))
 
 
 # property id -> (description, the level its suite runs at when given
@@ -183,19 +184,15 @@ def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] =
 
 def _check_pool(shifts: int, n: int, groups: range = range(0)) -> None:
     """Refuse a pool of shifts * 2^n maps and a Group for each k in groups
-    past the listing budget, decided without building 2^n."""
-    budget = core._BUDGET
-    if shifts > budget:
-        # named by its size: 2S+1 may have more digits than str() writes
-        raise OverBudget(
-            f"verify tries at least 2^{shifts.bit_length() - 1} shifts, above the budget of {budget}"
-        )
+    past the listing budget."""
+    # named by its size: 2S+1 may have more digits than str() writes
+    _check_budget(lambda: f"verify tries at least 2^{shifts.bit_length() - 1} shifts", shifts)
     # counted only here: a suite's groups are about as many as its
     # shifts, and len() refuses a range past sys.maxsize
     extra = len(groups)
-    if n >= budget.bit_length() or (shifts << n) + extra > budget:
-        count = f"{shifts}*2^{n}" + (f"+{extra}" if extra else "")
-        raise OverBudget(f"verify enumerates {count} elements, above the budget of {budget}")
+    _check_budget(
+        lambda: f"verify enumerates {shifts}*2^{n}{f'+{extra}' if extra else ''} elements", shifts, n, extra
+    )
 
 
 def _listed(bounds: EnumBounds, groups: range = range(0)) -> list:
@@ -391,11 +388,12 @@ def _green_relations(t, bounds, params):
 @register("natural_order", "the four formulations of the natural order coincide and order the monoid")
 def _natural_order(t, bounds, params):
     elems = _listed(bounds)
-    t.plan(len(elems) ** 2)
+    # the table and ten checks a pair, planned before the table is built
+    t.plan(11 * len(elems) ** 2)
     # le[a][b] is leq(elems[a], elems[b]); each related pair checks a
     # row of compatibilities, all planned before the first check
     le = [[leq(a, b) for b in elems] for a in elems]
-    t.plan(10 * len(elems) ** 2 + 2 * len(elems) * sum(map(sum, le)))
+    t.plan(2 * len(elems) * sum(map(sum, le)))
     _, table, values = _numbered_products(elems, _product)
     inverses = [g.inverse() for g in elems]
     for ai, (a, a_inv, a_row, a_le) in enumerate(zip(elems, inverses, table, le)):
@@ -650,11 +648,12 @@ def _ext_ideal(t, bounds, params):
 @register("ext_order", "the extended order is a partial order obeying the level rules", j=2)
 def _ext_order(t, bounds, params):
     univ = _ext_universe(bounds, params)
-    t.plan(len(univ) ** 2)
+    # the table and the fixed checks, planned before the table is built
+    t.plan(len(univ) + 6 * len(univ) ** 2)
     # ext_le[x][y] is ext_leq(univ[x], univ[y]); each related pair checks
     # transitivity over a row, all planned before the first check
     ext_le = [[ext_leq(x, y) for y in univ] for x in univ]
-    t.plan(len(univ) + 5 * len(univ) ** 2 + 2 * len(univ) * sum(map(sum, ext_le)))
+    t.plan(2 * len(univ) * sum(map(sum, ext_le)))
     for xi, (x, x_le) in enumerate(zip(univ, ext_le)):
         t.check(x_le[xi], x)
         for y, le, y_le in zip(univ, x_le, ext_le):

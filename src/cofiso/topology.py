@@ -14,13 +14,13 @@ import operator
 import sys
 from typing import Iterable
 
-from . import core
 from .core import (
     MAX_POINT,
     InvalidShift,
     NoiseParams,
     OverBudget,
     PartialIso,
+    _check_budget,
     _mask,
     _offset_bits,
     _ones,
@@ -222,9 +222,7 @@ def distinguish(m1, m2, j: int) -> TailSeqSpec:
     """A tail sequence converging to Group(0) in exactly one of the two
     topologies given by offset sets m1 and m2."""
     s1, s2 = frozenset(m1), frozenset(m2)
-    for m in sorted(s1 | s2):
-        if not 2 <= m <= j:
-            raise ValueError(f"offset {m} outside 2..{j}")
+    NoiseParams(j, s1 | s2)  # refuses j < 0 and any offset outside 2..j
     diff = s1 ^ s2
     if not diff:
         raise NotDistinct("offset sets are equal")
@@ -251,10 +249,7 @@ def upset_pool(k: int, n_max: int) -> tuple[PartialIso, ...]:
     """The maps nbhd_upset_agreement checks at level k: every excluded
     subset of {1..n_max} with shift k - 1, k or k + 1, refused first
     past the listing budget."""
-    # 3 * 2^n_max > the budget, decided without building 2^n_max
-    budget = core._BUDGET
-    if n_max > 0 and (n_max >= budget.bit_length() or 3 << n_max > budget):
-        raise OverBudget(f"upset_pool lists 3*2^{n_max} maps, above the budget of {budget}")
+    _check_budget(lambda: f"upset_pool lists 3*2^{n_max} maps", 3, n_max)
     return tuple(elements(range(1, n_max + 1), (k - 1, k, k + 1)))
 
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from cofiso import cli, core, extension, properties
 from cofiso.cli import invoke, main
+from cofiso.core import OverBudget
 from cofiso.extension import Group
+from cofiso.topology import upset_pool
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -295,6 +297,12 @@ class TestTopologyCommands:
         assert code == 2
         assert doc["error"]["type"] == "NotDistinct"
 
+    def test_distinguish_below_level_zero(self):
+        # the offsets are checked as NoiseParams checks them, level first,
+        # so two empty sets at j < 0 are refused for the level
+        error = {"type": "ValueError", "message": "noise bound must be >= 0"}
+        assert invoke(["distinguish", "none", "none", "--j", "-1"]) == (2, {"schema": 1, "error": error})
+
     def test_upset(self):
         code, doc = invoke(["upset", "iso([1,2],0)", "--j", "2", "--bound", "2"])
         assert code == 0
@@ -400,6 +408,29 @@ class TestBudget:
         assert invoke(["upset", "iso([1,3,5,7],0)", "--j", "6", "--bound", "6"])[1]["count"] == 8
         code, doc = invoke(["upset", "iso([1,3,5,7],0)", "--j", "6", "--bound", "7"])
         assert doc["error"]["message"] == "upset walks 2^4 subsets, above the budget of 8"
+
+    def test_every_listing_is_refused_by_one_check(self, monkeypatch):
+        # the five listings core._check_budget refuses, each one past a
+        # budget of 8 and with its own message
+        monkeypatch.setattr(core, "_BUDGET", 8)
+        refusals = [
+            (["boundary", "--j", "5"], "boundary lists 2^4 elements"),
+            (["verify", "assoc", "--N", "0", "--S", "5"], "verify tries at least 2^3 shifts"),
+            (["verify", "assoc", "--N", "2", "--S", "1"], "verify enumerates 3*2^2 elements"),
+            (["verify", "ext_assoc", "--N", "3", "--S", "0"], "verify enumerates 1*2^3+3 elements"),
+            (["verify", "upset_char", "--N", "2", "--S", "0"], "verify enumerates 3*2^2 elements"),
+            (["eval", "b^9"], "the value excludes 9 points"),
+            (["classify", "a", "--j", "10", "--M", "all"], "argument --M: all lists 9 offsets"),
+        ]
+        for argv, listing in refusals:
+            error = {"type": "OverBudget", "message": f"{listing}, above the budget of 8"}
+            assert invoke(argv) == (2, {"schema": 1, "error": error}), argv
+        with pytest.raises(OverBudget, match=r"^upset_pool lists 3\*2\^2 maps, above the budget of 8$"):
+            upset_pool(0, 2)
+        # one step back, each is listed
+        assert invoke(["eval", "b^8"])[0] == 0
+        assert invoke(["verify", "ext_assoc", "--N", "2", "--S", "0"])[0] == 0
+        assert invoke(["verify", "assoc", "--N", "0", "--S", "3"])[0] == 0
 
     def test_verify_and_all_at_the_budget_run(self, monkeypatch):
         monkeypatch.setattr(core, "_BUDGET", 8)

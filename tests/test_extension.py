@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cofiso import core
-from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, OverBudget, boundary_set, make
+from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, OverBudget, boundary_set, elements, make
 from cofiso.oracle import EnumBounds, enumerate_elements
 from cofiso.extension import (
     Group,
@@ -120,6 +120,18 @@ class TestUpSet:
             boundary_set(5)
         with pytest.raises(OverBudget, match=r"^upset walks 2\^4 subsets, above the budget of 8$"):
             up_set_truncated(Group(0), NoiseParams(3), 4)
+
+
+    def test_complete_once_bound_reaches_every_excluded_point(self):
+        # complete is read off the tail start; by definition it says the
+        # excluded set fits inside {1..bound}
+        cases = 0
+        for x in elements(range(1, 8), range(-2, 3)):
+            for bound in range(-3, 10):
+                view = up_set_truncated(x, NoiseParams(x.noise), bound)
+                assert view.complete == all(p <= bound for p in x.excluded), (x, bound)
+                cases += 1
+        assert cases == 6240
 
 
 class TestTranslations:

@@ -151,6 +151,49 @@ _COPIED_FIND_LOOP = """        found = []
         return found"""
 
 
+def _low_bits(source: str) -> list[str]:
+    """The x & -x expressions the source takes a low bit with."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            for x, neg in ((node.left, node.right), (node.right, node.left)):
+                if isinstance(neg, ast.UnaryOp) and isinstance(neg.op, ast.USub) and ast.dump(neg.operand) == ast.dump(x):
+                    found.append(ast.unparse(node))
+    return found
+
+
+def _range_refusals(source: str) -> list[str]:
+    """The raise statements of the source that name the offset range."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and "outside 2.." in ast.unparse(node)
+    ]
+
+
+# each rule core owns, as its caller reads it, and a copy of it written
+# out by hand, as the callers had them before core held the one copy
+_CHECK_BUDGET_CALL = """    _check_budget(lambda: f"the value excludes {count} points", count)
+"""
+_COPIED_BUDGET_TEST = """    if count > core._BUDGET:
+        raise OverBudget(f"the value excludes {count} points, above the budget of {core._BUDGET}")
+"""
+_ONES_CALL = """            for n in _ones(bad)[: _CAP - len(self.bad)]:
+                self.bad.append(tuple(repr(x) for x in info(n)))
+"""
+_COPIED_LOW_BIT_LOOP = """            while bad and len(self.bad) < _CAP:
+                low = bad & -bad
+                self.bad.append(tuple(repr(x) for x in info(low.bit_length() - 1)))
+                bad ^= low
+"""
+_NOISE_PARAMS_CALL = """    NoiseParams(j, s1 | s2)  # refuses j < 0 and any offset outside 2..j
+"""
+_COPIED_RANGE_LOOP = """    for m in sorted(s1 | s2):
+        if not 2 <= m <= j:
+            raise ValueError(f"offset {m} outside 2..{j}")
+"""
+
+
 class TestSources:
     @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
     def test_every_imported_name_is_used(self, path):
@@ -230,6 +273,41 @@ class TestSources:
         compile(planted, "topology.py", "exec")
         assert "_bits" not in _names_read(source)
         assert "_bits" in _names_read(planted)
+
+
+    # core owns the listing budget (_check_budget), the set-bit walk
+    # (_ones) and the offset range (NoiseParams): no other module reads
+    # _BUDGET, no module takes a low bit as x & -x, and only core raises
+    # the "outside 2.." refusal
+    @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
+    def test_only_core_reads_the_budget(self, path):
+        if path.name != "core.py":
+            assert "_BUDGET" not in _names_read(path.read_text())
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
+    def test_no_module_takes_a_low_bit(self, path):
+        assert _low_bits(path.read_text()) == []
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
+    def test_only_core_checks_the_offset_range(self, path):
+        assert len(_range_refusals(path.read_text())) == (path.name == "core.py")
+
+    @pytest.mark.parametrize(
+        "name,old,copy,guard",
+        [
+            ("cli.py", _CHECK_BUDGET_CALL, _COPIED_BUDGET_TEST, lambda source: "_BUDGET" in _names_read(source)),
+            ("properties.py", _ONES_CALL, _COPIED_LOW_BIT_LOOP, _low_bits),
+            ("topology.py", _NOISE_PARAMS_CALL, _COPIED_RANGE_LOOP, _range_refusals),
+        ],
+        ids=["budget", "low bit", "offset range"],
+    )
+    def test_a_planted_copy_fails_its_guard(self, name, old, copy, guard):
+        source = (ROOT / "src" / "cofiso" / name).read_text()
+        planted = source.replace(old, copy, 1)
+        assert old in source and copy in planted
+        compile(planted, name, "exec")
+        assert not guard(source)
+        assert guard(planted)
 
 
 # what the window oracle must never read: core's product and anatomy

@@ -1042,6 +1042,25 @@ def test_check_mask_counts_like_check():
     assert (t.instances, t.failures) == (25, 8)
 
 
+def test_check_mask_describes_only_the_room_left():
+    # a row failing on more bits than the cap has room for describes the
+    # lowest of them, in order, and counts every one
+    t = _Tally()
+    for n in range(3):
+        t.check(False, n)
+    read = []
+
+    def info(n):
+        read.append(n)
+        return (n,)
+
+    bad = 1 << 3 | 1 << 9 | 1 << 40 | 1 << 4000
+    t.check_mask(4001, bad, info)
+    assert read == [3, 9]
+    assert t.bad == [("0",), ("1",), ("2",), ("3",), ("9",)]
+    assert (t.instances, t.failures) == (4004, 7)
+
+
 def test_nbhd_translation_is_refused_before_its_first_check(monkeypatch):
     # every split is listed and planned before the first product is taken
     def unchecked(x, y):
@@ -1070,6 +1089,28 @@ def test_order_suites_are_refused_before_their_first_check(monkeypatch, pid, bou
 
     monkeypatch.setattr(_Tally, "check", unchecked)
     monkeypatch.setattr(_Tally, "check_mask", unchecked)
+    with pytest.raises(OverBudget) as info:
+        verify(pid, bounds, params)
+    assert str(info.value) == f"verify {pid} plans {units} units, above the budget of 16777216"
+
+
+@pytest.mark.parametrize(
+    "pid,bounds,params,units",
+    [
+        ("natural_order", EnumBounds(11, 0), None, 46137344),
+        ("natural_order", EnumBounds(12, 0), None, 184549376),
+        ("ext_order", EnumBounds(11, 0), NoiseParams(11), 25241657),
+    ],
+)
+def test_order_suites_are_refused_before_their_table(monkeypatch, pid, bounds, params, units):
+    # the n^2 relation table and the fixed checks of each pair are
+    # planned together, so a call whose pairs alone pass the budget
+    # compares no pair
+    def unbuilt(x, y):
+        raise AssertionError("compared before the plan")
+
+    monkeypatch.setattr(properties, "leq", unbuilt)
+    monkeypatch.setattr(properties, "ext_leq", unbuilt)
     with pytest.raises(OverBudget) as info:
         verify(pid, bounds, params)
     assert str(info.value) == f"verify {pid} plans {units} units, above the budget of 16777216"

@@ -221,6 +221,43 @@ class TestDistinguish:
         with pytest.raises(ValueError):
             distinguish(frozenset({5}), frozenset(), 3)
 
+    @pytest.mark.parametrize(
+        "m1,m2,j,message",
+        [
+            ({5}, set(), 3, "offset 5 outside 2..3"),
+            (set(), {1}, 3, "offset 1 outside 2..3"),
+            # on both sides, the smallest is named
+            ({5}, {1, 2}, 3, "offset 1 outside 2..3"),
+            ({2, 7}, {4}, 3, "offset 4 outside 2..3"),
+            ({2}, {2}, -1, "noise bound must be >= 0"),
+            (set(), set(), -1, "noise bound must be >= 0"),
+        ],
+    )
+    def test_refuses_as_noise_params_does(self, m1, m2, j, message):
+        with pytest.raises(ValueError) as info:
+            distinguish(m1, m2, j)
+        assert (type(info.value), str(info.value)) == (ValueError, message)
+
+    def test_grid_refuses_as_noise_params_does(self):
+        # every pair of offset sets drawn from {0, 1, 2, 3, 5} at levels
+        # -1..4: the NoiseParams refusal of the union, else NotDistinct
+        # for equal sets, else the smallest difference
+        sets = [frozenset(c) for c in _combos((0, 1, 2, 3, 5))]
+        for j in range(-1, 5):
+            for m1 in sets:
+                for m2 in sets:
+                    try:
+                        NoiseParams(j, m1 | m2)
+                    except ValueError as exc:
+                        want = (type(exc), str(exc))
+                    else:
+                        want = (NotDistinct, "offset sets are equal") if m1 == m2 else TailSeqSpec({min(m1 ^ m2)}, 0)
+                    try:
+                        got = distinguish(m1, m2, j)
+                    except ValueError as exc:
+                        got = (type(exc), str(exc))
+                    assert got == want, (m1, m2, j)
+
 
 class TestUpsetCharacterization:
     def test_agreement_on_the_frozen_rows(self):
