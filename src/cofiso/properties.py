@@ -2,8 +2,8 @@
 
 Each suite replays one algebraic fact against every instance the bounds
 allow and reports pass/fail with counterexamples.  verify() is the
-single entry point; the bounds pick the enumeration budget and params
-carries the noise bound for the suites that need one.
+single entry point; the bounds pick the enumeration budget and each
+suite is handed the noise level j it reads: params.j or its registered one.
 
 Every call is bounded.  Each pool refuses itself before it is built
 once it would hold more than the listing budget (core._check_budget)
@@ -148,10 +148,9 @@ _REGISTRY: dict[str, tuple[str, Optional[int], Callable]] = {}
 
 
 def register(property_id: str, description: str, j: Optional[int] = None):
-    """Register a suite.  A suite that reads a level gets NoiseParams(j)
-    when verify() is given no params.  Each pool a suite builds refuses
-    itself, through _listed, _check_pool or the walk that lists it,
-    before it is built."""
+    """Register a suite, called as fn(tally, bounds, j); verify() passes
+    this j when given no params.  Each pool a suite builds refuses itself,
+    through _listed, _check_pool or the walk that lists it, before it is built."""
     def deco(fn):
         _REGISTRY[property_id] = (description, j, fn)
         return fn
@@ -163,15 +162,14 @@ def known_properties() -> tuple[str, ...]:
 
 
 def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] = None) -> Report:
+    """Run a suite; of params only params.j is read, and None means the suite's registered level."""
     if property_id not in _REGISTRY:
         raise UnknownProperty(
             f"{property_id!r} is not registered; known: {', '.join(known_properties())}"
         )
     description, level, fn = _REGISTRY[property_id]
-    if params is None and level is not None:
-        params = NoiseParams(level)
     tally = _Tally(property_id)
-    fn(tally, bounds, params)
+    fn(tally, bounds, level if params is None else params.j)
     return Report(
         property_id,
         description,
@@ -287,12 +285,12 @@ def _check_assoc(t, univ, mul):
 
 
 @register("assoc", "composition is associative on every enumerated triple")
-def _assoc(t, bounds, params):
+def _assoc(t, bounds, j):
     _check_assoc(t, _listed(bounds), _product)
 
 
 @register("inverse_axioms", "x*x~*x == x, x~*x*x~ == x~, and partial identities commute")
-def _inverse_axioms(t, bounds, params):
+def _inverse_axioms(t, bounds, j):
     elems = _listed(bounds)
     idems = [g for g in elems if g.is_idempotent]
     t.plan(10 * len(elems) + 3 * len(idems) ** 2)
@@ -307,7 +305,7 @@ def _inverse_axioms(t, bounds, params):
 
 
 @register("oracle_equiv", "algebraic composition matches the pointwise window oracle on all pairs")
-def _oracle_equiv(t, bounds, params):
+def _oracle_equiv(t, bounds, j):
     elems = _listed(bounds)
     # a window composition walks up to n + 2s + 2 points
     t.plan(len(elems) ** 2 * (bounds.n + 2 * bounds.s + 4))
@@ -319,7 +317,7 @@ def _oracle_equiv(t, bounds, params):
 
 
 @register("idempotent_iff", "idempotency, being square-fixed, and having shift 0 coincide")
-def _idempotent_iff(t, bounds, params):
+def _idempotent_iff(t, bounds, j):
     elems = _listed(bounds)
     t.plan(6 * len(elems))
     for g in elems:
@@ -331,7 +329,7 @@ def _idempotent_iff(t, bounds, params):
 
 
 @register("green_relations", "the five Green predicates match their idempotent and witness forms")
-def _green_relations(t, bounds, params):
+def _green_relations(t, bounds, j):
     elems = _listed(bounds)
     span = bounds.n + bounds.s + 1
     # an upper bound: it weighs every pair with a search over the 2*span+1
@@ -386,7 +384,7 @@ def _green_relations(t, bounds, params):
 
 
 @register("natural_order", "the four formulations of the natural order coincide and order the monoid")
-def _natural_order(t, bounds, params):
+def _natural_order(t, bounds, j):
     elems = _listed(bounds)
     # the table and ten checks a pair, planned before the table is built
     t.plan(11 * len(elems) ** 2)
@@ -423,7 +421,7 @@ def _natural_order(t, bounds, params):
 
 
 @register("congruence", "shift equality is the least group congruence, with explicit witnesses")
-def _congruence(t, bounds, params):
+def _congruence(t, bounds, j):
     elems = _listed(bounds)
     idems = [g for g in elems if g.is_idempotent]
     t.plan(8 * len(elems) ** 2 + len(idems) ** 2)
@@ -447,7 +445,7 @@ def _congruence(t, bounds, params):
 
 
 @register("retraction", "tail restriction is an idempotent homomorphism onto the noise-free part")
-def _retraction(t, bounds, params):
+def _retraction(t, bounds, j):
     elems = _listed(bounds)
     t.plan(12 * len(elems) + 5 * len(elems) ** 2)
     tails = [g.tail() for g in elems]
@@ -473,8 +471,7 @@ def _retraction(t, bounds, params):
 
 
 @register("offset_classes", "domain- and range-side offset conditions agree; extremes collapse", j=3)
-def _offset_classes(t, bounds, params):
-    j = params.j
+def _offset_classes(t, bounds, j):
     elems = _listed(bounds)
     all_p = _all_params(j)
     nested = _nested_pairs(t, all_p)
@@ -497,8 +494,7 @@ def _offset_classes(t, bounds, params):
 
 
 @register("class_closure", "every offset class is closed under products and inverses", j=3)
-def _class_closure(t, bounds, params):
-    j = params.j
+def _class_closure(t, bounds, j):
     elems = _listed(bounds)
     all_p = _all_params(j)
     t.plan(len(all_p) * len(elems))
@@ -521,7 +517,7 @@ def _class_closure(t, bounds, params):
 
 
 @register("noise_one_absent", "no element has noise exactly 1")
-def _noise_one_absent(t, bounds, params):
+def _noise_one_absent(t, bounds, j):
     elems = _listed(bounds)
     t.plan(len(elems) + 2)
     seen = set()
@@ -534,7 +530,7 @@ def _noise_one_absent(t, bounds, params):
 
 
 @register("series_strict", "the noise filtration is strict at every level from 2 up")
-def _series_strict(t, bounds, params):
+def _series_strict(t, bounds, j):
     elems = _listed(bounds)
     t.plan(8 * len(elems) + 8)
     for j in range(2, 6):
@@ -550,7 +546,7 @@ def _series_strict(t, bounds, params):
 
 
 @register("absorption", "the basepoint identity is absorbed exactly off the point 1, on both sides")
-def _absorption(t, bounds, params):
+def _absorption(t, bounds, j):
     elems = _listed(bounds)
     t.plan(6 * len(elems) + 2)
     ba = BETA * ALPHA
@@ -562,7 +558,7 @@ def _absorption(t, bounds, params):
 
 
 @register("tail_chain", "the collapsing chain turns any partial identity into a plain tail identity")
-def _tail_chain(t, bounds, params):
+def _tail_chain(t, bounds, j):
     # the chain at depth d flattens the idempotents of the noise-d monoid;
     # above that noise the head can outrun the d-step sweep.  Each depth
     # sets its own noise cap, so the pool is listed without bounds.j
@@ -583,7 +579,7 @@ def _tail_chain(t, bounds, params):
 
 
 @register("conjugation", "shift conjugation moves a partial identity's head up and keeps its noise")
-def _conjugation(t, bounds, params):
+def _conjugation(t, bounds, j):
     idems = [e for e in _listed(bounds) if e.is_idempotent]
     t.plan(4 * 12 * len(idems))
     for e in idems:
@@ -598,8 +594,7 @@ def _conjugation(t, bounds, params):
 
 
 @register("boundary", "the two-sided non-absorbed set matches its brute-force computation", j=3)
-def _boundary(t, bounds, params):
-    j = params.j
+def _boundary(t, bounds, j):
     t.check(bounds.n >= j, bounds.n, j)  # the sweep must reach every candidate point
     ba = BETA * ALPHA
     # the pool is refused ahead of the 2^(j-1) listed maps
@@ -619,19 +614,19 @@ def _boundary(t, bounds, params):
 # -- the adjoined integer ideal -------------------------------------------
 
 
-def _ext_universe(bounds, params):
+def _ext_universe(bounds, j):
     reach = bounds.s + 1
-    return _listed(EnumBounds(bounds.n, bounds.s, params.j), range(-reach, reach + 1))
+    return _listed(EnumBounds(bounds.n, bounds.s, j), range(-reach, reach + 1))
 
 
 @register("ext_assoc", "the extended product is associative across maps and adjoined integers", j=2)
-def _ext_assoc(t, bounds, params):
-    _check_assoc(t, _ext_universe(bounds, params), _ext_product)
+def _ext_assoc(t, bounds, j):
+    _check_assoc(t, _ext_universe(bounds, j), _ext_product)
 
 
 @register("ext_ideal", "adjoined integers absorb every product and the shift total is additive", j=2)
-def _ext_ideal(t, bounds, params):
-    univ = _ext_universe(bounds, params)
+def _ext_ideal(t, bounds, j):
+    univ = _ext_universe(bounds, j)
     t.plan(4 * len(univ) ** 2)
     _, table, values = _numbered_products(univ, _ext_product)
     # each distinct product's level and shift total, read once
@@ -646,8 +641,8 @@ def _ext_ideal(t, bounds, params):
 
 
 @register("ext_order", "the extended order is a partial order obeying the level rules", j=2)
-def _ext_order(t, bounds, params):
-    univ = _ext_universe(bounds, params)
+def _ext_order(t, bounds, j):
+    univ = _ext_universe(bounds, j)
     # the table and the fixed checks, planned before the table is built
     t.plan(len(univ) + 6 * len(univ) ** 2)
     # ext_le[x][y] is ext_leq(univ[x], univ[y]); each related pair checks
@@ -673,8 +668,8 @@ def _ext_order(t, bounds, params):
 
 
 @register("ext_commute", "adjoined integers commute with every element", j=2)
-def _ext_commute(t, bounds, params):
-    univ = _ext_universe(bounds, params)
+def _ext_commute(t, bounds, j):
+    univ = _ext_universe(bounds, j)
     t.plan(5 * 3 * len(univ))
     for x in univ:
         for k in range(-2, 3):
@@ -682,8 +677,8 @@ def _ext_commute(t, bounds, params):
 
 
 @register("ext_surjective", "pushing all maps down to the zero level fills the reachable levels", j=2)
-def _ext_surjective(t, bounds, params):
-    univ = _ext_universe(bounds, params)
+def _ext_surjective(t, bounds, j):
+    univ = _ext_universe(bounds, j)
     t.plan(2 * len(univ) + 1)
     isos = [g for g in univ if isinstance(g, PartialIso)]
     image = {ext_mul(Group(0), g) for g in isos}
@@ -696,10 +691,9 @@ def _ext_surjective(t, bounds, params):
     "level translations are injective, level-true, and undone by the opposite shift",
     j=2,
 )
-def _ext_translation(t, bounds, params):
+def _ext_translation(t, bounds, j):
     # the up-set walk over {1..n} refuses itself before it lists
-    p = NoiseParams(params.j)
-    base = up_set_truncated(Group(0), p, bounds.n)
+    base = up_set_truncated(Group(0), NoiseParams(j), bounds.n)
     t.plan(3 * (10 * len(base.elements) + 2) + 2)
     for k in range(1, 4):
         seen_right, seen_left = set(), set()
@@ -729,9 +723,9 @@ def _topo_pool(bounds):
 
 
 @register("nbhd_nesting", "neighborhoods shrink as the base index grows", j=2)
-def _nbhd_nesting(t, bounds, params):
+def _nbhd_nesting(t, bounds, j):
     pool = _topo_pool(bounds)
-    all_p = _all_params(params.j)
+    all_p = _all_params(j)
     # two memberships for each x at each (offset set, k, i)
     t.plan(len(all_p) * 5 * 6 * 2 * len(pool))
     index = _MemberIndex(pool)
@@ -743,9 +737,9 @@ def _nbhd_nesting(t, bounds, params):
 
 
 @register("nbhd_inversion", "members invert into the mirrored neighborhood at the shifted index", j=2)
-def _nbhd_inversion(t, bounds, params):
+def _nbhd_inversion(t, bounds, j):
     pool = _topo_pool(bounds)
-    all_p = _all_params(params.j)
+    all_p = _all_params(j)
     t.plan(len(pool) + len(all_p) * 5 * 6 * 2 * len(pool))
     # bit n of the second index answers for the inverse of pool[n]
     index, inverses = _MemberIndex(pool), _MemberIndex([ext_inv(x) for x in pool])
@@ -764,8 +758,8 @@ def _nbhd_inversion(t, bounds, params):
     "translation carries neighborhoods into the predicted ones, once past the head",
     j=2,
 )
-def _nbhd_translation(t, bounds, params):
-    j, pool = params.j, _topo_pool(bounds)
+def _nbhd_translation(t, bounds, j):
+    pool = _topo_pool(bounds)
     all_p = _all_params(j)
     movers = list(enumerate_elements(EnumBounds(2, 2)))
     # (mover, reach, base index): each mover at two indices past its reach
@@ -822,8 +816,8 @@ def _nbhd_translation(t, bounds, params):
 
 
 @register("nbhd_product", "products of same-index members land in the summed-level neighborhood", j=2)
-def _nbhd_product(t, bounds, params):
-    j, pool = params.j, _topo_pool(bounds)
+def _nbhd_product(t, bounds, j):
+    pool = _topo_pool(bounds)
     levels = range(-2, 3)
     all_p = _all_params(j)
     t.plan(len(all_p) * 2 * len(pool))
@@ -861,9 +855,9 @@ def _nbhd_product(t, bounds, params):
 
 
 @register("nbhd_hausdorff", "neighborhoods of different levels never meet", j=2)
-def _nbhd_hausdorff(t, bounds, params):
+def _nbhd_hausdorff(t, bounds, j):
     pool = _topo_pool(bounds)
-    all_p = _all_params(params.j)
+    all_p = _all_params(j)
     # two memberships for each x at each (offset set, k1 < k2, i)
     t.plan(len(all_p) * 10 * 3 * 2 * len(pool))
     index = _MemberIndex(pool)
@@ -876,9 +870,9 @@ def _nbhd_hausdorff(t, bounds, params):
 
 
 @register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", j=2)
-def _nbhd_monotone(t, bounds, params):
+def _nbhd_monotone(t, bounds, j):
     pool = _topo_pool(bounds)
-    nested = _nested_pairs(t, _all_params(params.j))
+    nested = _nested_pairs(t, _all_params(j))
     t.plan(len(nested) * 3 * 2 * 2 * len(pool))
     index = _MemberIndex(pool)
     for p1, p2 in nested:
@@ -890,10 +884,9 @@ def _nbhd_monotone(t, bounds, params):
 
 
 @register("upset_char", "the index cutoff equals exclusion from the cutoff witness's up-set", j=2)
-def _upset_char(t, bounds, params):
+def _upset_char(t, bounds, j):
     # upset_pool(k, n): shifts k - 1, k and k + 1
     _check_pool(3, bounds.n)
-    j = params.j
     _check_walk(j - 1, "verify lists", "offset sets")
     # planned from the bounds, before any pool or offset set is built: at
     # most 2^(j-1) offset sets, each checked at 7 indices on 5 pools of at
@@ -909,8 +902,8 @@ def _upset_char(t, bounds, params):
 
 
 @register("convergence_probe", "closed-form convergence verdicts match the direct neighborhood probe", j=3)
-def _convergence_probe(t, bounds, params):
-    all_p = _all_params(params.j)
+def _convergence_probe(t, bounds, j):
+    all_p = _all_params(j)
     # each probe builds and tests at most the ten elements of its closing
     # stretch; the plan weighs all ten
     t.plan(len(all_p) ** 2 * 5 * 5 * (3 * 10 + 2))
@@ -929,7 +922,7 @@ def _convergence_probe(t, bounds, params):
 
 
 @register("bicyclic_hom", "normal-form products match map composition through the embedding")
-def _bicyclic_hom(t, bounds, params):
+def _bicyclic_hom(t, bounds, j):
     nfs = [BicyclicNF(k, l) for k in range(7) for l in range(7)]
     elems = _listed(bounds)
     t.plan(3 * len(nfs) + 5 * len(nfs) ** 2 + 4 * len(elems))
@@ -948,7 +941,7 @@ def _bicyclic_hom(t, bounds, params):
 
 
 @register("word_soundness", "random words normalize to the same element along every reduction route")
-def _word_soundness(t, bounds, params):
+def _word_soundness(t, bounds, j):
     # each word of up to 20 letters is composed and rewritten letter by letter
     t.plan(1 + 1000 * (3 * 20 + 3))
     rng = random.Random(90125)

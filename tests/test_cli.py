@@ -756,7 +756,7 @@ class TestVerify:
         assert doc["error"]["type"] == "UnknownProperty"
 
     def test_counterexample_exits_three(self, monkeypatch):
-        def always_fails(t, bounds, params):
+        def always_fails(t, bounds, j):
             t.check(False, "broken")
 
         monkeypatch.setitem(

@@ -171,6 +171,23 @@ def _range_refusals(source: str) -> list[str]:
     ]
 
 
+def _params_reads(source: str) -> list[str]:
+    """The registered suites of the source that take anything but
+    (t, bounds, j), and the functions other than verify that read a name
+    params."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef):
+            if any(ast.unparse(d).startswith("register(") for d in node.decorator_list):
+                if [arg.arg for arg in node.args.args] != ["t", "bounds", "j"]:
+                    found.append(f"{node.name} takes {ast.unparse(node.args)}")
+            if node.name != "verify" and any(
+                isinstance(n, ast.Name) and n.id == "params" for n in ast.walk(node)
+            ):
+                found.append(f"{node.name} reads params")
+    return found
+
+
 # each rule core owns, as its caller reads it, and a copy of it written
 # out by hand, as the callers had them before core held the one copy
 _CHECK_BUDGET_CALL = """    _check_budget(lambda: f"the value excludes {count} points", count)
@@ -191,6 +208,13 @@ _NOISE_PARAMS_CALL = """    NoiseParams(j, s1 | s2)  # refuses j < 0 and any off
 _COPIED_RANGE_LOOP = """    for m in sorted(s1 | s2):
         if not 2 <= m <= j:
             raise ValueError(f"offset {m} outside 2..{j}")
+"""
+# verify hands each suite its level; a suite that took the parameters
+# and read the level itself, as every level-dependent suite did before
+_SUITE_TAKES_J = """def _boundary(t, bounds, j):
+"""
+_COPIED_PARAMS_SUITE = """def _boundary(t, bounds, params):
+    j = params.j
 """
 
 
@@ -292,14 +316,24 @@ class TestSources:
     def test_only_core_checks_the_offset_range(self, path):
         assert len(_range_refusals(path.read_text())) == (path.name == "core.py")
 
+    # verify turns parameters into a level: every suite takes
+    # (t, bounds, j) and no function but verify reads params
+    def test_every_suite_takes_only_the_level(self):
+        from cofiso.properties import _REGISTRY
+
+        signatures = {fn.__code__.co_varnames[: fn.__code__.co_argcount] for _, _, fn in _REGISTRY.values()}
+        assert signatures == {("t", "bounds", "j")}
+        assert _params_reads((ROOT / "src" / "cofiso" / "properties.py").read_text()) == []
+
     @pytest.mark.parametrize(
         "name,old,copy,guard",
         [
             ("cli.py", _CHECK_BUDGET_CALL, _COPIED_BUDGET_TEST, lambda source: "_BUDGET" in _names_read(source)),
             ("properties.py", _ONES_CALL, _COPIED_LOW_BIT_LOOP, _low_bits),
             ("topology.py", _NOISE_PARAMS_CALL, _COPIED_RANGE_LOOP, _range_refusals),
+            ("properties.py", _SUITE_TAKES_J, _COPIED_PARAMS_SUITE, _params_reads),
         ],
-        ids=["budget", "low bit", "offset range"],
+        ids=["budget", "low bit", "offset range", "suite params"],
     )
     def test_a_planted_copy_fails_its_guard(self, name, old, copy, guard):
         source = (ROOT / "src" / "cofiso" / name).read_text()

@@ -78,7 +78,7 @@ def test_unknown_property_lists_the_registry():
 
 
 def test_counterexamples_are_capped(monkeypatch):
-    def many_failures(t, bounds, params):
+    def many_failures(t, bounds, j):
         for i in range(10):
             t.check(False, i)
 
@@ -133,7 +133,7 @@ class TestLaws:
 
 
 def test_report_counts_every_failure(monkeypatch):
-    def many_failures(t, bounds, params):
+    def many_failures(t, bounds, j):
         for i in range(10):
             t.check(False, i)
 
@@ -148,7 +148,7 @@ def test_ext_assoc_checks_every_triple(j, instances):
     # the products come from numbered tables; still one check per (x, y, z)
     report = verify("ext_assoc", EnumBounds(4, 2), NoiseParams(j))
     assert report.passed and report.instances == instances
-    assert instances == len(_ext_universe(EnumBounds(4, 2), NoiseParams(j))) ** 3
+    assert instances == len(_ext_universe(EnumBounds(4, 2), j)) ** 3
 
 
 # the pool each suite lists first, as its refusal at N=17, S=0 names it:
@@ -296,6 +296,13 @@ def test_a_suite_with_no_level_reads_no_params(pid):
     assert verify(pid, bounds, NoiseParams(18)) == verify(pid, bounds)
 
 
+@pytest.mark.parametrize("pid", [pid for pid in known_properties() if _REGISTRY[pid][1] is not None])
+def test_a_suite_with_a_level_reads_only_the_level(pid):
+    # the offset set of the params verify() is given reaches no suite
+    bounds = SMOKE_BOUNDS.get(pid, EnumBounds(3, 2))
+    assert verify(pid, bounds, NoiseParams.full(3)) == verify(pid, bounds, NoiseParams(3))
+
+
 def _naive_assoc(univ, mul):
     t = _Tally()
     for x in univ:
@@ -313,7 +320,7 @@ def _twisted(x, y):
 @pytest.mark.parametrize(
     "univ",
     [
-        _ext_universe(EnumBounds(3, 1), NoiseParams(2)),
+        _ext_universe(EnumBounds(3, 1), 2),
         list(enumerate_elements(EnumBounds(3, 1))),
     ],
     ids=["ext universe", "enumeration"],
@@ -332,7 +339,7 @@ def test_check_assoc_equals_the_naive_triple_loop(univ, mul):
 @pytest.mark.parametrize(
     "univ,mul",
     [
-        (_ext_universe(EnumBounds(3, 1), NoiseParams(2)), ext_mul),
+        (_ext_universe(EnumBounds(3, 1), 2), ext_mul),
         (list(enumerate_elements(EnumBounds(3, 1))), _twisted),
     ],
     ids=["ext universe", "planted"],
@@ -353,7 +360,7 @@ def test_numbered_products_number_each_distinct_product_once(univ, mul):
 @pytest.mark.parametrize(
     "univ,keyed,mul",
     [
-        (_ext_universe(EnumBounds(3, 1), NoiseParams(2)), _ext_product, ext_mul),
+        (_ext_universe(EnumBounds(3, 1), 2), _ext_product, ext_mul),
         (list(enumerate_elements(EnumBounds(3, 1))), _product, operator.mul),
         (list(enumerate_elements(EnumBounds(0, 0))), _product, operator.mul),
     ],
@@ -381,7 +388,7 @@ def test_a_table_builds_each_distinct_map_product_once(monkeypatch):
     # the 3,025 pair products take 125 values, 13 of them adjoined
     # integers; the products of those by each element are compared by
     # anatomy and built never
-    univ = _ext_universe(bounds, params)
+    univ = _ext_universe(bounds, params.j)
     distinct = {ext_mul(x, y) for x in univ for y in univ}
     assert (len(univ), len(distinct), sum(isinstance(v, Group) for v in distinct)) == (55, 125, 13)
     assert len(built) == len(set(built)) == 112
@@ -770,7 +777,7 @@ def _wrong_tail(real):
 
 
 def _each_ext_ideal(t, bounds, params, ext_mul):
-    univ = _ext_universe(bounds, params)
+    univ = _ext_universe(bounds, params.j)
     for x in univ:
         for y in univ:
             prod = ext_mul(x, y)
@@ -781,7 +788,7 @@ def _each_ext_ideal(t, bounds, params, ext_mul):
 
 def _each_ext_order(t, bounds, params, ext_leq):
     # every order relation decided afresh each time it is read
-    univ = _ext_universe(bounds, params)
+    univ = _ext_universe(bounds, params.j)
     for x in univ:
         t.check(ext_leq(x, x), x)
         for y in univ:
