@@ -103,11 +103,12 @@ def elements(
 
 class _Value:
     """Base of the small immutable value classes: the fields are the names
-    in ``__slots__``, or in ``_fields`` when memo slots follow them,
-    written once by ``__init__`` in that order.  A class built on a hot
-    path writes them itself with object.__setattr__, which takes half the
-    time.  Values are equal, and hash equal, when their class and fields
-    are, and print as ``Name(field=value, ...)``.
+    in ``__slots__``, or in ``_fields`` when memo slots follow them or a
+    field is read from other slots, written once by ``__init__`` in that
+    order.  A class built on a hot path writes them itself with
+    object.__setattr__, which takes half the time.  Values are equal, and
+    hash equal, when their class and fields are, and print as
+    ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
@@ -520,9 +521,13 @@ def noise_bounded(g: PartialIso, j: int) -> bool:
 def head_offsets(g: PartialIso) -> tuple[int, ...]:
     """Distances from early domain points back to tail_start (0 included)."""
     # the domain points up to tail_start are dom_min + i for the clear
-    # bits i of the gap mask, plus tail_start itself
-    n = g.noise
-    return tuple(n - i for i, b in enumerate(_bits(g.gaps) + "0") if b == "0")
+    # bits i of the gap mask, plus tail_start itself (i = n); the clear
+    # stretch below each set bit, and the one up to n, go in as one range
+    n, prev, found = g.noise, -1, []
+    for i in (*_ones(g.gaps), n + 1):
+        found += range(n - prev - 1, n - i, -1)
+        prev = i
+    return tuple(found)
 
 
 def in_offset_class(g: PartialIso, params: NoiseParams) -> bool:

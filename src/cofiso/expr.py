@@ -59,14 +59,20 @@ class Puncture(_Value):
 
 class IsoLit(_Value):
     _fields = ("excluded", "shift")
-    # the run memo sits beside the fields: the parser's k when ``excluded``
-    # starts 1, 2, ..., k, and 0 for a node built by hand or unpickled
-    __slots__ = (*_fields, "_run")
+    # the literal is stored as the parser reads it: a leading run
+    # 1, 2, ..., _run kept as its length, and the points after it in
+    # ``_rest``; a node built by hand or unpickled has _run == 0 and its
+    # every point in ``_rest``
+    __slots__ = ("_rest", "shift", "_run")
 
     def __init__(self, excluded: tuple, shift: int, *, _run: int = 0) -> None:
-        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "_rest", excluded)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "_run", _run)
+
+    @property
+    def excluded(self) -> tuple:
+        return (*range(1, self._run + 1), *self._rest)
 
 
 class GrpLit(_Value):
@@ -105,12 +111,13 @@ _GENS = {"a": ALPHA, "b": BETA, "I": IDENTITY}
 _LEGAL = re.compile(r"(?:[0-9,abIe()\[\]*^\s\d-]+|iso|grp)*")
 # The next token, after any blanks.
 _TOKEN = re.compile(r"\s*(?:(?P<int>[0-9\d]+)|(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\],*^-]))")
-# A literal's digits and commas from its first integer on, read in one
-# match.  A repeated character class keeps no backtracking stack.
+# A literal's digits and commas after its leading run, read in one match.
+# A repeated character class keeps no backtracking stack.
 _POINTS = re.compile(r"[0-9,\d]*")
 # (n, "1,2,...,n"): the counting text a literal's leading run is compared
-# with, so that no point of the run is converted.  Built on first use, not
-# at import, and replaced whole by a longer one, n doubling up to MAX_POINT.
+# with in place, so that no point of the run is scanned again or
+# converted.  Built on first use, not at import, and replaced whole by a
+# longer one, n doubling up to MAX_POINT.
 _counting = (0, "")
 
 
@@ -123,29 +130,29 @@ def _counting_end(k: int) -> int:
     return d * (k + 1) - (10**d - 1) // 9 + k - 1
 
 
-def _run_length(run: str) -> int:
-    """The largest k <= MAX_POINT with the run starting 1,2,...,k and then
-    a comma or its end, binary-searched against the counting text."""
+def _run_length(text: str, pos: int) -> int:
+    """The largest k <= MAX_POINT with text[pos:] starting 1,2,...,k and
+    then no digit, binary-searched against the counting text in place."""
     global _counting
     # every number but the last takes a digit and a comma
-    top = min(MAX_POINT, (len(run) + 1) // 2)
-    n, text = _counting
-    # the text doubles while the run starts with all of it and may go on
-    while n < top and run.startswith(text):
+    top = min(MAX_POINT, (len(text) - pos + 1) // 2)
+    n, counting = _counting
+    # the counting text doubles while the input holds all of it
+    while n < top and text.startswith(counting, pos):
         n = min(2 * n or 1, MAX_POINT)
-        text = ",".join(map(str, range(1, n + 1)))
-        _counting = n, text
-    lo, hi = 0, min(n, top) + 1  # the run starts with "1,...,lo", not "1,...,hi"
+        counting = ",".join(map(str, range(1, n + 1)))
+        _counting = n, counting
+    lo, hi = 0, min(n, top) + 1  # the input starts "1,...,lo", not "1,...,hi"
     start = 0  # the length of "1,...,lo"
     while hi - lo > 1:
         mid = (lo + hi) // 2
         end = _counting_end(mid)
-        if run.startswith(text[start:end], start):
+        if text.startswith(counting[start:end], pos + start):
             lo, start = mid, end
         else:
             hi = mid
     # "1,2,34" starts with the text "1,2,3", but its third number is 34
-    return lo - 1 if lo and start < len(run) and run[start] != "," else lo
+    return lo - 1 if lo and text[pos + start : pos + start + 1].isdecimal() else lo
 
 
 # Deepest parenthesis nesting parse accepts: each level costs three parser
@@ -260,27 +267,30 @@ class _Parser:
         if kind == "iso":
             self.expect("(")
             self.expect("[")
-            entries, k = [], 0
+            rest, k = [], 0
             if self.at("int"):
-                start = self.tok[2] - 1
-                run = _POINTS.match(self.text, start)[0].split(",,", 1)[0].rstrip(",")
-                k = _run_length(run)
-                # the leading 1,...,k is read as text; the rest, past its
-                # comma, keeps the columns it has in the whole run
-                end = _counting_end(k) + (k > 0)
-                rest = self.points(run[end:], start + end + 1) if end < len(run) else ()
-                entries = [*range(1, k + 1), *rest]
-                self.scan(start + len(run))
+                text, end = self.text, self.tok[2] - 1
+                # the leading 1,...,k is compared as text, in place
+                k = _run_length(text, end)
+                end += _counting_end(k)
+                # the points after the run's comma, when a digit follows
+                # it, are read in one match and keep their columns
+                if not k or text.startswith(",", end) and text[end + 1 : end + 2].isdecimal():
+                    end += k > 0
+                    tail = _POINTS.match(text, end)[0].split(",,", 1)[0].rstrip(",")
+                    rest = self.points(tail, end + 1)
+                    end += len(tail)
+                self.scan(end)
                 # a comma the run left (",]", ",,", " ,", ", ") goes token by token
                 while self.at(","):
                     self.next()
                     num = self.expect("int")
-                    entries += self.points(num[1], num[2])
+                    rest += self.points(num[1], num[2])
             self.expect("]")
             self.expect(",")
             shift = self.signed_int()
             self.expect(")")
-            return IsoLit(tuple(entries), shift, _run=k)
+            return IsoLit(tuple(rest), shift, _run=k)
         if kind == "grp":
             self.expect("(")
             k = self.signed_int()
@@ -348,9 +358,8 @@ def _eval_operand(node: Node) -> ExtElem:
     if isinstance(node, Puncture):
         return punctured_identity(node.index)
     if isinstance(node, IsoLit):
-        k = node._run
         try:
-            return PartialIso(node.excluded[k:], node.shift, _run=k)
+            return PartialIso(node._rest, node.shift, _run=node._run)
         except ValueError as exc:
             raise EvalError(f"bad literal {unparse(node)}: {exc}") from exc
     if isinstance(node, GrpLit):

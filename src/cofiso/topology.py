@@ -1,7 +1,7 @@
 """Neighborhood filters, convergence, and topology separation.
 
 That every map is isolated is the paper's discreteness claim; no suite
-checks it yet (ROADMAP item 3a).  A basic neighborhood of the adjoined
+checks it yet (ROADMAP item 2a).  A basic neighborhood of the adjoined
 integer k consists of k itself plus the offset-class members with shift
 k whose irregular head has moved out beyond i.  Varying the offset set
 yields pairwise distinct topologies, told apart by which tail sequences

@@ -242,6 +242,29 @@ class TestOffsetClasses:
         assert head_offsets(IDENTITY) == (0,)
 
 
+def _head_offsets_per_digit(g):
+    """head_offsets as it read before it went by stretches: one step per
+    binary digit of the gap mask."""
+    n = g.noise
+    return tuple(n - i for i, b in enumerate(_bits(g.gaps) + "0") if b == "0")
+
+
+class TestHeadOffsets:
+    """head_offsets, which adds each clear stretch as a range, against the
+    per-digit listing."""
+
+    def test_every_small_element(self):
+        for g in enumerate_elements(EnumBounds(8, 1)):
+            assert head_offsets(g) == _head_offsets_per_digit(g), g
+
+    @pytest.mark.parametrize("k", [300, 1500, 7000])
+    def test_elements_of_noise_past_a_thousand(self, k):
+        lit = PartialIso((*range(1, k + 1), k + 3, k + 9), -k)
+        for g in (punctured_identity(1500), lit * punctured_identity(k + 700), punctured_identity(k + 1400) * lit):
+            assert g.noise >= 1000
+            assert head_offsets(g) == _head_offsets_per_digit(g), g
+
+
 def _offset_class_by_offsets(g, params):
     """The membership test as it read before the mask form: every head
     offset, listed one by one, is 0 or allowed."""

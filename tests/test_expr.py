@@ -197,11 +197,25 @@ _RUN_PARTS = st.one_of(
 )
 
 
-def _run_reference(parts):
-    """The IsoLit, or the ParseError's (message, column), that int() read
-    part by part predicts for iso([<parts>],0): the first part int()
-    cannot read is an error, else the first point over MAX_POINT."""
-    columns = [6 + sum(map(len, parts[:n])) + n for n in range(len(parts))]
+# Where a literal stands: the text before it, the text after it and the
+# node the parse puts around it.  The leading run is compared in place,
+# at whatever column the literal starts.
+_PLACES = {
+    "": ("", lambda node: node),
+    "a*": ("", lambda node: Prod(Gen("a"), node)),
+    "b^3 ": ("", lambda node: Prod(Pow(Gen("b"), 3), node)),
+    "e[5]": ("", lambda node: Prod(Puncture(5), node)),
+    "(": (")^2", lambda node: Pow(node, 2)),
+}
+
+
+def _run_reference(parts, prefix=""):
+    """The node, or the ParseError's (message, column), that int() read
+    part by part predicts for iso([<parts>],0) after prefix: the first
+    part int() cannot read is an error, else the first point over
+    MAX_POINT."""
+    start = len(prefix) + 6
+    columns = [start + sum(map(len, parts[:n])) + n for n in range(len(parts))]
     values = []
     for part, column in zip(parts, columns):
         try:
@@ -211,12 +225,12 @@ def _run_reference(parts):
     for value, column in zip(values, columns):
         if value > MAX_POINT:
             return f"column {column}: point must be <= {MAX_POINT}", column
-    return IsoLit(tuple(values), 0)
+    return _PLACES[prefix][1](IsoLit(tuple(values), 0))
 
 
-def _parse_or_error(parts):
+def _parse_or_error(parts, prefix=""):
     try:
-        return parse(f"iso([{','.join(parts)}],0)")
+        return parse(f"{prefix}iso([{','.join(parts)}],0){_PLACES[prefix][0]}")
     except ParseError as exc:
         return str(exc), exc.column
 
@@ -237,27 +251,27 @@ _LONG_REST = [*map(str, range(1, 51)), *map(str, range(100, 2100))]
 
 class TestPointRuns:
     @settings(deadline=None, max_examples=300)
-    @given(st.lists(_RUN_PARTS, min_size=1, max_size=12))
-    @example(["007", "٣", "1048576"])
-    @example(["1", str(MAX_POINT + 1), "9" * 4301])  # too long wins over too large
-    def test_run_matches_int_per_part(self, parts):
-        assert _parse_or_error(parts) == _run_reference(parts)
+    @given(st.lists(_RUN_PARTS, min_size=1, max_size=12), st.sampled_from(sorted(_PLACES)))
+    @example(["007", "٣", "1048576"], "")
+    @example(["1", str(MAX_POINT + 1), "9" * 4301], "(")  # too long wins over too large
+    def test_run_matches_int_per_part(self, parts, prefix):
+        assert _parse_or_error(parts, prefix) == _run_reference(parts, prefix)
 
     @settings(deadline=None, max_examples=300)
-    @given(_COUNTED_RUNS)
-    @example([*map(str, range(1, 10)), "10"])
-    @example([*map(str, range(1, 10)), "100"])  # "1,...,9,10" is a prefix
-    @example(["1", "2", "3" + str(MAX_POINT)])
-    @example(["1", "2", "03"])
-    @example(["1", "2", "٣"])
-    @example(["1", "2", "4", "5", "6"])
+    @given(_COUNTED_RUNS, st.sampled_from(sorted(_PLACES)))
+    @example([*map(str, range(1, 10)), "10"], "")
+    @example([*map(str, range(1, 10)), "100"], "a*")  # "1,...,9,10" is a prefix
+    @example(["1", "2", "3" + str(MAX_POINT)], "b^3 ")
+    @example(["1", "2", "03"], "e[5]")
+    @example(["1", "2", "٣"], "(")
+    @example(["1", "2", "4", "5", "6"], "e[5]")
     # a long rest whose last part int() cannot read, or reads over MAX_POINT
-    @example([*_LONG_REST, "02100"])
-    @example([*_LONG_REST, "٣"])
-    @example([*_LONG_REST, "9" * 4301])
-    @example([*_LONG_REST, str(MAX_POINT + 1)])
-    def test_counted_run_matches_int_per_part(self, parts):
-        assert _parse_or_error(parts) == _run_reference(parts)
+    @example([*_LONG_REST, "02100"], "")
+    @example([*_LONG_REST, "٣"], "(")
+    @example([*_LONG_REST, "9" * 4301], "b^3 ")
+    @example([*_LONG_REST, str(MAX_POINT + 1)], "a*")
+    def test_counted_run_matches_int_per_part(self, parts, prefix):
+        assert _parse_or_error(parts, prefix) == _run_reference(parts, prefix)
 
 
 # (points, shift) for a literal with a counting prefix: the points after
@@ -309,11 +323,34 @@ class TestCountedLiterals:
         k = 10**5
         points = (*range(1, k + 1), k + 3)
         node = parse(f"iso([{','.join(map(str, points))}],-7)")
-        assert node._run == k
+        assert (node._run, node._rest) == (k, (k + 3,))
         hand = IsoLit(points, -7)
-        assert hand._run == 0
+        assert (hand._run, hand._rest) == (0, points)
         assert node == hand and hash(node) == hash(hand) and repr(node) == repr(hand)
         assert evaluate(node) == evaluate(hand) == PartialIso(points, -7)
+
+    def test_only_the_points_after_the_run_are_scanned(self, monkeypatch):
+        # _POINTS matches from the first point after the run's comma, and
+        # not at all when the run is the whole literal
+        spans = []
+
+        class Spy:
+            def match(self, text, pos):
+                m = _POINTS.match(text, pos)
+                spans.append(m.span())
+                return m
+
+        monkeypatch.setattr(expr, "_POINTS", Spy())
+        k = 10**5
+        counted = ",".join(map(str, range(1, k + 1)))
+        tail = f"{k + 3},{k + 9}"
+        node = parse(f"e[2]*iso([{counted},{tail}],-7)").right
+        start = len("e[2]*iso([") + len(counted) + 1
+        assert spans == [(start, start + len(tail))]
+        assert (node._run, node._rest) == (k, (k + 3, k + 9))
+        spans.clear()
+        assert parse(f"iso([{counted}],0)")._rest == ()
+        assert spans == []
 
     @pytest.mark.parametrize("text", ["iso([1,2,3,5],-1)", "iso([1,2,3],0)*a", "(b*iso([1,2,3,4,9],2))^3"])
     def test_copies_evaluate_the_same(self, text):

@@ -216,6 +216,20 @@ _SUITE_TAKES_J = """def _boundary(t, bounds, j):
 _COPIED_PARAMS_SUITE = """def _boundary(t, bounds, params):
     j = params.j
 """
+# head_offsets is the independent route behind the mask form of
+# in_offset_class: it lists the clear stretches of the gap mask and reads
+# no offset mask; a copy that reads the class through the mask
+_HEAD_OFFSETS_WALK = """    for i in (*_ones(g.gaps), n + 1):
+"""
+_HEAD_OFFSETS_VIA_MASK = """    for i in (*_ones(g.gaps & ~NoiseParams(n, range(2, n + 1)).offset_mask(n)[1]), n + 1):
+"""
+_HEAD_OFFSETS_FORBIDDEN = {"_offset_bits", "offset_mask", "in_offset_class", "_offset_mask"}
+
+
+def _head_offsets_reads(source: str) -> list[str]:
+    """The offset-mask names and attributes that head_offsets reads."""
+    (fn,) = (node for node in ast.parse(source).body if getattr(node, "name", None) == "head_offsets")
+    return sorted(_names_read(ast.unparse(fn)) & _HEAD_OFFSETS_FORBIDDEN)
 
 
 class TestSources:
@@ -325,6 +339,9 @@ class TestSources:
         assert signatures == {("t", "bounds", "j")}
         assert _params_reads((ROOT / "src" / "cofiso" / "properties.py").read_text()) == []
 
+    def test_head_offsets_reads_no_offset_mask(self):
+        assert _head_offsets_reads((ROOT / "src" / "cofiso" / "core.py").read_text()) == []
+
     @pytest.mark.parametrize(
         "name,old,copy,guard",
         [
@@ -332,8 +349,9 @@ class TestSources:
             ("properties.py", _ONES_CALL, _COPIED_LOW_BIT_LOOP, _low_bits),
             ("topology.py", _NOISE_PARAMS_CALL, _COPIED_RANGE_LOOP, _range_refusals),
             ("properties.py", _SUITE_TAKES_J, _COPIED_PARAMS_SUITE, _params_reads),
+            ("core.py", _HEAD_OFFSETS_WALK, _HEAD_OFFSETS_VIA_MASK, _head_offsets_reads),
         ],
-        ids=["budget", "low bit", "offset range", "suite params"],
+        ids=["budget", "low bit", "offset range", "suite params", "head offsets"],
     )
     def test_a_planted_copy_fails_its_guard(self, name, old, copy, guard):
         source = (ROOT / "src" / "cofiso" / name).read_text()
