@@ -533,13 +533,13 @@ def _noise_one_absent(t, bounds, j):
 def _series_strict(t, bounds, j):
     elems = _listed(bounds)
     t.plan(8 * len(elems) + 8)
-    for j in range(2, 6):
-        w = PartialIso(range(2, j + 1), 0)
-        t.check(w.noise == j, w, j)
-        t.check(noise_bounded(w, j) and not noise_bounded(w, j - 1), w, j)
+    for level in range(2, 6):
+        w = PartialIso(range(2, level + 1), 0)
+        t.check(w.noise == level, w, level)
+        t.check(noise_bounded(w, level) and not noise_bounded(w, level - 1), w, level)
     for g in elems:
-        for j in range(2, 6):
-            t.check(not noise_bounded(g, j - 1) or noise_bounded(g, j), g, j)
+        for level in range(2, 6):
+            t.check(not noise_bounded(g, level - 1) or noise_bounded(g, level), g, level)
 
 
 # -- absorption, collapsing chains, the boundary --------------------------
@@ -866,7 +866,7 @@ def _nbhd_hausdorff(t, bounds, j):
             for k2 in range(k1 + 1, 3):
                 for i in (1, 3, 5):
                     s1, s2 = index.mask(k1, i, p), index.mask(k2, i, p)
-                    t.check_mask(len(pool), s1 & s2, lambda n: (pool[n], k1, k2, i))
+                    t.check_mask(len(pool), s1 & s2, lambda n: (pool[n], k1, k2, i, p.offsets))
 
 
 @register("nbhd_monotone", "a larger offset set only enlarges each neighborhood", j=2)

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import verify_planned
+
 from cofiso import cli, core, extension, properties
 from cofiso.cli import invoke, main
 from cofiso.core import OverBudget
@@ -478,16 +480,7 @@ class TestBudget:
         ],
     )
     def test_verify_work_at_the_budget_runs(self, monkeypatch, argv):
-        tallies = []
-
-        class Recording(properties._Tally):
-            def __init__(self, *args):
-                super().__init__(*args)
-                tallies.append(self)
-
-        monkeypatch.setattr(properties, "_Tally", Recording)
-        code, doc = invoke(["verify", *argv])
-        planned = tallies[-1].planned
+        (code, doc), planned = verify_planned(["verify", *argv], run=invoke)
         assert code == 0 and doc["instances"] <= planned
         # a call runs when its plans reach the budget and is refused, by
         # its last plan, one unit below

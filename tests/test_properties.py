@@ -1,7 +1,6 @@
 import operator
 import os
 import random
-import runpy
 import sys
 import tracemalloc
 from itertools import count, product
@@ -9,6 +8,8 @@ from itertools import count, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import EXPECTED_INSTANCES, PLAN, verify_planned
 
 from cofiso import core, properties, topology
 from cofiso.bicyclic import BicyclicNF, embed, normalize_word, parse_word, recognize, reduce_word, word_iso
@@ -143,12 +144,11 @@ def test_report_counts_every_failure(monkeypatch):
     assert len(report.counterexamples) == 5
 
 
-@pytest.mark.parametrize("j,instances", [(2, 68921), (3, 166375)])
-def test_ext_assoc_checks_every_triple(j, instances):
+@pytest.mark.parametrize("j", [2, 3])
+def test_ext_assoc_checks_every_triple(plan_record, j):
     # the products come from numbered tables; still one check per (x, y, z)
-    report = verify("ext_assoc", EnumBounds(4, 2), NoiseParams(j))
-    assert report.passed and report.instances == instances
-    assert instances == len(_ext_universe(EnumBounds(4, 2), j)) ** 3
+    report, _ = plan_record["ext_assoc", 4, 2, j]
+    assert report.passed and report.instances == len(_ext_universe(EnumBounds(4, 2), j)) ** 3
 
 
 # the pool each suite lists first, as its refusal at N=17, S=0 names it:
@@ -221,41 +221,24 @@ def test_upset_char_plans_before_it_lists(monkeypatch):
     assert str(info.value) == "verify upset_char plans 338235555840 units, above the budget of 16777216"
 
 
-def _verify_planned(monkeypatch, pid, bounds, params):
-    """verify's report and the units its suite planned."""
-    tallies = []
-
-    class Recording(_Tally):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tallies.append(self)
-
-    monkeypatch.setattr(properties, "_Tally", Recording)
-    report = verify(pid, bounds, params)
-    return report, tallies[-1].planned
-
-
-# the benchmark's sweep plan, (suite, N, S, j) for every suite at its
-# acceptance bounds, and its instance counts, run from its source file,
-# which writes no bytecode beside it
-SWEEP = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "sweep.py"))
-
-
-@pytest.mark.parametrize("pid,n,s,j", SWEEP["PLAN"])
-def test_acceptance_plans_cover_the_instances_well_inside_the_budget(monkeypatch, pid, n, s, j):
-    params = None if j is None else NoiseParams(j)
-    report, planned = _verify_planned(monkeypatch, pid, EnumBounds(n, s), params)
+@pytest.mark.parametrize("pid,n,s,j", PLAN)
+def test_acceptance_plans_cover_the_instances_well_inside_the_budget(plan_record, pid, n, s, j):
+    report, planned = plan_record[pid, n, s, j]
+    assert report.passed, report.counterexamples
     assert report.instances <= planned <= properties._WORK // 32
-    assert report.instances == SWEEP["EXPECTED_INSTANCES"][(pid, j)]
+    assert report.instances == EXPECTED_INSTANCES[pid, j]
 
 
 def test_acceptance_calls_cover_every_suite():
-    assert len(SWEEP["PLAN"]) == 55
-    assert {pid for pid, *_ in SWEEP["PLAN"]} == set(known_properties())
+    # the criteria read each row's count by (suite, j): one key per row
+    keys = {(pid, j) for pid, _, _, j in PLAN}
+    assert len(PLAN) == len(keys) == 55
+    assert keys == set(EXPECTED_INSTANCES)
+    assert {pid for pid, *_ in PLAN} == set(known_properties())
 
 
 @pytest.mark.parametrize("pid", known_properties())
-def test_plans_bound_the_instances_and_the_calls(monkeypatch, pid):
+def test_plans_bound_the_instances_and_the_calls(pid):
     # a plan is honest both ways: no suite checks more instances than it
     # planned, nor makes more than 64 Python calls into the package per
     # planned unit, so a budget in units bounds the time a call takes
@@ -273,7 +256,7 @@ def test_plans_bound_the_instances_and_the_calls(monkeypatch, pid):
         sys.setprofile(count_calls)
         try:
             params = None if j is None else NoiseParams(j)
-            report, planned = _verify_planned(monkeypatch, pid, EnumBounds(n, s), params)
+            report, planned = verify_planned(pid, EnumBounds(n, s), params)
         finally:
             sys.setprofile(None)
         assert report.instances <= planned, (n, s, j)
@@ -404,7 +387,7 @@ def test_nbhd_translation_builds_each_distinct_map_product_once(monkeypatch):
 
     monkeypatch.setattr(properties, "from_anatomy", counted)
     report = verify("nbhd_translation", EnumBounds(8, 2), NoiseParams(3))
-    assert report.passed and report.instances == 8656
+    assert report.passed and report.instances == EXPECTED_INSTANCES["nbhd_translation", 3]
     # each of the 15 movers times each of the 118 members of some split,
     # on either side: 258 distinct products, 249 of them maps
     assert len(built) == len(set(built)) == 249
@@ -627,7 +610,7 @@ def _each_hausdorff(t, pool, all_p, member):
                 for i in (1, 3, 5):
                     s1, s2 = NbhdSpec(k1, i, p), NbhdSpec(k2, i, p)
                     for x in pool:
-                        t.check(not (member(x, s1) and member(x, s2)), x, k1, k2, i)
+                        t.check(not (member(x, s1) and member(x, s2)), x, k1, k2, i, p.offsets)
 
 
 def _each_monotone(t, pool, all_p, member):
@@ -667,6 +650,8 @@ def test_row_tallies_match_a_check_per_instance(monkeypatch, pid, each):
     )
     # the fault shows in some rows and not in others, more often than kept
     assert properties._CAP < report.failures < report.instances
+    # and each kept failure names the offset set it broke in
+    assert all(any(part.startswith("frozenset(") for part in bad) for bad in report.counterexamples)
 
 
 @pytest.mark.parametrize(
@@ -992,7 +977,7 @@ def test_word_soundness_with_shared_heads_matches_a_check_per_word(monkeypatch, 
         tuple(ref.bad),
     )
     if pair is None:
-        assert report.passed and report.instances == 3001
+        assert report.passed and report.instances == EXPECTED_INSTANCES["word_soundness", None]
     else:
         assert properties._CAP < report.failures < report.instances
 
@@ -1008,10 +993,11 @@ def test_word_soundness_with_shared_heads_matches_a_check_per_word(monkeypatch, 
         ("nbhd_translation", EnumBounds(8, 2), NoiseParams(3)),
     ],
 )
-def test_product_tables_hold_numbers_not_products(pid, bounds, params):
+def test_product_tables_hold_numbers_not_products(plan_record, pid, bounds, params):
     # a table keeps each distinct product once and a number per pair; a
-    # memo of one product per pair peaks at 2-3 MiB on the first two calls
-    verify(pid, bounds, params)
+    # memo of one product per pair peaks at 2-3 MiB on the first two calls;
+    # the call's plan row, run once per session, warms it up
+    plan_record[pid, bounds.n, bounds.s, None if params is None else params.j]
     tracemalloc.start()
     try:
         verify(pid, bounds, params)
