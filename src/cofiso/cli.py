@@ -301,6 +301,7 @@ def _dispatch(args) -> tuple:
             "instances": report.instances,
             "failures": report.failures,
             "counterexamples": [list(c) for c in report.counterexamples],
+            "planned": report.planned,
         }
         return (0 if report.passed else 3), doc
 

@@ -11,7 +11,8 @@ elements, as the offset-set lists refuse a level past it.  Each suite
 then plans its work in units (one predicate, product or comparison,
 weighted where one check hides a loop) from the lengths of what it has
 built, or from the bounds alone, before each costly stage; the call is
-refused with OverBudget once the plans pass _WORK.
+refused with OverBudget once the plans pass _WORK.  A call that runs
+reports the units it planned as Report.planned.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class UnknownProperty(ValueError):
 
 
 class Report(_Value):
-    __slots__ = ("property_id", "description", "passed", "instances", "counterexamples", "failures")
+    __slots__ = ("property_id", "description", "passed", "instances", "counterexamples", "failures", "planned")
 
     def __init__(
         self,
@@ -94,8 +95,9 @@ class Report(_Value):
         instances: int,
         counterexamples: tuple = (),
         failures: int = 0,  # every failed check; counterexamples keeps the first few
+        planned: int = 0,  # the units of work the call planned
     ) -> None:
-        super().__init__(property_id, description, passed, instances, counterexamples, failures)
+        super().__init__(property_id, description, passed, instances, counterexamples, failures, planned)
 
 
 _CAP = 5
@@ -177,6 +179,7 @@ def verify(property_id: str, bounds: EnumBounds, params: Optional[NoiseParams] =
         tally.instances,
         tuple(tally.bad),
         tally.failures,
+        tally.planned,
     )
 
 
@@ -790,29 +793,24 @@ def _nbhd_translation(t, bounds, j):
     left = {gam: [ids.setdefault(_ext_product(gam, pool[n]), len(ids)) for n in positions] for gam in movers}
     right = {gam: [ids.setdefault(_ext_product(pool[n], gam), len(ids)) for n in positions] for gam in movers}
     products = _MemberIndex(_built(ids))
-    # per step and level: the left target (level, index), and the right
-    # one where it is checked
-    rows = []
-    for gam, reach, i in steps:
-        for k in range(-2, 3):
-            sides = [(left[gam], (gam.pi + k, max(1, i - gam.pi)))]
-            if i > reach + j + max(0, -k):
-                sides.append((right[gam], (k + gam.pi, i)))
-            rows.append((gam, i, k, sides))
     for p, split in splits:
         # the numbers of the products in each target neighborhood
         inside = _Memo(lambda key: set(products.numbers(*key, p)))
         cols = {key: [row_of[n] for n in xs] for key, xs in split.items()}
-        for gam, i, k, sides in rows:
-            xs = split[i, k]
-            if xs:
-                # bit 2n checks the left product with the n-th member, bit
-                # 2n + 1 the right one
-                t.check_mask(
-                    len(sides) * len(xs),
-                    _misses(cols[i, k], *[(row, inside[key]) for row, key in sides]),
-                    lambda n: (gam, pool[xs[n // len(sides)]], k, i, p.offsets),
-                )
+        for gam, reach, i in steps:
+            for k in range(-2, 3):
+                xs = split[i, k]
+                if xs:
+                    # bit 2n checks the n-th member's left product in its
+                    # target (level, index), bit 2n + 1 its right one, where checked
+                    sides = [(left[gam], (gam.pi + k, max(1, i - gam.pi)))]
+                    if i > reach + j + max(0, -k):
+                        sides.append((right[gam], (k + gam.pi, i)))
+                    t.check_mask(
+                        len(sides) * len(xs),
+                        _misses(cols[i, k], *[(row, inside[key]) for row, key in sides]),
+                        lambda n: (gam, pool[xs[n // len(sides)]], k, i, p.offsets),
+                    )
 
 
 @register("nbhd_product", "products of same-index members land in the summed-level neighborhood", j=2)

@@ -20,7 +20,7 @@ def _plan_passes(plan_record, *suites):
     rows = [row for row in PLAN if row[0] in suites]
     assert {pid for pid, *_ in rows} == set(suites)
     for row in rows:
-        report, _ = plan_record[row]
+        report = plan_record[row]
         assert report.passed, (row, report.counterexamples)
         assert report.instances == EXPECTED_INSTANCES[row[0], row[3]], (row, report.instances)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXPECTED_INSTANCES, PLAN, verify_planned
+from conftest import EXPECTED_INSTANCES, PLAN
 
 from cofiso import core, properties, topology
 from cofiso.bicyclic import BicyclicNF, embed, normalize_word, parse_word, recognize, reduce_word, word_iso
@@ -147,7 +147,7 @@ def test_report_counts_every_failure(monkeypatch):
 @pytest.mark.parametrize("j", [2, 3])
 def test_ext_assoc_checks_every_triple(plan_record, j):
     # the products come from numbered tables; still one check per (x, y, z)
-    report, _ = plan_record["ext_assoc", 4, 2, j]
+    report = plan_record["ext_assoc", 4, 2, j]
     assert report.passed and report.instances == len(_ext_universe(EnumBounds(4, 2), j)) ** 3
 
 
@@ -223,9 +223,9 @@ def test_upset_char_plans_before_it_lists(monkeypatch):
 
 @pytest.mark.parametrize("pid,n,s,j", PLAN)
 def test_acceptance_plans_cover_the_instances_well_inside_the_budget(plan_record, pid, n, s, j):
-    report, planned = plan_record[pid, n, s, j]
+    report = plan_record[pid, n, s, j]
     assert report.passed, report.counterexamples
-    assert report.instances <= planned <= properties._WORK // 32
+    assert report.instances <= report.planned <= properties._WORK // 32
     assert report.instances == EXPECTED_INSTANCES[pid, j]
 
 
@@ -256,11 +256,11 @@ def test_plans_bound_the_instances_and_the_calls(pid):
         sys.setprofile(count_calls)
         try:
             params = None if j is None else NoiseParams(j)
-            report, planned = verify_planned(pid, EnumBounds(n, s), params)
+            report = verify(pid, EnumBounds(n, s), params)
         finally:
             sys.setprofile(None)
-        assert report.instances <= planned, (n, s, j)
-        assert calls <= 64 * planned, (n, s, j, calls, planned)
+        assert report.instances <= report.planned, (n, s, j)
+        assert calls <= 64 * report.planned, (n, s, j, calls, report.planned)
 
 
 @pytest.mark.parametrize(

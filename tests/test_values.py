@@ -46,7 +46,7 @@ VALUES = [
     (
         lambda: Report("assoc", "d", True, 8),
         "failures",
-        "Report(property_id='assoc', description='d', passed=True, instances=8, counterexamples=(), failures=0)",
+        "Report(property_id='assoc', description='d', passed=True, instances=8, counterexamples=(), failures=0, planned=0)",
     ),
 ]
 
@@ -87,7 +87,7 @@ def test_constructors_keep_their_defaults_and_checks():
     assert NoiseParams(3) == NoiseParams(3, frozenset())
     assert TailSeqSpec() == TailSeqSpec(frozenset(), 0)
     assert EnumBounds(3, 1) == EnumBounds(3, 1, None) == EnumBounds(n=3, s=1)
-    assert Report("a", "d", True, 8) == Report("a", "d", True, 8, (), 0)
+    assert Report("a", "d", True, 8) == Report("a", "d", True, 8, (), 0, 0)
     # sets are stored frozen whatever iterable comes in
     assert NoiseParams(3, [3, 2]).offsets == frozenset({2, 3})
     assert TailSeqSpec([2], 1).kept_offsets == frozenset({2})
