@@ -105,12 +105,16 @@ _GENS = {"a": ALPHA, "b": BETA, "I": IDENTITY}
 
 # Every legal sequence of characters.  A greedy match with nothing after it
 # never backtracks, so it ends at the first character no token can start.
+# The tokens take only legal characters, so parse runs it only after a
+# failed parse, to report a stray character ahead of any grammar error.
 # Each class lists its ASCII members ahead of \s and \d: re tries them in
 # order, and an ASCII bitmap is tested far faster than a Unicode category,
 # so the characters real input is made of skip the category lookups.
 _LEGAL = re.compile(r"(?:[0-9,abIe()\[\]*^\s\d-]+|iso|grp)*")
-# The next token, after any blanks.
-_TOKEN = re.compile(r"\s*(?:(?P<int>[0-9\d]+)|(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\],*^-]))")
+# The next token, after any blanks.  No two alternatives share a first
+# character, so their order sets only the cost: int goes last, as failing
+# its class costs a Unicode category lookup.
+_TOKEN = re.compile(r"\s*(?:(?P<name>[abIe])|(?P<sym>iso|grp|[()\[\],*^-])|(?P<int>[0-9\d]+))")
 # A literal's digits and commas after its leading run, read in one match.
 # A repeated character class keeps no backtracking stack.
 _POINTS = re.compile(r"[0-9,\d]*")
@@ -163,8 +167,9 @@ MAX_NESTING = 100
 class _Parser:
     """Recursive descent with one token of lookahead, scanned on demand.
 
-    ``tok`` is the next token as (kind, text, column), or None at the end
-    of the input; ``pos`` is the index just past it.
+    ``tok`` is the next token as (kind, text, column), or None where no
+    token starts; ``pos`` is the index just past it, or, once the tokens
+    run out, the index where scanning stopped.
     """
 
     def __init__(self, text: str):
@@ -175,7 +180,7 @@ class _Parser:
     def scan(self, pos: int) -> None:
         m = _TOKEN.match(self.text, pos)
         if m is None:
-            self.tok = None
+            self.tok, self.pos = None, pos
             return
         kind = m.lastgroup
         value = m[kind]
@@ -313,15 +318,20 @@ def _part_column(parts: list[str], n: int, column: int) -> int:
 
 
 def parse(text: str) -> Node:
-    stray = _LEGAL.match(text).end()
-    if stray < len(text):
-        raise ParseError(f"unexpected character {text[stray]!r}", stray + 1)
     parser = _Parser(text)
-    node = parser.parse_expr()
-    tok = parser.tok
-    if tok is not None:
-        raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-    return node
+    try:
+        node = parser.parse_expr()
+        tok = parser.tok
+        if tok is not None:
+            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
+        if text[parser.pos :].strip():  # a character no token starts, named below
+            raise ParseError("no token starts here", parser.pos + 1)
+        return node
+    except ParseError:
+        stray = _LEGAL.match(text).end()
+        if stray < len(text):
+            raise ParseError(f"unexpected character {text[stray]!r}", stray + 1) from None
+        raise
 
 
 def _ext_pow(x: ExtElem, n: int) -> ExtElem:

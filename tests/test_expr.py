@@ -9,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench
+
 from cofiso import expr
 from cofiso.core import ALPHA, BETA, IDENTITY, NoiseParams, PartialIso, make
 from cofiso.expr import (
@@ -25,6 +27,7 @@ from cofiso.expr import (
     Pow,
     Prod,
     Puncture,
+    _Parser,
     evaluate,
     parse,
     unparse,
@@ -77,6 +80,10 @@ class TestParse:
     def test_list_entries_are_unsigned(self):
         with pytest.raises(ParseError):
             parse("iso([-1],0)")
+
+    def test_trailing_blanks_accepted(self):
+        assert parse("a\u3000") == Gen("a")
+        assert parse("b^2 a\n") == Prod(Pow(Gen("b"), 2), Gen("a"))
 
 
 # Malformed inputs and the exact error each raises: message and column.
@@ -132,6 +139,15 @@ ERRORS = [
     ("(" * 101 + "a" + ")" * 101, "column 101: parentheses nested deeper than 100", 101),
     ("a*(" * 1000 + "a" + ")" * 1000, "column 303: parentheses nested deeper than 100", 303),
     ("(" * 1000, "column 101: parentheses nested deeper than 100", 101),
+    # a stray character where the tokens run out, after a whole
+    # expression or inside a literal's run, and one after a grammar error
+    ("a$", "column 2: unexpected character '$'", 2),
+    ("a*b $", "column 5: unexpected character '$'", 5),
+    (f"iso([{_COUNTING_300}x],0)", "column 1097: unexpected character 'x'", 1097),
+    (f"iso([{_COUNTING_300}],0)+", "column 1101: unexpected character '+'", 1101),
+    ("iso([1,,2],0)+", "column 14: unexpected character '+'", 14),
+    # "\x1c" is a blank
+    ("iso([1,2],0\x1c", "column 12: unexpected end of input", 12),
 ]
 
 
@@ -389,12 +405,33 @@ class TestLiterals:
         assert parse(text) == IsoLit((1, 2, 3), 0)
 
 
-# Token pieces, including ones that int() or the grammar rejects.
+# Token pieces, including ones that int() or the grammar rejects, and a
+# counting run for a literal's leading run.
 _PIECES = [
     *"abIe()[],*^- 0123456789",
     *("iso", "grp", "e[", "iso([", "],", "grp(", "^-"),
     *("٣", "²", "x", "+", "\u3000", "\x1c", "\n"),
+    ",".join(map(str, range(1, 13))),
 ]
+_TEXTS = st.lists(st.sampled_from(_PIECES), max_size=40).map("".join)
+
+
+def _reference_parse(text):
+    """The node, or the ParseError's (message, column), of a parse that
+    first runs _LEGAL over the whole text and only then reads tokens."""
+    stray = _LEGAL.match(text).end()
+    if stray < len(text):
+        return f"column {stray + 1}: unexpected character {text[stray]!r}", stray + 1
+    parser = _Parser(text)
+    try:
+        node = parser.parse_expr()
+    except ParseError as exc:
+        return str(exc), exc.column
+    tok = parser.tok
+    if tok is not None:
+        return f"column {tok[2]}: unexpected trailing input {tok[1]!r}", tok[2]
+    return node
+
 
 # (text, shift total) for one factor: a generator, a puncture, a literal
 # (valid or not) or an adjoined integer
@@ -441,7 +478,7 @@ class TestFuzz:
         assert isinstance(value, Group) == ("grp" in text)
 
     @settings(deadline=None, max_examples=400)
-    @given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+    @given(_TEXTS)
     def test_parse_round_trips_or_locates_its_error(self, text):
         try:
             node = parse(text)
@@ -449,6 +486,57 @@ class TestFuzz:
             assert 1 <= exc.column <= len(text) + 1
         else:
             assert parse(unparse(node)) == node
+
+    @settings(deadline=None, max_examples=400)
+    @given(_TEXTS)
+    @example("iso([1,2,3,4,5,6,7,8,9,10,11,12],0)")
+    @example("iso([1,2,3,4,5,6,7,8,9,10,11,12,9],0)x")
+    @example("iso([1,2,3,4,5,6,7,8,9,10,11,12x")
+    @example("iso([1,2,3,4,5,6,7,8,9,10,11,12,,2],0)²")
+    @example("a is")
+    @example("a\x1c$")
+    def test_parse_matches_a_legality_pass_first(self, text):
+        try:
+            got = parse(text)
+        except ParseError as exc:
+            got = str(exc), exc.column
+        assert got == _reference_parse(text)
+
+
+class _CallCount:
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+_STRAY = [text for text, message, _ in ERRORS if "unexpected character" in message]
+
+
+class TestLegalityPass:
+    """parse runs _LEGAL only once the parse itself has failed."""
+
+    @pytest.fixture
+    def legal(self, monkeypatch):
+        spy = _CallCount(_LEGAL)
+        monkeypatch.setattr(expr, "_LEGAL", spy)
+        return spy
+
+    def test_not_run_on_valid_text(self, legal):
+        deep = perfbench("deep")
+        cases = deep["generate"](1)
+        assert len(cases) == deep["POOL_SIZE"]
+        for case in cases:
+            parse(case.text())
+        assert legal.calls == 0
+
+    @pytest.mark.parametrize("text", _STRAY, ids=[text[:16] for text in _STRAY])
+    def test_run_to_find_a_stray_character(self, legal, text):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse(text)
+        assert legal.calls >= 1
 
 
 class TestEvaluate:
