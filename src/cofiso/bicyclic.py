@@ -13,7 +13,7 @@ iso([1,2],1)
 from __future__ import annotations
 
 import operator
-from functools import reduce, total_ordering
+from functools import reduce
 from typing import Optional
 
 from .core import ALPHA, BETA, IDENTITY, PartialIso, _Value, from_anatomy
@@ -23,22 +23,17 @@ class WordError(ValueError):
     """Word contains a letter outside the two-generator alphabet."""
 
 
-@total_ordering
 class BicyclicNF(_Value):
     """Normal form q^k p^l: k backward steps then l forward steps."""
 
     __slots__ = ("k", "l")
+    _order = operator.attrgetter("k", "l")
 
     def __init__(self, k: int, l: int) -> None:
         if k < 0 or l < 0:
             raise ValueError("exponents must be non-negative")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
-
-    def __lt__(self, other: "BicyclicNF") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.l) < (other.k, other.l)
 
     def __mul__(self, other: "BicyclicNF") -> "BicyclicNF":
         # q^k p^l * q^m p^n = q^(k+m-d) p^(l+n-d) with d = min(l, m): both

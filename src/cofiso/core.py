@@ -101,6 +101,7 @@ def elements(
         u, gaps = (u + 1, 0) if p == u else (u, gaps | 1 << (p - u))
 
 
+@total_ordering
 class _Value:
     """Base of the small immutable value classes: the fields are the names
     in ``__slots__``, or in ``_fields`` when memo slots follow them or a
@@ -108,10 +109,12 @@ class _Value:
     order.  A class built on a hot path writes them itself with
     object.__setattr__, which takes half the time.  Values are equal, and
     hash equal, when their class and fields are, and print as
-    ``Name(field=value, ...)``.
+    ``Name(field=value, ...)``.  Values of a class that sets ``_order``, a
+    function reading a value's sort key, sort by it; no others order.
     """
 
     __slots__ = ()
+    _order = None
 
     def __init_subclass__(cls) -> None:
         cls._fields = cls.__dict__.get("_fields", cls.__slots__)
@@ -135,6 +138,14 @@ class _Value:
             return NotImplemented
         key = self._key
         return key(self) == key(other)
+
+    def __lt__(self, other: object) -> bool:
+        # read off the class: PartialIso's _order is a method, which the
+        # instance would bind
+        order = self.__class__._order
+        if other.__class__ is not self.__class__ or order is None:
+            return NotImplemented
+        return order(self) < order(other)
 
     def __hash__(self) -> int:
         return hash(self._key(self))
@@ -186,7 +197,8 @@ class PartialIso:
     docstring, with the derived ``tail_start`` in a fourth slot beside
     them; the instance dict holds only the lazily cached ``excluded``.
     Equality, hashing and pickling use the three fields; ordering
-    follows (excluded, shift).
+    follows (excluded, shift), read from the anatomy by ``_order``
+    without building ``excluded``.
     """
 
     __slots__ = ("dom_min", "gaps", "shift", "tail_start", "__dict__")
@@ -307,6 +319,7 @@ class PartialIso:
 
     __setattr__ = _Value.__setattr__
     __delattr__ = _Value.__delattr__
+    __lt__ = _Value.__lt__
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -319,10 +332,15 @@ class PartialIso:
     def __reduce__(self):
         return from_anatomy, _anatomy(self)
 
-    def __lt__(self, other: "PartialIso") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.excluded, self.shift) < (other.excluded, other.shift)
+    # the sort key of the (excluded, shift) order, read off the anatomy
+    # in O(noise).  A map with no head excludes 1..dom_min-1, a prefix of
+    # any longer run, so these come first, by dom_min.  Maps with a head
+    # come after them.  Of two, the one with the larger dom_min excludes
+    # the other's dom_min, where the other's next excluded point lies
+    # above it, so the larger dom_min sorts first.  The gap positions,
+    # then the shift, break ties
+    def _order(self) -> tuple:
+        return self.gaps > 0, -self.dom_min if self.gaps else self.dom_min, _ones(self.gaps), self.shift
 
     def __repr__(self) -> str:
         return f"iso([{','.join(map(str, self.excluded))}],{self.shift})"
@@ -571,7 +589,8 @@ def tail_chain(e: PartialIso, depth: int) -> PartialIso:
     result is the plain identity of [tail_start + depth, oo).
     """
     if e.shift != 0:
-        raise NotIdempotent(f"{e!r} has shift {e.shift}")
+        # named by its anatomy: the excluded points may be far too many to list
+        raise NotIdempotent(f"the map with tail start {e.tail_start} has shift {e.shift}")
     if depth < 2:
         raise ValueError("depth must be >= 2")
     acc = e

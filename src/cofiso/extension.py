@@ -11,7 +11,7 @@ grp(2)
 
 from __future__ import annotations
 
-from functools import total_ordering
+import operator
 from typing import Union
 
 from .core import (
@@ -32,19 +32,14 @@ class NotInUpSet(ValueError):
     """Argument must sit above the adjoined zero (shift 0 or Group(0))."""
 
 
-@total_ordering
 class Group(_Value):
     """Element k of the adjoined integer group."""
 
     __slots__ = ("k",)
+    _order = operator.attrgetter("k")
 
     def __init__(self, k: int) -> None:
         object.__setattr__(self, "k", k)
-
-    def __lt__(self, other: "Group") -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k < other.k
 
     def __repr__(self) -> str:
         return f"grp({self.k})"

@@ -1,5 +1,8 @@
+import copy
 import inspect
+import pickle
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,9 @@ from cofiso.core import (
     punctured_identity,
     tail_chain,
 )
+from cofiso.extension import Group, NotInUpSet, ext_inv, ext_leq, ext_mul, translate_left, translate_right, up_set_truncated
 from cofiso.oracle import EnumBounds, compose_via_window, enumerate_elements
+from cofiso.topology import NbhdSpec, nbhd_member
 
 
 class TestConstruction:
@@ -444,6 +449,35 @@ class TestRepresentation:
         elems = list(enumerate_elements(EnumBounds(6, 3)))[::-1]
         assert sorted(elems) == sorted(elems, key=lambda g: (g.excluded, g.shift))
 
+    def test_every_pair_orders_as_its_excluded_tuples(self):
+        elems = list(enumerate_elements(EnumBounds(6, 2)))
+        keys = [(g.excluded, g.shift) for g in elems]
+        assert len(elems) ** 2 == 57600
+        for a, ka in zip(elems, keys):
+            got = [(a < b, a <= b, a > b) for b in elems]
+            assert got == [(ka < kb, ka <= kb, ka > kb) for kb in keys], a
+
+    def test_moved_pairs_order_as_the_pairs_they_move(self):
+        # moving both maps t points out keeps their order, so a pair at
+        # dom_min near 10**18 is checked against the tuples of the pair
+        # it moves, which the tuple route can still list
+        pool = list(enumerate_elements(EnumBounds(5, 2)))
+        keys = [(g.excluded, g.shift) for g in pool]
+        for t in (1, 2**20, 10**18):
+            moved = [_lift(x, t) for x in pool]
+            for x, a, ka in zip(pool, moved, keys):
+                got = [(a < b, a <= b, a > b) for b in moved]
+                assert got == [(ka < kb, ka <= kb, ka > kb) for kb in keys], (x, t)
+            assert [x for x, a in zip(pool, moved) if "excluded" in vars(a)] == []
+        assert not BETA ** 10**12 < ALPHA
+
+    def test_up_sets_list_their_maps_in_order(self):
+        params = NoiseParams.full(4)
+        for x in [*enumerate_elements(EnumBounds(4, 1)), Group(-1), Group(0)]:
+            for bound in range(6):
+                maps = [y for y in up_set_truncated(x, params, bound).elements if y.__class__ is PartialIso]
+                assert maps == sorted(maps), (x, bound)
+
     @pytest.mark.parametrize(
         "excluded,shift,error,message",
         [
@@ -623,3 +657,75 @@ class TestScaleInvariance:
                 for b, tb in zip(pool, lifted):
                     dom_min, gaps, shift = keys[a, b]
                     assert _product(ta, tb) == (dom_min + t, gaps, shift), (a, b, t)
+
+
+# maps whose dom_min is 10**18: a and e share a head, b has another, e
+# is idempotent.  Listing their excluded points would not fit in memory
+def _far_maps():
+    return from_anatomy(10**18, 0b1010, 3), from_anatomy(10**18 + 5, 0b110, -2), from_anatomy(10**18, 0b1010, 0)
+
+
+# every public operation on maps that lists no points, on the maps above
+# and the full level-4 parameters; the operations that list points are
+# in README's cost table
+_LISTS_NO_POINTS = {
+    "<": lambda a, b, e, p: a < b,
+    "sorted": lambda a, b, e, p: sorted([a, b, e, a.tail(), b.inverse(), ALPHA, BETA ** 10**12]),
+    "*": lambda a, b, e, p: a * b * e,
+    "inverse": lambda a, b, e, p: a.inverse(),
+    "**": lambda a, b, e, p: (a ** 1000, b ** -1000),
+    "tail": lambda a, b, e, p: a.tail(),
+    "hash": lambda a, b, e, p: hash(a),
+    "==": lambda a, b, e, p: a == b,
+    "pickle": lambda a, b, e, p: pickle.loads(pickle.dumps(a)) == a,
+    "deepcopy": lambda a, b, e, p: copy.deepcopy(a) == a,
+    "leq": lambda a, b, e, p: (leq(a, b), leq(e, a.inverse() * a)),
+    "green": lambda a, b, e, p: (green_l(a, e), green_r(a, b), green_d(a, e)),
+    "d_witness": lambda a, b, e, p: d_witness(a, e),
+    "group_congruence_witness": lambda a, b, e, p: group_congruence_witness(a, a.tail()),
+    "in_offset_class": lambda a, b, e, p: in_offset_class(a, p),
+    "in_offset_class_range": lambda a, b, e, p: in_offset_class_range(a, p),
+    "head_offsets": lambda a, b, e, p: head_offsets(a),
+    "tail_chain": lambda a, b, e, p: tail_chain(e, 3),
+    "ext_mul": lambda a, b, e, p: (ext_mul(a, b), ext_mul(Group(2), a)),
+    "ext_leq": lambda a, b, e, p: (ext_leq(a, b), ext_leq(Group(3), a)),
+    "ext_inv": lambda a, b, e, p: ext_inv(a),
+    "nbhd_member": lambda a, b, e, p: nbhd_member(a, NbhdSpec(3, 5, p)),
+    "recognize": lambda a, b, e, p: recognize(a.tail()),
+    "up_set_truncated": lambda a, b, e, p: up_set_truncated(a, p, 3),
+    "translate_right": lambda a, b, e, p: translate_right(e, 5),
+    "translate_left": lambda a, b, e, p: translate_left(e, 5),
+}
+
+
+class TestCostInTheNoise:
+    # an operation that reads only the anatomy allocates a few KiB at any
+    # dom_min and caches no excluded tuple on its operands; counted in
+    # bytes, which do not vary from run to run as wall time does
+    @pytest.mark.parametrize("op", _LISTS_NO_POINTS.values(), ids=_LISTS_NO_POINTS.keys())
+    def test_allocates_in_the_noise(self, op):
+        maps = _far_maps()
+        params = NoiseParams.full(4)
+        tracemalloc.start()
+        try:
+            op(*maps, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
+        assert [n for n, g in enumerate(maps) if "excluded" in vars(g)] == []
+
+    def test_refusals_name_a_far_map_by_its_anatomy(self):
+        maps = _far_maps()
+        a = maps[0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotIdempotent, match=f"^the map with tail start {10**18 + 4} has shift 3$"):
+                tail_chain(a, 3)
+            with pytest.raises(NotInUpSet, match=f"^the map with tail start {10**18 + 4} and shift 3 "):
+                translate_right(a, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
+        assert [n for n, g in enumerate(maps) if "excluded" in vars(g)] == []

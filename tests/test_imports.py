@@ -224,6 +224,29 @@ _HEAD_OFFSETS_WALK = """    for i in (*_ones(g.gaps), n + 1):
 _HEAD_OFFSETS_VIA_MASK = """    for i in (*_ones(g.gaps & ~NoiseParams(n, range(2, n + 1)).offset_mask(n)[1]), n + 1):
 """
 _HEAD_OFFSETS_FORBIDDEN = {"_offset_bits", "offset_mask", "in_offset_class", "_offset_mask"}
+# _Value.__lt__ orders every value class by its _order key; a class
+# that compares itself, as Group did before _Value held the one order
+_GROUP_REPR = """    def __repr__(self) -> str:
+        return f"grp({self.k})"
+"""
+_COPIED_GROUP_LT = """    def __lt__(self, other: "Group") -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k < other.k
+
+""" + _GROUP_REPR
+
+
+def _comparisons(source: str) -> list[str]:
+    """Class.method for each comparison a class body other than _Value's
+    writes."""
+    return [
+        f"{node.name}.{f.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name != "_Value"
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and f.name in {"__lt__", "__le__", "__gt__", "__ge__"}
+    ]
 
 
 def _head_offsets_reads(source: str) -> list[str]:
@@ -288,6 +311,15 @@ class TestSources:
         assert len(classes) == 14
         assert [c.__name__ for c in classes if {"__eq__", "__hash__"} & vars(c).keys()] == []
 
+    def test_value_classes_share_one_order(self):
+        # _Value.__lt__ compares by each class's _order key, and
+        # PartialIso binds it too; no other class writes a comparison
+        from cofiso.core import PartialIso, _Value
+
+        found = [c for path in sorted((ROOT / "src" / "cofiso").glob("*.py")) for c in _comparisons(path.read_text())]
+        assert found == []
+        assert PartialIso.__lt__ is _Value.__lt__
+
     # core holds the one subset walk (elements) and the one set-bit walk
     # (_ones): no other module reads the digit string _bits
     @pytest.mark.parametrize("path", sorted((ROOT / "src" / "cofiso").glob("*.py")), ids=lambda p: p.name)
@@ -350,8 +382,9 @@ class TestSources:
             ("topology.py", _NOISE_PARAMS_CALL, _COPIED_RANGE_LOOP, _range_refusals),
             ("properties.py", _SUITE_TAKES_J, _COPIED_PARAMS_SUITE, _params_reads),
             ("core.py", _HEAD_OFFSETS_WALK, _HEAD_OFFSETS_VIA_MASK, _head_offsets_reads),
+            ("extension.py", _GROUP_REPR, _COPIED_GROUP_LT, _comparisons),
         ],
-        ids=["budget", "low bit", "offset range", "suite params", "head offsets"],
+        ids=["budget", "low bit", "offset range", "suite params", "head offsets", "group order"],
     )
     def test_a_planted_copy_fails_its_guard(self, name, old, copy, guard):
         source = (ROOT / "src" / "cofiso" / name).read_text()

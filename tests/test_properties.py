@@ -1,9 +1,11 @@
 import operator
 import os
 import random
+import re
 import sys
 import tracemalloc
 from itertools import count, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,24 @@ def test_descriptions_are_informative():
         report = verify(pid, EnumBounds(1, 0), NoiseParams(2))
         assert report.description
         assert report.description != pid
+
+
+def _claim_map() -> dict:
+    """Each claim in README's claim map and the suite ids its Suites
+    column names; an open claim names none."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    # the table's rows, past its header and separator
+    rows = [line for line in text.split("## Claim map", 1)[1].splitlines() if line.startswith("|")][2:]
+    return {claim.strip(): re.findall(r"`([^`]+)`", suites) for claim, suites, _ in (r.split("|")[1:4] for r in rows)}
+
+
+def test_claim_map_names_registered_suites():
+    claims = _claim_map()
+    assert len(claims) == 5
+    named = {pid for suites in claims.values() for pid in suites}
+    assert named and named <= set(known_properties()), sorted(named - set(known_properties()))
+    # discreteness and local compactness are still open
+    assert sum(not suites for suites in claims.values()) == 2
 
 
 def test_unknown_property_lists_the_registry():
